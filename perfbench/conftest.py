@@ -1,0 +1,7 @@
+"""Self-tests of the benchmark: ``python3 -m pytest perfbench``."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
