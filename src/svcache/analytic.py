@@ -250,15 +250,6 @@ def p_success_sbs_el_closed(cfg: NetworkConfig, gamma_el: float, n2_serving: int
 # Ergodic service rates
 # ---------------------------------------------------------------------------
 
-def _log_tail_nodes(gamma: float, s_max: float, n_nodes: int):
-    """Gauss-Legendre nodes/weights for int_gamma^(gamma*e^smax) f(t) dt
-    under t = gamma*exp(s); returned weights absorb the Jacobian t."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-    s = 0.5 * s_max * (nodes + 1.0)
-    t = gamma * np.exp(s)
-    return t, 0.5 * s_max * weights * t
-
-
 def ergodic_rate_mbs(cfg: NetworkConfig, gamma: float) -> float:
     """Ergodic nearest-MBS service rate conditioned on SIR >= gamma.
 

@@ -3,7 +3,9 @@
 Samples Poisson fields of base stations and Rayleigh fading, computes
 the exact SIR expressions (coherent cooperative sum for cluster service,
 nearest-MBS service otherwise) and estimates success probabilities and
-conditional ergodic rates empirically.
+conditional ergodic rates empirically.  Drops are drawn serially in
+fixed-size batches; batch i draws from child i of SeedSequence(seed), so
+a seeded call returns the same array on every run.
 
 The simulation window is a disk of radius R_sim = 30 / sqrt(pi*lambda_m)
 centred on the user; truncation beyond it biases results by well under
@@ -18,19 +20,15 @@ not serve stay silent until the next transmission.
 from __future__ import annotations
 
 import functools
-import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from svcache.config import NetworkConfig
 
-log = logging.getLogger(__name__)
-
-# Fixed batch size: results are bit-identical for any worker count
-# because every batch derives its own child seed from (seed, index).
+# Fixed batch size: it bounds the memory of one draw, and every seeded
+# result depends on it.
 _BATCH = 1024
 
 WINDOW_FACTOR = 30.0
@@ -55,66 +53,6 @@ class Estimate:
     meta: dict | None = field(default=None, hash=False, compare=False)
 
 
-@dataclass(frozen=True)
-class Drop:
-    """One sampled network snapshot (debugging / dump support).
-
-    cluster1 holds the inner-cluster SBS positions (radii < a), cluster2
-    the annulus cluster (radii in (a, b)); the ambient PPP is sampled
-    beyond b.  Fading entries are circularly-symmetric unit-variance
-    complex gains, one per station.
-    """
-
-    mbs_points: np.ndarray
-    sbs_points_outer: np.ndarray
-    cluster1: np.ndarray
-    cluster2: np.ndarray
-    fading: dict
-
-
-def sample_ppp(density: float, r_inner: float, r_outer: float,
-               rng_seed) -> np.ndarray:
-    """Homogeneous PPP on the annulus (disk if r_inner = 0); (n, 2) array."""
-    if density < 0:
-        raise ValueError("density must be >= 0")
-    if not 0 <= r_inner < r_outer:
-        raise ValueError("need 0 <= r_inner < r_outer")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
-        else np.random.default_rng(rng_seed)
-    area = math.pi * (r_outer ** 2 - r_inner ** 2)
-    n = rng.poisson(density * area)
-    r = np.sqrt(rng.uniform(r_inner ** 2, r_outer ** 2, n))
-    phi = rng.uniform(0.0, 2.0 * math.pi, n)
-    return np.column_stack((r * np.cos(phi), r * np.sin(phi)))
-
-
-def sample_drop(cfg: NetworkConfig, seed: int) -> Drop:
-    """Sample one snapshot with fixed cluster populations."""
-    rng = np.random.default_rng(seed)
-    r_sim = window_radius(cfg)
-    mbs = sample_ppp(cfg.lambda_m, 0.0, r_sim, rng)
-    outer = sample_ppp(cfg.lambda_s, cfg.b, r_sim, rng)
-
-    def uniform_points(n, r_lo, r_hi):
-        r = np.sqrt(rng.uniform(r_lo ** 2, r_hi ** 2, n))
-        phi = rng.uniform(0.0, 2.0 * math.pi, n)
-        return np.column_stack((r * np.cos(phi), r * np.sin(phi)))
-
-    cluster1 = uniform_points(cfg.n1, 0.0, cfg.a)
-    cluster2 = uniform_points(cfg.n2, cfg.a, cfg.b)
-
-    def gains(n):
-        return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
-
-    fading = {
-        "mbs": gains(len(mbs)),
-        "sbs_outer": gains(len(outer)),
-        "cluster1": gains(cfg.n1),
-        "cluster2": gains(cfg.n2),
-    }
-    return Drop(mbs, outer, cluster1, cluster2, fading)
-
-
 def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     csum = np.concatenate(([0.0], np.cumsum(values)))
     ends = np.cumsum(counts)
@@ -136,40 +74,26 @@ def _interference(rng, density, r2_lo, r2_hi, power, alpha, n_drops):
     return _segment_sums(p, counts)
 
 
-def _batch_seeds(seed: int, n_batches: int):
-    return np.random.SeedSequence(seed).spawn(n_batches)
-
-
-def _run_batches(worker, n_drops: int, seed: int, n_jobs: int = 1) -> np.ndarray:
-    n_batches = (n_drops + _BATCH - 1) // _BATCH
-    sizes = [min(_BATCH, n_drops - i * _BATCH) for i in range(n_batches)]
-    seeds = _batch_seeds(seed, n_batches)
-    if n_jobs == 1:
-        parts = [worker(s, n) for s, n in zip(seeds, sizes)]
-    else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            parts = list(pool.map(worker, seeds, sizes))
-    out = np.concatenate(parts)
+def _run_batches(worker, n_drops: int, seed: int) -> np.ndarray:
+    seeds = np.random.SeedSequence(seed).spawn((n_drops + _BATCH - 1) // _BATCH)
+    out = np.concatenate([worker(s, min(_BATCH, n_drops - i * _BATCH))
+                          for i, s in enumerate(seeds)])
     out.setflags(write=False)
     return out
 
 
 @functools.lru_cache(maxsize=64)
-def sir_samples_mbs(cfg: NetworkConfig, n_drops: int, seed: int = 0,
-                    n_jobs: int = 1) -> np.ndarray:
+def sir_samples_mbs(cfg: NetworkConfig, n_drops: int, seed: int = 0) -> np.ndarray:
     """SIR samples for nearest-MBS service (one value per drop)."""
     r_sim = window_radius(cfg)
     a2 = r_sim ** 2
     mean_mbs = cfg.lambda_m * math.pi * a2
-    resampled = 0
 
     def worker(seed_seq, size):
-        nonlocal resampled
         rng = np.random.default_rng(seed_seq)
+        # mean_mbs = WINDOW_FACTOR^2 = 900 for every config, so a drop has
+        # no MBS with probability e^-900, which is 0 in double precision.
         counts = rng.poisson(mean_mbs, size)
-        while (zero := counts == 0).any():
-            resampled += int(zero.sum())
-            counts[zero] = rng.poisson(mean_mbs, int(zero.sum()))
         # Nearest-of-m uniform-in-disk distance, remaining MBSs beyond it.
         min_r2 = a2 * (1.0 - rng.random(size) ** (1.0 / counts))
         signal = rng.exponential(1.0, size) * cfg.p_m * min_r2 ** (-cfg.alpha_m / 2.0)
@@ -183,13 +107,10 @@ def sir_samples_mbs(cfg: NetworkConfig, n_drops: int, seed: int = 0,
                               cfg.alpha_s, size)
         return signal / (i_mbs + i_sbs)
 
-    sir = _run_batches(worker, n_drops, seed, n_jobs)
-    if resampled:
-        log.debug("resampled %d zero-MBS drops", resampled)
-    return sir
+    return _run_batches(worker, n_drops, seed)
 
 
-def _sir_samples_cluster(cfg, n_serving, n_drops, seed, layer, n_jobs=1):
+def _sir_samples_cluster(cfg, n_serving, n_drops, seed, layer):
     if not 1 <= n_serving <= (cfg.n1 if layer == "BL" else cfg.n2):
         raise ValueError("n_serving must lie in 1..cluster size")
     r_sim = window_radius(cfg)
@@ -217,21 +138,21 @@ def _sir_samples_cluster(cfg, n_serving, n_drops, seed, layer, n_jobs=1):
                               cfg.alpha_m, size)
         return signal / (i_sbs + i_mbs)
 
-    return _run_batches(worker, n_drops, seed, n_jobs)
+    return _run_batches(worker, n_drops, seed)
 
 
 @functools.lru_cache(maxsize=64)
 def sir_samples_sbs_bl(cfg: NetworkConfig, n_serving: int, n_drops: int,
-                       seed: int = 0, n_jobs: int = 1) -> np.ndarray:
+                       seed: int = 0) -> np.ndarray:
     """SIR samples for cooperative base-layer delivery."""
-    return _sir_samples_cluster(cfg, n_serving, n_drops, seed, "BL", n_jobs)
+    return _sir_samples_cluster(cfg, n_serving, n_drops, seed, "BL")
 
 
 @functools.lru_cache(maxsize=64)
 def sir_samples_sbs_el(cfg: NetworkConfig, n_serving: int, n_drops: int,
-                       seed: int = 0, n_jobs: int = 1) -> np.ndarray:
+                       seed: int = 0) -> np.ndarray:
     """SIR samples for cooperative enhancement-layer delivery."""
-    return _sir_samples_cluster(cfg, n_serving, n_drops, seed, "EL", n_jobs)
+    return _sir_samples_cluster(cfg, n_serving, n_drops, seed, "EL")
 
 
 def _success_estimate(sir: np.ndarray, gamma: float, seed: int) -> Estimate:
@@ -242,45 +163,47 @@ def _success_estimate(sir: np.ndarray, gamma: float, seed: int) -> Estimate:
                     meta={"window_factor": WINDOW_FACTOR})
 
 
-def estimate_p_success_mbs(cfg: NetworkConfig, gamma: float, n_drops: int,
-                           seed: int = 0, n_jobs: int = 1) -> Estimate:
-    """Empirical P(SIR_M >= gamma)."""
+def _sir_samples(cfg: NetworkConfig, source: str, n_serving: int,
+                 n_drops: int, seed: int) -> np.ndarray:
+    # The samplers are looked up as module globals at call time, so a
+    # wrapper set on the module attribute sees every estimate's draw.
     if n_drops < 1:
         raise ValueError("n_drops must be >= 1")
-    return _success_estimate(sir_samples_mbs(cfg, n_drops, seed, n_jobs),
+    if source == "MBS":
+        return sir_samples_mbs(cfg, n_drops, seed)
+    if source == "SBS-BL":
+        return sir_samples_sbs_bl(cfg, n_serving, n_drops, seed)
+    if source == "SBS-EL":
+        return sir_samples_sbs_el(cfg, n_serving, n_drops, seed)
+    raise ValueError(f"unknown source {source!r}: "
+                     "must be 'MBS', 'SBS-BL' or 'SBS-EL'")
+
+
+def estimate_p_success_mbs(cfg: NetworkConfig, gamma: float, n_drops: int,
+                           seed: int = 0) -> Estimate:
+    """Empirical P(SIR_M >= gamma)."""
+    return _success_estimate(_sir_samples(cfg, "MBS", 1, n_drops, seed),
                              gamma, seed)
 
 
 def estimate_p_success_sbs(cfg: NetworkConfig, gamma: float, layer: str,
-                           n_serving: int, n_drops: int, seed: int = 0,
-                           n_jobs: int = 1) -> Estimate:
+                           n_serving: int, n_drops: int,
+                           seed: int = 0) -> Estimate:
     """Empirical P(SIR_S,layer >= gamma) for layer in {'BL', 'EL'}."""
-    if layer not in ("BL", "EL"):
-        raise ValueError("layer must be 'BL' or 'EL'")
-    if n_drops < 1:
-        raise ValueError("n_drops must be >= 1")
-    sampler = sir_samples_sbs_bl if layer == "BL" else sir_samples_sbs_el
-    return _success_estimate(sampler(cfg, n_serving, n_drops, seed, n_jobs),
-                             gamma, seed)
+    return _success_estimate(
+        _sir_samples(cfg, f"SBS-{layer}", n_serving, n_drops, seed), gamma, seed)
 
 
 def estimate_ergodic_rate(cfg: NetworkConfig, gamma: float, source: str,
-                          n_drops: int, seed: int = 0, n_serving: int = 1,
-                          n_jobs: int = 1) -> Estimate:
+                          n_drops: int, seed: int = 0,
+                          n_serving: int = 1) -> Estimate:
     """W-scaled conditional mean of log2(1+SIR) over drops with SIR >= gamma.
 
     source is 'MBS', 'SBS-BL' or 'SBS-EL'; the latter two require
     n_serving.  Raises if fewer than MIN_CONDITIONING_DROPS drops meet
     the condition.
     """
-    if source == "MBS":
-        sir = sir_samples_mbs(cfg, n_drops, seed, n_jobs)
-    elif source == "SBS-BL":
-        sir = sir_samples_sbs_bl(cfg, n_serving, n_drops, seed, n_jobs)
-    elif source == "SBS-EL":
-        sir = sir_samples_sbs_el(cfg, n_serving, n_drops, seed, n_jobs)
-    else:
-        raise ValueError("source must be 'MBS', 'SBS-BL' or 'SBS-EL'")
+    sir = _sir_samples(cfg, source, n_serving, n_drops, seed)
     hits = sir[sir >= gamma]
     if len(hits) < MIN_CONDITIONING_DROPS:
         raise RuntimeError(

@@ -75,10 +75,8 @@ def _binom_pmf(n_total: int, t: np.ndarray) -> np.ndarray:
     comb = np.array([math.comb(n_total, int(i)) for i in range(n_total + 1)],
                     dtype=float)[:, None]
     t = t[None, :]
-    with np.errstate(invalid="ignore"):
-        pmf = comb * t ** k * (1.0 - t) ** (n_total - k)
-    # 0**0 corners at t = 0 or 1
-    return np.nan_to_num(pmf, nan=0.0)
+    # numpy's 0.0**0 is 1, so t = 0 and t = 1 give exact point masses.
+    return comb * t ** k * (1.0 - t) ** (n_total - k)
 
 
 def sum_rate_scheme2(t1, t2, ctx: ObjectiveContext) -> float:

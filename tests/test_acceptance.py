@@ -18,8 +18,9 @@ Each test pins one headline claim at its stated tolerance:
    max;
 7. the smoothed objective is within 5% of the exact-l0 objective at the
    fractional optimum for theta = 0.01;
-8. fading and point-process statistics are unbiased and every sampler is
-   bit-reproducible across runs and worker counts.
+8. the interference the samplers draw (PPP counts, radii and fading) has
+   the Campbell mean and variance, and every sampler is bit-reproducible
+   across runs.
 """
 
 import math
@@ -252,30 +253,54 @@ class TestSmoothingFidelity:
         assert gap <= 0.05
 
 
+SANITY_DROPS = 20_000
+
+
+def _sanity_region(net, alpha):
+    """SBS interference beyond the inner cluster, out to radius 4b:
+    (density, r2_lo, r2_hi, power, alpha), about 16 points per drop."""
+    return net.lambda_s, net.a ** 2, (4 * net.b) ** 2, net.p_s, alpha
+
+
+def _sanity_interference(region):
+    return montecarlo._interference(np.random.default_rng(0), *region,
+                                    SANITY_DROPS)
+
+
+def _campbell_cumulant(density, r2_lo, r2_hi, power, alpha, k):
+    """k-th cumulant of the per-drop interference (Campbell's theorem):
+    density*pi*E[fade^k]*power^k * int u^(-k*alpha/2) du over (r2_lo,
+    r2_hi), with E[fade^k] = k! for unit-mean exponential fading."""
+    e = k * alpha / 2.0
+    return (density * math.pi * math.factorial(k) * power ** k
+            * (r2_lo ** (1.0 - e) - r2_hi ** (1.0 - e)) / (e - 1.0))
+
+
 class TestStatisticalSanity:
     """Criterion 8: unbiased randomness, bit-exact reproducibility."""
 
-    def test_fading_power_unit_mean(self, net):
-        gains = np.concatenate(
-            [montecarlo.sample_drop(net, s).fading["mbs"] for s in range(50)])
-        power = np.abs(gains) ** 2
-        se = power.std(ddof=1) / math.sqrt(len(power))
-        assert abs(power.mean() - 1.0) <= 3 * se
+    @pytest.mark.parametrize("alpha", [4.0, 3.5])
+    def test_interference_campbell_mean(self, net, alpha):
+        region = _sanity_region(net, alpha)
+        i = _sanity_interference(region)
+        var = _campbell_cumulant(*region, 2)
+        assert abs(i.mean() - _campbell_cumulant(*region, 1)) \
+            <= 3 * math.sqrt(var / len(i))
 
-    def test_ppp_counts_poisson_mean(self):
-        density = 1.0 / (100.0 ** 2 * math.pi)
-        rng = np.random.default_rng(1)
-        counts = [len(montecarlo.sample_ppp(density, 0.0, 1500.0, rng))
-                  for _ in range(1500)]
-        expected = density * math.pi * 1500.0 ** 2
-        se = math.sqrt(expected / len(counts))
-        assert abs(np.mean(counts) - expected) <= 3 * se
+    @pytest.mark.parametrize("alpha", [4.0, 3.5])
+    def test_interference_campbell_variance(self, net, alpha):
+        region = _sanity_region(net, alpha)
+        i = _sanity_interference(region)
+        k2, k4 = (_campbell_cumulant(*region, k) for k in (2, 4))
+        # Var(sample variance) = (mu4 - var^2) / n, mu4 = k4 + 3*k2^2
+        assert abs(i.var(ddof=1) - k2) <= 3 * math.sqrt((k4 + 2 * k2 ** 2)
+                                                        / len(i))
 
     def test_bit_exact_across_runs_and_workers(self, net):
-        first = np.array(montecarlo.sir_samples_mbs(net, 8192, seed=5,
-                                                    n_jobs=1), copy=True)
-        montecarlo.sir_samples_mbs.cache_clear()
-        again = montecarlo.sir_samples_mbs(net, 8192, seed=5, n_jobs=1)
-        parallel = montecarlo.sir_samples_mbs(net, 8192, seed=5, n_jobs=4)
-        assert np.array_equal(first, again)
-        assert np.array_equal(first, parallel)
+        for sampler, n_serving in ((montecarlo.sir_samples_mbs, ()),
+                                   (montecarlo.sir_samples_sbs_bl, (net.n1,)),
+                                   (montecarlo.sir_samples_sbs_el, (net.n2,))):
+            first = np.array(sampler(net, *n_serving, 8192, seed=5), copy=True)
+            sampler.cache_clear()
+            again = sampler(net, *n_serving, 8192, seed=5)
+            assert np.array_equal(first, again)

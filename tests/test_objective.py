@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from svcache.analytic import RateTable
 from svcache.config import (CachingPolicy, ContentConfig, NetworkConfig,
@@ -114,9 +114,13 @@ class TestSumRateScheme2:
 
     @given(st.integers(min_value=1, max_value=16),
            st.floats(min_value=0.0, max_value=1.0))
+    @example(n=4, t=0.0)
+    @example(n=4, t=1.0)
     def test_binomial_partition_of_unity(self, n, t):
         pmf = _binom_pmf(n, np.array([t]))
         assert abs(pmf.sum() - 1.0) <= 1e-12
+        if t in (0.0, 1.0):
+            assert np.array_equal(pmf[:, 0], np.eye(n + 1)[int(t) * n])
 
     def test_mixture_weights_at_reference_point(self, ctx):
         pmf = _binom_pmf(4, np.array([0.3]))[:, 0]
