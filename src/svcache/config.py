@@ -145,12 +145,17 @@ class CachingPolicy:
 
     def validate_budget(self, content: ContentConfig, tol: float = 1e-9) -> None:
         """Check the cache-size budget equalities sum(q1)=M_B, sum(q2)=M_E."""
-        _require(len(self.q1) == content.f_count, "q1",
-                 f"length {len(self.q1)} != catalog size {content.f_count}")
-        if abs(sum(self.q1) - content.m_b) > tol:
-            raise ValueError(f"q1: sum {sum(self.q1)} != BL budget {content.m_b}")
-        if abs(sum(self.q2) - content.m_e) > tol:
-            raise ValueError(f"q2: sum {sum(self.q2)} != EL budget {content.m_e}")
+        check_budget(self.q1, self.q2, content, tol)
+
+
+def check_budget(q1, q2, content: ContentConfig, tol: float = 1e-9) -> None:
+    """Check sum(q1)=M_B and sum(q2)=M_E for raw length-F sequences."""
+    _require(len(q1) == content.f_count, "q1",
+             f"length {len(q1)} != catalog size {content.f_count}")
+    if abs(sum(q1) - content.m_b) > tol:
+        raise ValueError(f"q1: sum {sum(q1)} != BL budget {content.m_b}")
+    if abs(sum(q2) - content.m_e) > tol:
+        raise ValueError(f"q2: sum {sum(q2)} != EL budget {content.m_e}")
 
 
 def _require(cond: bool, key: str, msg: str) -> None:

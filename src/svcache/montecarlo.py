@@ -75,6 +75,8 @@ def _interference(rng, density, r2_lo, r2_hi, power, alpha, n_drops):
 
 
 def _run_batches(worker, n_drops: int, seed: int) -> np.ndarray:
+    if n_drops < 1:
+        raise ValueError("n_drops must be >= 1")
     seeds = np.random.SeedSequence(seed).spawn((n_drops + _BATCH - 1) // _BATCH)
     out = np.concatenate([worker(s, min(_BATCH, n_drops - i * _BATCH))
                           for i, s in enumerate(seeds)])
@@ -167,8 +169,6 @@ def _sir_samples(cfg: NetworkConfig, source: str, n_serving: int,
                  n_drops: int, seed: int) -> np.ndarray:
     # The samplers are looked up as module globals at call time, so a
     # wrapper set on the module attribute sees every estimate's draw.
-    if n_drops < 1:
-        raise ValueError("n_drops must be >= 1")
     if source == "MBS":
         return sir_samples_mbs(cfg, n_drops, seed)
     if source == "SBS-BL":

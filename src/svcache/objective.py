@@ -2,21 +2,21 @@
 
 The energy efficiency is the user sum rate divided by the total network
 power.  Scheme I optimizes a theta-smoothed surrogate of the l0
-transmission-power terms; gradients are numerical (central finite
-differences with step-halving available as a consistency check).
+transmission-power terms.  Rates and powers sum over the last (file)
+axis, so the finite-difference gradient evaluates a stack of policies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from svcache.analytic import RateTable
 from svcache.config import CachingPolicy, ContentConfig, NetworkConfig, PowerCoefficients
 from svcache.popularity import PopularityProfile
-from svcache.power import power_scheme1, power_scheme2
+from svcache.power import _power_terms
 
 DEFAULT_THETA = 0.01
 _FD_STEP = 1e-6
@@ -53,51 +53,62 @@ class ObjectiveContext:
             raise ValueError("rate table incomplete for the cluster sizes")
 
 
-def sum_rate_scheme1(q1, q2, ctx: ObjectiveContext) -> float:
-    """User sum rate under fractional caching (affine in each fraction)."""
+def _policy_arrays(q1, q2, ctx: ObjectiveContext):
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
-    p = np.asarray(ctx.profile.p)
-    if len(q1) != len(p) or len(q2) != len(p):
+    if q1.shape[-1] != ctx.profile.f_count or q2.shape[-1] != ctx.profile.f_count:
         raise ValueError("policy length mismatch with catalog")
-    g_hdv = np.asarray(ctx.profile.g_hdv)
+    return q1, q2, np.asarray(ctx.profile.p), np.asarray(ctx.profile.g_hdv)
+
+
+def sum_rate_scheme1(q1, q2, ctx: ObjectiveContext):
+    """User sum rate under fractional caching (affine in each fraction); a
+    fraction cached in a cluster of size 0 is served at the MBS rate."""
+    q1, q2, p, g_hdv = _policy_arrays(q1, q2, ctx)
     r = ctx.rates
-    r_s_bl = r.r_s_bl[ctx.net.n1]
-    r_s_el = r.r_s_el[ctx.net.n2]
+    r_s_bl = r.r_s_bl[ctx.net.n1] if ctx.net.n1 else r.r_m_bl
+    r_s_el = r.r_s_el[ctx.net.n2] if ctx.net.n2 else r.r_m_el
     per_file = ((1.0 - q1) * r.r_m_bl + g_hdv * (1.0 - q2) * r.r_m_el
                 + q1 * r_s_bl + g_hdv * q2 * r_s_el)
-    return float(np.sum(p * per_file))
+    return np.sum(p * per_file, axis=-1)
 
 
 def _binom_pmf(n_total: int, t: np.ndarray) -> np.ndarray:
-    """PMF rows for k = 0..n_total, one column per file."""
+    """PMF rows for k = 0..n_total: shape (n_total+1, F), or (B, n_total+1, F)."""
     k = np.arange(n_total + 1)[:, None]
     comb = np.array([math.comb(n_total, int(i)) for i in range(n_total + 1)],
                     dtype=float)[:, None]
-    t = t[None, :]
+    t = t[..., None, :]
     # numpy's 0.0**0 is 1, so t = 0 and t = 1 give exact point masses.
     return comb * t ** k * (1.0 - t) ** (n_total - k)
 
 
-def sum_rate_scheme2(t1, t2, ctx: ObjectiveContext) -> float:
-    """User sum rate under random caching (binomial serving-count mixture)."""
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    p = np.asarray(ctx.profile.p)
-    if len(t1) != len(p) or len(t2) != len(p):
-        raise ValueError("policy length mismatch with catalog")
-    g_hdv = np.asarray(ctx.profile.g_hdv)
+def sum_rate_scheme2(t1, t2, ctx: ObjectiveContext):
+    """User sum rate under random caching (binomial serving-count mixture);
+    no serving SBS (k = 0, always so in a cluster of size 0) means the MBS."""
+    t1, t2, p, g_hdv = _policy_arrays(t1, t2, ctx)
     r = ctx.rates
-
-    pmf1 = _binom_pmf(ctx.net.n1, t1)   # (n1+1, F)
+    pmf1 = _binom_pmf(ctx.net.n1, t1)
     pmf2 = _binom_pmf(ctx.net.n2, t2)
     rates_bl = np.array([0.0] + [r.r_s_bl[n] for n in range(1, ctx.net.n1 + 1)])
     rates_el = np.array([0.0] + [r.r_s_el[n] for n in range(1, ctx.net.n2 + 1)])
     sbs_bl = rates_bl @ pmf1
     sbs_el = rates_el @ pmf2
-    per_file = (pmf1[0] * r.r_m_bl + g_hdv * pmf2[0] * r.r_m_el
+    per_file = (pmf1[..., 0, :] * r.r_m_bl + g_hdv * pmf2[..., 0, :] * r.r_m_el
                 + sbs_bl + g_hdv * sbs_el)
-    return float(np.sum(p * per_file))
+    return np.sum(p * per_file, axis=-1)
+
+
+def _ee(mode: str, q1, q2, ctx: ObjectiveContext, exact_l0: bool = False):
+    """Energy efficiency of each row of the (F,) or (B, F) blocks q1, q2."""
+    rate = (sum_rate_scheme1 if mode == "fractional" else sum_rate_scheme2)(q1, q2, ctx)
+    p_tr, p_ca, p_bh, p_fix = _power_terms(
+        mode, q1, q2, ctx.profile, ctx.net, ctx.content, ctx.coeff,
+        None if exact_l0 else ctx.theta)
+    power = p_tr + p_ca + p_bh + p_fix
+    if np.any(power <= 0):
+        raise ZeroDivisionError("total power is zero; no valid EE")
+    return rate / power
 
 
 def ee_value(policy: CachingPolicy, ctx: ObjectiveContext,
@@ -107,18 +118,28 @@ def ee_value(policy: CachingPolicy, ctx: ObjectiveContext,
     Scheme I uses the theta-smoothed transmission power unless
     exact_l0=True, which reports the true-indicator value instead.
     """
-    if policy.mode == "fractional":
-        rate = sum_rate_scheme1(policy.q1, policy.q2, ctx)
-        smoothing = None if exact_l0 else ctx.theta
-        power = power_scheme1(policy, ctx.profile, ctx.net, ctx.content,
-                              ctx.coeff, smoothing=smoothing).p_total
-    else:
-        rate = sum_rate_scheme2(policy.q1, policy.q2, ctx)
-        power = power_scheme2(policy, ctx.profile, ctx.net, ctx.content,
-                              ctx.coeff).p_total
-    if power <= 0:
-        raise ZeroDivisionError("total power is zero; no valid EE")
-    return rate / power
+    return float(_ee(policy.mode, np.asarray(policy.q1), np.asarray(policy.q2),
+                     ctx, exact_l0))
+
+
+def _ee_gradient(mode: str, q1, q2, ctx: ObjectiveContext, which: str,
+                 step: float = _FD_STEP) -> np.ndarray:
+    # Rows f and F + f of the stacked evaluation move coordinate f up and
+    # down by step, clipped to [0, 1].
+    if which not in ("q1", "q2", "t1", "t2"):
+        raise ValueError("which must be one of q1, q2, t1, t2")
+    blocks = [q1, q2]
+    block = int(which[1]) - 1
+    base = blocks[block]
+    f_count = len(base)
+    hi = np.minimum(base + step, 1.0)
+    lo = np.maximum(base - step, 0.0)
+    rows = np.tile(base, (2, f_count, 1))
+    diag = np.arange(f_count)
+    rows[:, diag, diag] = hi, lo
+    blocks[block] = rows.reshape(2 * f_count, f_count)
+    ee_hi, ee_lo = _ee(mode, *blocks, ctx).reshape(2, f_count)
+    return (ee_hi - ee_lo) / (hi - lo)
 
 
 def ee_gradient(policy: CachingPolicy, ctx: ObjectiveContext, which: str,
@@ -129,23 +150,5 @@ def ee_gradient(policy: CachingPolicy, ctx: ObjectiveContext, which: str,
     layers).  Central differences in the interior, one-sided at the
     box boundary.
     """
-    if which in ("q1", "t1"):
-        base = np.asarray(policy.q1)
-        rebuild = lambda vec: replace(policy, q1=tuple(vec))
-    elif which in ("q2", "t2"):
-        base = np.asarray(policy.q2)
-        rebuild = lambda vec: replace(policy, q2=tuple(vec))
-    else:
-        raise ValueError("which must be one of q1, q2, t1, t2")
-
-    grad = np.empty(len(base))
-    for f in range(len(base)):
-        hi = min(base[f] + step, 1.0)
-        lo = max(base[f] - step, 0.0)
-        vec_hi = base.copy()
-        vec_hi[f] = hi
-        vec_lo = base.copy()
-        vec_lo[f] = lo
-        grad[f] = ((ee_value(rebuild(vec_hi), ctx)
-                    - ee_value(rebuild(vec_lo), ctx)) / (hi - lo))
-    return grad
+    return _ee_gradient(policy.mode, np.asarray(policy.q1),
+                        np.asarray(policy.q2), ctx, which, step)

@@ -1,10 +1,10 @@
 """Projected gradient ascent over the capped-simplex feasible sets.
 
 Each caching block lives on {x : 0 <= x_f <= 1, sum x_f = budget}.  The
-projection threshold is found by bisection on the monotone map
-u -> sum_f min([v_f - u]^+, 1); the ascent uses the diminishing step
-eps(t) = 1/t with per-block projections, and terminates when the
-relative objective change falls below rel_tol.
+projection is exact: sorting the 2F kinks of u -> sum_f min([v_f - u]^+, 1)
+gives the linear piece on which that map meets the budget.  The ascent uses
+the diminishing step eps(t) = 1/t with per-block projections, and
+terminates when the relative objective change falls below rel_tol.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from svcache.config import CachingPolicy, ContentConfig
-from svcache.objective import DEFAULT_THETA, ObjectiveContext, ee_gradient, ee_value
-
-_BISECT_WIDTH = 1e-12
+from svcache.config import CachingPolicy, ContentConfig, check_budget
+from svcache.objective import (DEFAULT_THETA, ObjectiveContext, _ee, _ee_gradient,
+                               ee_value)
 
 
 @dataclass(frozen=True)
@@ -70,29 +69,26 @@ def project_capped_simplex(v, budget: float) -> np.ndarray:
 
 
 def _project_with_threshold(v: np.ndarray, budget: float):
-    def mapped(u):
-        return np.minimum(np.maximum(v - u, 0.0), 1.0).sum()
+    """Exact projection x = clip(v - u, 0, 1) and its threshold u.
 
-    lo, hi = v.min() - 1.0, v.max()
-    # mapped is non-increasing; mapped(lo) = F >= budget >= 0 = mapped(hi).
-    # Also stop once the midpoint hits an endpoint: at large |v| the
-    # floating-point spacing can exceed the absolute width target.
-    while hi - lo > _BISECT_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if mapped(mid) >= budget:
-            lo = mid
-        else:
-            hi = mid
-    u = 0.5 * (lo + hi)
-    x = np.minimum(np.maximum(v - u, 0.0), 1.0)
-    # snap any bisection residue onto the budget hyperplane
-    free = (x > 0.0) & (x < 1.0)
-    if free.any():
-        x[free] += (budget - x.sum()) / free.sum()
-        x = np.minimum(np.maximum(x, 0.0), 1.0)
-    return x, u
+    m(u) = sum_f clip(v_f - u, 0, 1) is non-increasing and piecewise
+    linear, with kinks at v_f - 1 (x_f leaves 1) and v_f (x_f reaches 0).
+    On the piece after the last sorted kink where m >= budget, solve
+    m(u) = n_ones + sum_free - n_free * u = budget.
+    """
+    f_count = len(v)
+    kinks = np.concatenate((v - 1.0, v))
+    order = np.argsort(kinks, kind="stable")
+    kinks = kinks[order]
+    leaves_one = order < f_count
+    sign = np.where(leaves_one, 1.0, -1.0)
+    n_ones = f_count - np.cumsum(leaves_one)
+    n_free = np.cumsum(sign)
+    sum_free = np.cumsum(sign * v[order % f_count])
+    hits = np.flatnonzero(n_ones + sum_free - n_free * kinks >= budget)
+    j = hits[-1] if hits.size else 0
+    u = (n_ones[j] + sum_free[j] - budget) / n_free[j] if n_free[j] else kinks[j]
+    return np.minimum(np.maximum(v - u, 0.0), 1.0), u
 
 
 def make_initial_policy(kind: str, content: ContentConfig, seed: int = 0,
@@ -136,44 +132,42 @@ def optimize(initial: CachingPolicy, ctx: ObjectiveContext,
             "capped simplex first") from None
     ctx = replace(ctx, theta=settings.theta)
 
-    policy = initial
+    mode = initial.mode
+    q1, q2 = np.asarray(initial.q1), np.asarray(initial.q2)
     trace = SolverTrace()
-    ee = ee_value(policy, ctx)
-    best_policy, best_ee = policy, ee
+    ee = float(_ee(mode, q1, q2, ctx))
+    best_q, best_ee = (q1, q2), ee
     termination = "max_iters"
     # The EE gradient carries physical units (bits/joule per caching
     # fraction), so the diminishing step 1/t is normalized by the
     # initial gradient's sup-norm; otherwise the first steps saturate
     # the box for any realistic parameter scale.
-    g0 = max(np.abs(ee_gradient(policy, ctx, "q1")).max(),
-             np.abs(ee_gradient(policy, ctx, "q2")).max())
+    g0 = max(np.abs(_ee_gradient(mode, q1, q2, ctx, "q1")).max(),
+             np.abs(_ee_gradient(mode, q1, q2, ctx, "q2")).max())
     eps0 = 1.0 / g0 if g0 > 0 else 1.0
     for t in range(1, settings.max_iters + 1):
         step = eps0 / t
-        grad1 = ee_gradient(policy, ctx, "q1")
-        grad2 = ee_gradient(policy, ctx, "q2")
-        q1_new, u_thresh = _project_with_threshold(
-            np.asarray(policy.q1) + step * grad1, ctx.content.m_b)
-        q2_new, v_thresh = _project_with_threshold(
-            np.asarray(policy.q2) + step * grad2, ctx.content.m_e)
-        max_delta = max(np.abs(q1_new - np.asarray(policy.q1)).max(),
-                        np.abs(q2_new - np.asarray(policy.q2)).max())
-        policy = replace(policy, q1=tuple(q1_new), q2=tuple(q2_new))
-        policy.validate_budget(ctx.content)  # every iterate stays feasible
-        ee_new = ee_value(policy, ctx)
+        grad1 = _ee_gradient(mode, q1, q2, ctx, "q1")
+        grad2 = _ee_gradient(mode, q1, q2, ctx, "q2")
+        q1_new, u_thresh = _project_with_threshold(q1 + step * grad1, ctx.content.m_b)
+        q2_new, v_thresh = _project_with_threshold(q2 + step * grad2, ctx.content.m_e)
+        max_delta = max(np.abs(q1_new - q1).max(), np.abs(q2_new - q2).max())
+        q1, q2 = q1_new, q2_new
+        check_budget(q1, q2, ctx.content)  # every iterate stays feasible
+        ee_new = float(_ee(mode, q1, q2, ctx))
         trace.rows.append(TraceRow(t, ee_new, step, u_thresh, v_thresh,
                                    max_delta))
         if ee_new > best_ee:
-            best_policy, best_ee = policy, ee_new
+            best_q, best_ee = (q1, q2), ee_new
         if abs(ee_new - ee) <= settings.rel_tol * max(abs(ee), 1e-300):
             termination = "converged"
-            ee = ee_new
             break
         ee = ee_new
 
-    trace.final_policy = best_policy
+    trace.final_policy = CachingPolicy(mode=mode, q1=tuple(best_q[0]),
+                                       q2=tuple(best_q[1]))
     trace.termination = termination
-    return best_policy, trace
+    return trace.final_policy, trace
 
 
 def optimize_best(ctx: ObjectiveContext, mode: str,

@@ -46,6 +46,35 @@ def _check_policy(policy: CachingPolicy, profile: PopularityProfile,
                          f"{profile.f_count}")
 
 
+def _power_terms(mode: str, q1, q2, profile: PopularityProfile, net: NetworkConfig,
+                 content: ContentConfig, coeff: PowerCoefficients,
+                 smoothing: float | None = None) -> tuple:
+    """(p_tr, p_ca, p_bh, p_fix), summed over the last axis of the (F,) or
+    (B, F) blocks; smoothing is as in power_scheme1 (fractional mode only)."""
+    q1, q2 = np.asarray(q1), np.asarray(q2)
+    p = np.asarray(profile.p)
+    g_hdv = np.asarray(profile.g_hdv)
+    # on(x): how much a station serving a fraction (or with probability) x
+    # transmits; the (smoothed) l0 indicator in Scheme I, x itself in II.
+    if mode == "fractional":
+        on = lambda x: _smooth_or_l0(x, smoothing)
+        miss1, miss2 = 1.0 - q1, 1.0 - q2
+    else:
+        on = lambda x: x
+        miss1, miss2 = (1.0 - q1) ** net.n1, (1.0 - q2) ** net.n2
+
+    p_tr = np.sum(p * (
+        net.p_s * coeff.zeta_s * (net.n1 * on(q1) + g_hdv * net.n2 * on(q2))
+        + net.p_m * coeff.zeta_m * (on(1.0 - q1) + g_hdv * on(1.0 - q2))),
+        axis=-1)
+    p_ca = coeff.c_ca * np.sum(q1 * content.l_b * net.n1
+                               + q2 * content.l_e * net.n2, axis=-1)
+    p_bh = coeff.c_bh * np.sum(p * (miss1 * content.l_b
+                                    + g_hdv * miss2 * content.l_e), axis=-1)
+    p_fix = (net.n1 + net.n2) * coeff.p_s_fix + coeff.p_m_fix
+    return p_tr, p_ca, p_bh, p_fix
+
+
 def power_scheme1(policy: CachingPolicy, profile: PopularityProfile,
                   net: NetworkConfig, content: ContentConfig,
                   coeff: PowerCoefficients,
@@ -57,48 +86,14 @@ def power_scheme1(policy: CachingPolicy, profile: PopularityProfile,
     logarithmic surrogate with parameter theta=smoothing.
     """
     _check_policy(policy, profile, "fractional")
-    p = np.asarray(profile.p)
-    g_hdv = np.asarray(profile.g_hdv)
-    q1 = np.asarray(policy.q1)
-    q2 = np.asarray(policy.q2)
-
-    p_tr = float(np.sum(p * (
-        net.p_s * coeff.zeta_s * (net.n1 * _smooth_or_l0(q1, smoothing)
-                                  + g_hdv * net.n2 * _smooth_or_l0(q2, smoothing))
-        + net.p_m * coeff.zeta_m * (_smooth_or_l0(1.0 - q1, smoothing)
-                                    + g_hdv * _smooth_or_l0(1.0 - q2, smoothing)))))
-    p_ca = float(coeff.c_ca * np.sum(q1 * content.l_b * net.n1
-                                     + q2 * content.l_e * net.n2))
-    p_bh = float(coeff.c_bh * np.sum(p * ((1.0 - q1) * content.l_b
-                                          + g_hdv * (1.0 - q2) * content.l_e)))
-    p_fix = (net.n1 + net.n2) * coeff.p_s_fix + coeff.p_m_fix
-    return PowerBreakdown(p_tr, p_ca, p_bh, p_fix)
+    return PowerBreakdown(*map(float, _power_terms(
+        "fractional", policy.q1, policy.q2, profile, net, content, coeff, smoothing)))
 
 
 def power_scheme2(policy: CachingPolicy, profile: PopularityProfile,
                   net: NetworkConfig, content: ContentConfig,
-                  coeff: PowerCoefficients,
-                  strict_el_bl_size: bool = False) -> PowerBreakdown:
-    """Power consumption under random caching.
-
-    Enhancement-layer caching power uses the enhancement-layer size; set
-    strict_el_bl_size=True to bill it at the base-layer size instead
-    (size-independent variant).
-    """
+                  coeff: PowerCoefficients) -> PowerBreakdown:
+    """Power consumption under random caching."""
     _check_policy(policy, profile, "random")
-    p = np.asarray(profile.p)
-    g_hdv = np.asarray(profile.g_hdv)
-    t1 = np.asarray(policy.q1)
-    t2 = np.asarray(policy.q2)
-
-    p_tr = float(np.sum(p * (
-        net.p_s * coeff.zeta_s * (net.n1 * t1 + g_hdv * net.n2 * t2)
-        + net.p_m * coeff.zeta_m * ((1.0 - t1) + g_hdv * (1.0 - t2)))))
-    l_el_cache = content.l_b if strict_el_bl_size else content.l_e
-    p_ca = float(coeff.c_ca * np.sum(t1 * content.l_b * net.n1
-                                     + t2 * l_el_cache * net.n2))
-    p_bh = float(coeff.c_bh * np.sum(p * (
-        (1.0 - t1) ** net.n1 * content.l_b
-        + g_hdv * (1.0 - t2) ** net.n2 * content.l_e)))
-    p_fix = (net.n1 + net.n2) * coeff.p_s_fix + coeff.p_m_fix
-    return PowerBreakdown(p_tr, p_ca, p_bh, p_fix)
+    return PowerBreakdown(*map(float, _power_terms(
+        "random", policy.q1, policy.q2, profile, net, content, coeff)))

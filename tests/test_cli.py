@@ -120,6 +120,15 @@ class TestOptimize:
         assert sum(q1) == pytest.approx(3.0, abs=1e-6)  # m_cache / l_b
         assert sum(q2) == pytest.approx(1.0, abs=1e-6)  # m_cache / l_e
 
+    @pytest.mark.parametrize("empty", ["n1", "n2"])
+    @pytest.mark.parametrize("scheme", ["1", "2"])
+    def test_empty_cluster_runs(self, empty, scheme, tmp_path):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(LIGHT_SCENARIO.replace(f"{empty} = 1", f"{empty} = 0"))
+        rc = cli.main(["--config", str(cfg), "--out-dir", str(tmp_path),
+                       "optimize", "--scheme", scheme, "--max-iters", "3"])
+        assert rc == 0
+
 
 class TestCompare:
     def test_cache_sweep_with_empty_cache_tie(self, light_cfg, tmp_path):

@@ -20,6 +20,14 @@ class TestInterference:
         assert np.array_equal(i, np.zeros(7))
 
 
+class TestSamplerArguments:
+    def test_too_few_drops(self, net):
+        with pytest.raises(ValueError, match="n_drops"):
+            montecarlo.sir_samples_mbs(net, 0)
+        with pytest.raises(ValueError, match="n_drops"):
+            montecarlo.sir_samples_sbs_bl(net, 1, -3)
+
+
 class TestReproducibility:
     def test_identical_seed_identical_samples(self, net):
         a = montecarlo.sir_samples_mbs(net, 4096, seed=1)

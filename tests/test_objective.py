@@ -164,6 +164,26 @@ class TestEeValue:
         pol = _policy("random", (0.2,) * f, (0.1,) * f)
         assert ee_value(pol, ctx) > 0.0
 
+    @pytest.mark.parametrize("empty", ["n1", "n2"])
+    @pytest.mark.parametrize("mode", ["fractional", "random"])
+    def test_empty_cluster_served_by_mbs(self, ctx, empty, mode):
+        net = replace(ctx.net, **{empty: 0})
+        rates = RateTable(
+            r_m_bl=ctx.rates.r_m_bl, r_m_el=ctx.rates.r_m_el,
+            r_s_bl={n: ctx.rates.r_s_bl[n] for n in range(1, net.n1 + 1)},
+            r_s_el={n: ctx.rates.r_s_el[n] for n in range(1, net.n2 + 1)})
+        empty_ctx = replace(ctx, net=net, rates=rates)
+        f = ctx.content.f_count
+        pol = _policy(mode, (0.25,) * f, (0.1,) * f)
+        ee = ee_value(pol, empty_ctx)
+        assert math.isfinite(ee) and ee > 0.0
+        # with no serving SBS the cached fractions do not change the rate
+        no_cache = (0.0,) * f
+        q = (pol.q1, no_cache) if empty == "n1" else (no_cache, pol.q2)
+        rate = sum_rate_scheme1 if mode == "fractional" else sum_rate_scheme2
+        assert rate(*q, empty_ctx) == pytest.approx(
+            rate(no_cache, no_cache, empty_ctx), rel=1e-12)
+
     def test_theta_validation(self, ctx):
         with pytest.raises(ValueError):
             replace(ctx, theta=0.0)
@@ -225,6 +245,32 @@ class TestEeGradient:
                       (0.1,) * f)
         grad = ee_gradient(pol, ctx, "q1")
         assert np.all(np.isfinite(grad))
+
+    @pytest.mark.parametrize("mode", ["fractional", "random"])
+    @pytest.mark.parametrize("point", ["interior", "bounds"])
+    def test_matches_per_coordinate_reference(self, ctx, mode, point):
+        """The stacked evaluation reproduces the per-coordinate central or
+        one-sided difference of the public ee_value."""
+        f = ctx.content.f_count
+        rng = np.random.default_rng(7)
+        q1, q2 = 0.1 + 0.8 * rng.random(f), 0.1 + 0.8 * rng.random(f)
+        if point == "bounds":
+            q1[:3], q1[3:6], q2[:2], q2[2:4] = 0.0, 1.0, 1.0, 0.0
+        pol = _policy(mode, q1, q2)
+        for which in ("q1", "q2"):
+            base = np.asarray(getattr(pol, which))
+            want = np.empty(f)
+            for i in range(f):
+                hi, lo = min(base[i] + 1e-6, 1.0), max(base[i] - 1e-6, 0.0)
+                ends = []
+                for x in (hi, lo):
+                    vec = base.copy()
+                    vec[i] = x
+                    ends.append(ee_value(replace(pol, **{which: tuple(vec)}),
+                                         ctx))
+                want[i] = (ends[0] - ends[1]) / (hi - lo)
+            got = ee_gradient(pol, ctx, which)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_invalid_block(self, ctx):
         f = ctx.content.f_count

@@ -86,8 +86,8 @@ class TestProjection:
         assert np.abs(twice - once).max() <= 1e-12
 
     def test_large_magnitude_inputs_terminate(self):
-        # float64 spacing at |v| ~ 1e8 exceeds the width target; the
-        # bisection must still terminate and hit the budget
+        # float64 spacing at |v| ~ 1e8 is about 1e-8; the threshold must
+        # still put the projection on the budget
         v = np.array([3e8, 1e8, -2e8])
         x = project_capped_simplex(v, 1.5)
         assert x.sum() == pytest.approx(1.5, abs=1e-9)

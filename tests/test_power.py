@@ -121,15 +121,6 @@ class TestScheme2:
         assert pb.p_ca == pytest.approx(p_ca, rel=1e-12)
         assert pb.p_bh == pytest.approx(p_bh, rel=1e-12)
 
-    def test_el_size_switch(self, profile, net, content, coeff):
-        f = content.f_count
-        pol = _policy("random", [0.0] * f, [0.5] * f)
-        by_el = power_scheme2(pol, profile, net, content, coeff)
-        by_bl = power_scheme2(pol, profile, net, content, coeff,
-                              strict_el_bl_size=True)
-        assert by_bl.p_ca == pytest.approx(
-            by_el.p_ca * content.l_b / content.l_e, rel=1e-12)
-
     def test_binary_policies_agree_across_schemes(self, profile, net, content,
                                                   coeff):
         f = content.f_count
