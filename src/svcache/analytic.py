@@ -1,10 +1,12 @@
 """Closed-form successful-transmission probabilities and ergodic rates.
 
 The interference tail function G_alpha(x) = int_x^inf dt / (1 + t^(alpha/2))
-underpins every expression.  Probabilities conditioned on serving-station
-positions are averaged by Monte-Carlo position integration with
-inverse-CDF radius sampling; radial and SIR-tail integrals use adaptive
-quadrature with logarithmic truncation of the infinite limits.
+underpins every expression.  Cluster probabilities depend on the serving
+positions only through S = sum r^-alpha and are averaged over S by
+Monte-Carlo position integration with inverse-CDF radius sampling.  The
+nearest-MBS radial integral uses adaptive quadrature; the SIR tail of
+every ergodic rate uses fixed 40-node Gauss-Legendre segments on a
+logarithmic scale, extended until they stop contributing.
 """
 
 from __future__ import annotations
@@ -84,17 +86,6 @@ def g_alpha_head_vec(alpha: float, x) -> np.ndarray:
 # Serving via the nearest MBS
 # ---------------------------------------------------------------------------
 
-def _mbs_cond_exponent(cfg: NetworkConfig, gamma, x2):
-    """-ln P(SIR_M >= gamma | serving distance^2 = x2), vectorized in gamma."""
-    gamma = np.asarray(gamma, dtype=float)
-    g_m = g_alpha_vec(cfg.alpha_m, gamma ** (-2.0 / cfg.alpha_m))
-    mbs_term = math.pi * cfg.lambda_m * x2 * gamma ** (2.0 / cfg.alpha_m) * g_m
-    sbs_term = (math.pi * cfg.lambda_s * g_alpha_zero(cfg.alpha_s)
-                * (gamma * cfg.p_s / cfg.p_m) ** (2.0 / cfg.alpha_s)
-                * x2 ** (cfg.alpha_m / cfg.alpha_s))
-    return mbs_term + sbs_term
-
-
 def p_success_mbs(cfg: NetworkConfig, gamma: float) -> float:
     """P(SIR_M >= gamma): nearest-MBS success probability.
 
@@ -103,16 +94,16 @@ def p_success_mbs(cfg: NetworkConfig, gamma: float) -> float:
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    scale = math.pi * cfg.lambda_m
-    # The exponent is c1*z + c2*z^kappa; rescaling by 1 + c1 keeps the
+    # The exponent is c1*z + c2*z^kappa: MBS interference gives the linear
+    # part, SBS interference the power.  Rescaling by 1 + c1 keeps the
     # integrand O(1) wide even for huge gamma, where the mass would
     # otherwise concentrate in a spike the quadrature can miss.
-    c1 = float(_mbs_cond_exponent(cfg, gamma, 1.0 / scale))
     kappa = cfg.alpha_m / cfg.alpha_s
+    c1 = float(gamma ** (2.0 / cfg.alpha_m)
+               * g_alpha_vec(cfg.alpha_m, gamma ** (-2.0 / cfg.alpha_m)))
     c2 = (math.pi * cfg.lambda_s * g_alpha_zero(cfg.alpha_s)
           * (gamma * cfg.p_s / cfg.p_m) ** (2.0 / cfg.alpha_s)
-          * scale ** -kappa)
-    c1 -= c2  # linear part only
+          * (math.pi * cfg.lambda_m) ** -kappa)
 
     def integrand(u):
         z = u / (1.0 + c1)
@@ -141,141 +132,121 @@ def p_success_mbs_closed(cfg: NetworkConfig, gamma: float) -> float:
 # ---------------------------------------------------------------------------
 # Serving via cooperative SBS clusters
 # ---------------------------------------------------------------------------
+# A BL cluster serves from the disk (0, a) and an EL cluster from the
+# annulus (a, b).  That region is the silent ring: it holds only serving or
+# silent cluster members, and every other SBS and every MBS interferes.
 
-def sample_disk_radii(cfg: NetworkConfig, n_serving: int, n_samples: int,
-                      seed: int) -> np.ndarray:
-    """Radii of serving SBSs uniform in the disk of radius a: r = a*sqrt(u)."""
+def _ring(cfg: NetworkConfig, layer: str) -> tuple[float, float]:
+    return (0.0, cfg.a) if layer == "bl" else (cfg.a, cfg.b)
+
+
+def _serving_scale(cfg: NetworkConfig, layer: str, n: int, n_samples: int,
+                   seed: int) -> np.ndarray:
+    """S = sum r^-alpha_s of n serving SBSs uniform in the layer's ring,
+    one value per position sample (inverse-CDF radii)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    u = rng.random((n_samples, n_serving))
-    return cfg.a * np.sqrt(u)
+    u = rng.random((n_samples, n))
+    inner, outer = _ring(cfg, layer)
+    radii = (outer * np.sqrt(u) if inner == 0.0
+             else np.sqrt(inner ** 2 + (outer ** 2 - inner ** 2) * u))
+    return (radii ** -cfg.alpha_s).sum(axis=1)
 
 
-def sample_annulus_radii(cfg: NetworkConfig, n_serving: int, n_samples: int,
-                         seed: int) -> np.ndarray:
-    """Radii uniform in the annulus (a, b): r = sqrt(a^2 + (b^2 - a^2)*u)."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    u = rng.random((n_samples, n_serving))
-    return np.sqrt(cfg.a ** 2 + (cfg.b ** 2 - cfg.a ** 2) * u)
-
-
-def _bl_cond_exponent(cfg: NetworkConfig, c: np.ndarray,
+def _cluster_exponent(cfg: NetworkConfig, layer: str, c,
                       closed_form: bool = False) -> np.ndarray:
-    """-ln P(SIR_S,BL >= .) given positions, as a function of c = gamma / sum r^-alpha.
-
-    Interfering SBSs occupy radii beyond a; all MBSs interfere.
-    """
+    """-ln P(SIR_S >= .) given serving positions, as a function of
+    c = gamma / S.  SBSs inside and beyond the layer's silent ring
+    interfere; a ring starting at 0 has no inner part."""
     c = np.asarray(c, dtype=float)
+    inner, outer = _ring(cfg, layer)
     if closed_form:
         if cfg.alpha_m != 4.0 or cfg.alpha_s != 4.0:
             raise ValueError("closed form requires alpha_m = alpha_s = 4")
-        u = (cfg.lambda_s * (math.pi / 2.0 - np.arctan(cfg.a ** 2 / np.sqrt(c)))
+        root = np.sqrt(c)
+        sbs = math.pi / 2.0 - np.arctan(outer ** 2 / root)
+        if inner > 0.0:
+            sbs = np.arctan(inner ** 2 / root) + sbs
+        u = (cfg.lambda_s * sbs
              + math.pi / 2.0 * cfg.lambda_m * math.sqrt(cfg.p_m / cfg.p_s))
-        return math.pi * u * np.sqrt(c)
-    sbs_term = (cfg.lambda_s * c ** (2.0 / cfg.alpha_s)
-                * g_alpha_vec(cfg.alpha_s, cfg.a ** 2 * c ** (-2.0 / cfg.alpha_s)))
+        return math.pi * u * root
+    scale = c ** (-2.0 / cfg.alpha_s)
+    sbs = g_alpha_vec(cfg.alpha_s, outer ** 2 * scale)
+    if inner > 0.0:
+        sbs = g_alpha_head_vec(cfg.alpha_s, inner ** 2 * scale) + sbs
+    sbs_term = cfg.lambda_s * c ** (2.0 / cfg.alpha_s) * sbs
     mbs_term = (cfg.lambda_m * (c * cfg.p_m / cfg.p_s) ** (2.0 / cfg.alpha_m)
                 * g_alpha_zero(cfg.alpha_m))
     return math.pi * (sbs_term + mbs_term)
 
 
-def _el_cond_exponent(cfg: NetworkConfig, d: np.ndarray,
-                      closed_form: bool = False) -> np.ndarray:
-    """-ln P(SIR_S,EL >= .) given positions, d = gamma / sum r^-alpha.
-
-    Interfering SBSs occupy the inner disk and radii beyond b; the
-    annulus itself holds only serving or silent cluster members.
-    """
-    d = np.asarray(d, dtype=float)
-    if closed_form:
-        if cfg.alpha_m != 4.0 or cfg.alpha_s != 4.0:
-            raise ValueError("closed form requires alpha_m = alpha_s = 4")
-        v = (cfg.lambda_s * (np.arctan(cfg.a ** 2 / np.sqrt(d))
-                             + (math.pi / 2.0 - np.arctan(cfg.b ** 2 / np.sqrt(d))))
-             + math.pi / 2.0 * cfg.lambda_m * math.sqrt(cfg.p_m / cfg.p_s))
-        return math.pi * v * np.sqrt(d)
-    scale = d ** (-2.0 / cfg.alpha_s)
-    sbs_term = (cfg.lambda_s * d ** (2.0 / cfg.alpha_s)
-                * (g_alpha_head_vec(cfg.alpha_s, cfg.a ** 2 * scale)
-                   + g_alpha_vec(cfg.alpha_s, cfg.b ** 2 * scale)))
-    mbs_term = (cfg.lambda_m * (d * cfg.p_m / cfg.p_s) ** (2.0 / cfg.alpha_m)
-                * g_alpha_zero(cfg.alpha_m))
-    return math.pi * (sbs_term + mbs_term)
-
-
-def _p_success_cluster(cfg, gamma, n_serving, sampler, exponent, n_samples,
-                       seed, closed_form):
+def _cluster_p(cfg, layer, gamma, n_serving, n_samples, seed, closed_form):
+    """P(SIR_S >= t) averaged over serving positions, as a function of t."""
     if n_serving < 1:
         raise ValueError("n_serving must be >= 1")
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    radii = sampler(cfg, n_serving, n_samples, seed)
-    scale = (radii ** -cfg.alpha_s).sum(axis=1)
-    vals = np.exp(-exponent(cfg, gamma / scale, closed_form=closed_form))
-    return float(vals.mean())
+    scale = _serving_scale(cfg, layer, n_serving, n_samples, seed)
+    return lambda t: float(np.exp(-_cluster_exponent(
+        cfg, layer, t / scale, closed_form)).mean())
 
 
 def p_success_sbs_bl(cfg: NetworkConfig, gamma_bl: float, n1_serving: int,
                      n_samples: int = DEFAULT_POSITION_SAMPLES,
                      seed: int = 0) -> float:
     """P(SIR_S,BL >= gamma_bl) with n1_serving cooperative SBSs in the disk."""
-    return _p_success_cluster(cfg, gamma_bl, n1_serving, sample_disk_radii,
-                              _bl_cond_exponent, n_samples, seed, False)
+    return _cluster_p(cfg, "bl", gamma_bl, n1_serving, n_samples, seed,
+                      False)(gamma_bl)
 
 
 def p_success_sbs_el(cfg: NetworkConfig, gamma_el: float, n2_serving: int,
                      n_samples: int = DEFAULT_POSITION_SAMPLES,
                      seed: int = 0) -> float:
     """P(SIR_S,EL >= gamma_el) with n2_serving cooperative SBSs in the annulus."""
-    return _p_success_cluster(cfg, gamma_el, n2_serving, sample_annulus_radii,
-                              _el_cond_exponent, n_samples, seed, False)
+    return _cluster_p(cfg, "el", gamma_el, n2_serving, n_samples, seed,
+                      False)(gamma_el)
 
 
 def p_success_sbs_bl_closed(cfg: NetworkConfig, gamma_bl: float, n1_serving: int,
                             n_samples: int = DEFAULT_POSITION_SAMPLES,
                             seed: int = 0) -> float:
     """Arccot-based special case (alpha = 4), sharing position samples."""
-    return _p_success_cluster(cfg, gamma_bl, n1_serving, sample_disk_radii,
-                              _bl_cond_exponent, n_samples, seed, True)
+    return _cluster_p(cfg, "bl", gamma_bl, n1_serving, n_samples, seed,
+                      True)(gamma_bl)
 
 
 def p_success_sbs_el_closed(cfg: NetworkConfig, gamma_el: float, n2_serving: int,
                             n_samples: int = DEFAULT_POSITION_SAMPLES,
                             seed: int = 0) -> float:
     """Arccot/arctan-based special case (alpha = 4), sharing position samples."""
-    return _p_success_cluster(cfg, gamma_el, n2_serving, sample_annulus_radii,
-                              _el_cond_exponent, n_samples, seed, True)
+    return _cluster_p(cfg, "el", gamma_el, n2_serving, n_samples, seed,
+                      True)(gamma_el)
 
 
 # ---------------------------------------------------------------------------
 # Ergodic service rates
 # ---------------------------------------------------------------------------
 
-def ergodic_rate_mbs(cfg: NetworkConfig, gamma: float) -> float:
-    """Ergodic nearest-MBS service rate conditioned on SIR >= gamma.
+def _tail_rate(cfg: NetworkConfig, gamma: float, p_at) -> float:
+    """Ergodic rate conditioned on SIR >= gamma, given t -> P(SIR >= t).
 
     Conditioning is on the overall success event, so the SIR tail
-    probability is averaged over the serving distance in the numerator
-    and denominator separately:
+    probability is averaged over serving positions in the numerator and
+    denominator separately:
 
         R = W log2(1+gamma) + (W/ln2) int_gamma^inf P(SIR>=t)
                                        / ((1+t) P(SIR>=gamma)) dt.
 
-    The tail integral is log-substituted (t = gamma*e^s) and extended
-    segment by segment until the last segment contributes < _TAIL_REL.
+    The tail integral is log-substituted (t = gamma*e^s) and summed over
+    40-node Gauss-Legendre segments of doubling width until the last
+    segment contributes < _TAIL_REL of the total.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
-    if cfg.w == 0:
-        return 0.0
-    p_floor = p_success_mbs(cfg, gamma)
-
     total = 0.0
     s_lo, s_hi = 0.0, 4.0
     nodes, weights = np.polynomial.legendre.leggauss(40)
     for _ in range(40):
         s = s_lo + 0.5 * (s_hi - s_lo) * (nodes + 1.0)
         t = gamma * np.exp(s)
-        vals = np.array([p_success_mbs(cfg, tk) for tk in t]) / (1.0 + t)
+        vals = np.array([p_at(tk) for tk in t]) / (1.0 + t)
         seg = float(0.5 * (s_hi - s_lo) * (weights * vals * t).sum())
         total += seg
         if seg < _TAIL_REL * max(total, 1e-300):
@@ -284,61 +255,36 @@ def ergodic_rate_mbs(cfg: NetworkConfig, gamma: float) -> float:
     else:
         raise QuadratureError("SIR tail integral did not truncate")
     return (cfg.w * math.log2(1.0 + gamma)
-            + cfg.w / math.log(2.0) * total / p_floor)
+            + cfg.w / math.log(2.0) * total / p_at(gamma))
 
 
-def _ergodic_rate_cluster(cfg, gamma, n_serving, sampler, exponent,
-                          n_samples, seed):
-    if n_serving < 1:
-        raise ValueError("n_serving must be >= 1")
+def ergodic_rate_mbs(cfg: NetworkConfig, gamma: float) -> float:
+    """Ergodic nearest-MBS service rate conditioned on SIR >= gamma."""
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    if cfg.w == 0:
-        return 0.0
-    closed = cfg.alpha_m == 4.0 and cfg.alpha_s == 4.0
-    radii = sampler(cfg, n_serving, n_samples, seed)
-    scale = (radii ** -cfg.alpha_s).sum(axis=1)
-    # Conditioning is on the overall success event: the tail probability
-    # is averaged over serving positions before the ratio is taken.
-    p_floor = float(np.exp(-exponent(cfg, gamma / scale,
-                                     closed_form=closed)).mean())
+    return _tail_rate(cfg, gamma, lambda t: p_success_mbs(cfg, t))
 
-    total = 0.0
-    s_lo, s_hi = 0.0, 4.0
-    nodes, weights = np.polynomial.legendre.leggauss(40)
-    for _ in range(40):
-        s = s_lo + 0.5 * (s_hi - s_lo) * (nodes + 1.0)
-        t = gamma * np.exp(s)
-        seg = 0.0
-        for tk, wk in zip(t, weights):
-            p_t = float(np.exp(-exponent(cfg, tk / scale,
-                                         closed_form=closed)).mean())
-            seg += wk * p_t * tk / (1.0 + tk)
-        seg *= 0.5 * (s_hi - s_lo)
-        total += seg
-        if seg < _TAIL_REL * max(total, 1e-300):
-            break
-        s_lo, s_hi = s_hi, s_hi + (s_hi - s_lo)
-    else:
-        raise QuadratureError("SIR tail integral did not truncate")
-    return (cfg.w * math.log2(1.0 + gamma)
-            + cfg.w / math.log(2.0) * total / p_floor)
+
+def _ergodic_rate_cluster(cfg, layer, gamma, n_serving, n_samples, seed):
+    closed = cfg.alpha_m == 4.0 and cfg.alpha_s == 4.0
+    return _tail_rate(cfg, gamma, _cluster_p(cfg, layer, gamma, n_serving,
+                                             n_samples, seed, closed))
 
 
 def ergodic_rate_sbs_bl(cfg: NetworkConfig, gamma_bl: float, n1_serving: int,
                         n_samples: int = DEFAULT_POSITION_SAMPLES,
                         seed: int = 0) -> float:
     """Ergodic cooperative-SBS rate for base-layer delivery."""
-    return _ergodic_rate_cluster(cfg, gamma_bl, n1_serving, sample_disk_radii,
-                                 _bl_cond_exponent, n_samples, seed)
+    return _ergodic_rate_cluster(cfg, "bl", gamma_bl, n1_serving, n_samples,
+                                 seed)
 
 
 def ergodic_rate_sbs_el(cfg: NetworkConfig, gamma_el: float, n2_serving: int,
                         n_samples: int = DEFAULT_POSITION_SAMPLES,
                         seed: int = 0) -> float:
     """Ergodic cooperative-SBS rate for enhancement-layer delivery."""
-    return _ergodic_rate_cluster(cfg, gamma_el, n2_serving, sample_annulus_radii,
-                                 _el_cond_exponent, n_samples, seed)
+    return _ergodic_rate_cluster(cfg, "el", gamma_el, n2_serving, n_samples,
+                                 seed)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +307,9 @@ class RateTable:
 def build_rate_table(cfg: NetworkConfig,
                      n_samples: int = DEFAULT_POSITION_SAMPLES,
                      seed: int = 0) -> RateTable:
-    """Evaluate all rates needed by the sum-rate expressions, memoized."""
+    """Evaluate all rates needed by the sum-rate expressions: the
+    nearest-MBS rate at both thresholds and the cluster rates for every
+    n in 1..n1 (BL) and 1..n2 (EL)."""
     r_s_bl = {n: ergodic_rate_sbs_bl(cfg, cfg.gamma_bl, n, n_samples, seed)
               for n in range(1, cfg.n1 + 1)}
     r_s_el = {n: ergodic_rate_sbs_el(cfg, cfg.gamma_el, n, n_samples, seed)

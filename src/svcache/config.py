@@ -170,8 +170,15 @@ _NETWORK_KEYS = {"lambda_m", "lambda_s", "alpha_m", "alpha_s", "a", "b",
                  "n1", "n2", "w"}
 _CONTENT_KEYS = {"f_count", "l_b", "l_e", "m_cache", "zipf_alpha"}
 _POWER_KEYS = {"c_ca", "c_bh", "zeta_s", "zeta_m", "p_s_fix", "p_m_fix"}
-_ALT_KEYS = {"p_m_w", "p_m_dbm", "p_s_w", "p_s_dbm",
-             "gamma_bl", "gamma_bl_db", "gamma_el", "gamma_el_db"}
+# Spellings of the NetworkConfig fields that have a unit choice, with the
+# conversion to SI; a scenario gives at most one spelling per field.
+_ALT_KEYS = {"p_m_w": ("p_m", float), "p_m_dbm": ("p_m", dbm_to_watts),
+             "p_s_w": ("p_s", float), "p_s_dbm": ("p_s", dbm_to_watts),
+             "gamma_bl": ("gamma_bl", float),
+             "gamma_bl_db": ("gamma_bl", db_to_linear),
+             "gamma_el": ("gamma_el", float),
+             "gamma_el_db": ("gamma_el", db_to_linear)}
+_INT_KEYS = {"n1", "n2", "f_count"}
 
 
 def _parse_kv(path) -> dict:
@@ -194,38 +201,25 @@ def _parse_kv(path) -> dict:
 def load_scenario(path) -> tuple[NetworkConfig, ContentConfig, PowerCoefficients]:
     """Load and validate a scenario file, filling gaps with defaults."""
     raw = _parse_kv(path)
-    known = _NETWORK_KEYS | _CONTENT_KEYS | _POWER_KEYS | _ALT_KEYS
+    known = _NETWORK_KEYS | _CONTENT_KEYS | _POWER_KEYS | set(_ALT_KEYS)
     for key in raw:
         if key not in known:
             raise ValueError(f"{key}: unknown scenario key")
-    for base in ("p_m", "p_s", "gamma_bl", "gamma_el"):
-        if f"{base}_dbm" in raw and f"{base}_w" in raw:
-            raise ValueError(f"{base}: both _dbm and _w given")
+    for key in _INT_KEYS & raw.keys():
+        if not raw[key].is_integer():
+            raise ValueError(f"{key}: must be an integer, got {raw[key]!r}")
+        raw[key] = int(raw[key])
 
     net_kwargs = {k: raw[k] for k in _NETWORK_KEYS if k in raw}
-    for k in ("n1", "n2"):
-        if k in net_kwargs:
-            net_kwargs[k] = int(net_kwargs[k])
-    if "p_m_w" in raw:
-        net_kwargs["p_m"] = raw["p_m_w"]
-    elif "p_m_dbm" in raw:
-        net_kwargs["p_m"] = dbm_to_watts(raw["p_m_dbm"])
-    if "p_s_w" in raw:
-        net_kwargs["p_s"] = raw["p_s_w"]
-    elif "p_s_dbm" in raw:
-        net_kwargs["p_s"] = dbm_to_watts(raw["p_s_dbm"])
-    if "gamma_bl_db" in raw:
-        net_kwargs["gamma_bl"] = db_to_linear(raw["gamma_bl_db"])
-    elif "gamma_bl" in raw:
-        net_kwargs["gamma_bl"] = raw["gamma_bl"]
-    if "gamma_el_db" in raw:
-        net_kwargs["gamma_el"] = db_to_linear(raw["gamma_el_db"])
-    elif "gamma_el" in raw:
-        net_kwargs["gamma_el"] = raw["gamma_el"]
+    spelled = {}
+    for key, (name, convert) in _ALT_KEYS.items():
+        if key in raw:
+            if name in spelled:
+                raise ValueError(f"{name}: both {spelled[name]} and {key} given")
+            spelled[name] = key
+            net_kwargs[name] = convert(raw[key])
 
     content_kwargs = {k: raw[k] for k in _CONTENT_KEYS if k in raw}
-    if "f_count" in content_kwargs:
-        content_kwargs["f_count"] = int(content_kwargs["f_count"])
     power_kwargs = {k: raw[k] for k in _POWER_KEYS if k in raw}
 
     return (NetworkConfig(**net_kwargs),

@@ -155,8 +155,8 @@ def optimize(initial: CachingPolicy, ctx: ObjectiveContext,
         q1, q2 = q1_new, q2_new
         check_budget(q1, q2, ctx.content)  # every iterate stays feasible
         ee_new = float(_ee(mode, q1, q2, ctx))
-        trace.rows.append(TraceRow(t, ee_new, step, u_thresh, v_thresh,
-                                   max_delta))
+        trace.rows.append(TraceRow(t, ee_new, float(step), float(u_thresh),
+                                   float(v_thresh), float(max_delta)))
         if ee_new > best_ee:
             best_q, best_ee = (q1, q2), ee_new
         if abs(ee_new - ee) <= settings.rel_tol * max(abs(ee), 1e-300):

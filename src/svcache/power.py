@@ -52,6 +52,12 @@ def _power_terms(mode: str, q1, q2, profile: PopularityProfile, net: NetworkConf
     """(p_tr, p_ca, p_bh, p_fix), summed over the last axis of the (F,) or
     (B, F) blocks; smoothing is as in power_scheme1 (fractional mode only)."""
     q1, q2 = np.asarray(q1), np.asarray(q2)
+    # A cluster of size 0 caches nothing: the sum rate serves its block
+    # from the MBS, and so do the power terms.
+    if net.n1 == 0:
+        q1 = np.zeros_like(q1, dtype=float)
+    if net.n2 == 0:
+        q2 = np.zeros_like(q2, dtype=float)
     p = np.asarray(profile.p)
     g_hdv = np.asarray(profile.g_hdv)
     # on(x): how much a station serving a fraction (or with probability) x

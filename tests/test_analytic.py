@@ -215,19 +215,31 @@ class TestRateTable:
         assert rates.seed == 0
 
 
+def _direct_rate(net, gamma, p_at):
+    """Brute-force scipy quadrature of the success-conditioned tail
+    integral, no log substitution."""
+    tail, _ = integrate.quad(lambda t: p_at(t) / (1.0 + t), gamma, np.inf,
+                             limit=300, epsrel=1e-8)
+    return (net.w * math.log2(1.0 + gamma)
+            + net.w / math.log(2.0) * tail / p_at(gamma))
+
+
 class TestTailIntegralOracle:
     def test_mbs_rate_against_direct_quadrature(self, net):
-        """Independent oracle: brute-force scipy quadrature of the
-        success-conditioned tail integral, no log substitution."""
         gamma = net.gamma_bl
-        p_floor = analytic.p_success_mbs(net, gamma)
-
-        def integrand(t):
-            return analytic.p_success_mbs(net, t) / (1.0 + t)
-
-        tail, _ = integrate.quad(integrand, gamma, np.inf, limit=300,
-                                 epsrel=1e-8)
-        expected = (net.w * math.log2(1.0 + gamma)
-                    + net.w / math.log(2.0) * tail / p_floor)
+        expected = _direct_rate(net, gamma,
+                                lambda t: analytic.p_success_mbs(net, t))
         assert analytic.ergodic_rate_mbs(net, gamma) == pytest.approx(
             expected, rel=1e-6)
+
+    @pytest.mark.parametrize("layer", ["bl", "el"])
+    def test_cluster_rate_against_direct_quadrature(self, net, layer):
+        """The rate uses the alpha = 4 closed form, the oracle's
+        probabilities the general form over the same positions."""
+        gamma = getattr(net, f"gamma_{layer}")
+        p_success = getattr(analytic, f"p_success_sbs_{layer}")
+        rate = getattr(analytic, f"ergodic_rate_sbs_{layer}")
+        kw = {"n_samples": 2_000, "seed": 1}
+        expected = _direct_rate(net, gamma,
+                                lambda t: p_success(net, t, 2, **kw))
+        assert rate(net, gamma, 2, **kw) == pytest.approx(expected, rel=1e-6)

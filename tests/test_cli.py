@@ -106,9 +106,13 @@ class TestOptimize:
                        "optimize", "--scheme", "2", "--init", "ucp",
                        "--max-iters", "50"])
         assert rc == 0
-        _, trace_rows = _read_csv(tmp_path / "trace.csv")
+        header, trace_rows = _read_csv(tmp_path / "trace.csv")
+        assert header == ["iteration", "ee", "step", "u_thresh", "v_thresh",
+                          "max_delta"]
         assert 1 <= len(trace_rows) <= 50
-        ees = [float(r[1]) for r in trace_rows]
+        # every cell is a plain number, not a numpy scalar's repr
+        numbers = [[float(x) for x in r] for r in trace_rows]
+        ees = [r[1] for r in numbers]
         running_max = [max(ees[:i + 1]) for i in range(len(ees))]
         assert running_max == sorted(running_max)
         header, pol_rows = _read_csv(tmp_path / "policy.csv")
@@ -157,6 +161,17 @@ class TestExitCodes:
         rc = cli.main(["--config", str(bad), "--out-dir", str(tmp_path),
                        "analyze"])
         assert rc == 1
+
+    @pytest.mark.parametrize("text", ["n1 = 2.5\n", "gamma_bl = 3\n"
+                                      "gamma_bl_db = 10\n"])
+    def test_rejected_scenario_exits_1(self, text, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        rc = cli.main(["--config", str(bad), "--out-dir", str(tmp_path),
+                       "analyze"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_quadrature_failure_exits_2(self, light_cfg, tmp_path,
                                         monkeypatch):

@@ -155,6 +155,29 @@ class TestLoadScenario:
         with pytest.raises(ValueError):
             load_scenario(p)
 
+    @pytest.mark.parametrize("text", ["gamma_bl = 3\ngamma_bl_db = 10\n",
+                                      "gamma_el_db = 5\ngamma_el = 2\n"])
+    def test_conflicting_threshold_keys(self, tmp_path, text):
+        p = tmp_path / "s.cfg"
+        p.write_text(text)
+        with pytest.raises(ValueError, match="gamma_.l: both"):
+            load_scenario(p)
+
+    @pytest.mark.parametrize("key, value", [("n1", "2.5"), ("n2", "inf"),
+                                            ("f_count", "20.7")])
+    def test_non_integral_count_rejected(self, tmp_path, key, value):
+        p = tmp_path / "s.cfg"
+        p.write_text(f"{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"{key}: must be an integer"):
+            load_scenario(p)
+
+    def test_integral_counts_load_as_int(self, tmp_path):
+        p = tmp_path / "s.cfg"
+        p.write_text("n1 = 3.0\nn2 = 2\nf_count = 1e1\n")
+        n, c, _ = load_scenario(p)
+        assert (n.n1, n.n2, c.f_count) == (3, 2, 10)
+        assert all(type(x) is int for x in (n.n1, n.n2, c.f_count))
+
     def test_invalid_radii(self, tmp_path):
         p = tmp_path / "s.cfg"
         p.write_text("a = 100\nb = 50\n")

@@ -128,10 +128,8 @@ class TestWindow:
         samples = 50_000
         rng = np.random.default_rng(0)
         x2 = rng.exponential(1.0 / (math.pi * net.lambda_m), samples)
-        s_bl = (analytic.sample_disk_radii(net, net.n1, samples, 0)
-                ** -net.alpha_s).sum(axis=1)
-        s_el = (analytic.sample_annulus_radii(net, net.n2, samples, 0)
-                ** -net.alpha_s).sum(axis=1)
+        s_bl = analytic._serving_scale(net, "bl", net.n1, samples, 0)
+        s_el = analytic._serving_scale(net, "el", net.n2, samples, 0)
 
         def cut(density, scale):
             """Exponent of the interference beyond R_sim."""
@@ -139,22 +137,26 @@ class TestWindow:
                     * analytic.g_alpha_vec(4.0, w2 / scale))
 
         def mbs_mode(gamma):
+            scale_m = math.sqrt(gamma) * x2
             scale_s = math.sqrt(gamma * net.p_s / net.p_m) * x2
-            return (analytic._mbs_cond_exponent(net, gamma, x2),
-                    cut(net.lambda_m, math.sqrt(gamma) * x2)
+            full = (math.pi * net.lambda_m * scale_m
+                    * analytic.g_alpha_vec(4.0, x2 / scale_m)
+                    + math.pi * net.lambda_s * scale_s
+                    * analytic.g_alpha_zero(4.0))
+            return (full, cut(net.lambda_m, scale_m)
                     + cut(net.lambda_s, scale_s))
 
-        def cluster_mode(exponent, s_sum):
+        def cluster_mode(layer, s_sum):
             def mode(gamma):
                 c = gamma / s_sum
-                return (exponent(net, c),
+                return (analytic._cluster_exponent(net, layer, c),
                         cut(net.lambda_s, np.sqrt(c))
                         + cut(net.lambda_m, np.sqrt(c * net.p_m / net.p_s)))
             return mode
 
         modes = {"MBS": mbs_mode,
-                 "BL": cluster_mode(analytic._bl_cond_exponent, s_bl),
-                 "EL": cluster_mode(analytic._el_cond_exponent, s_el)}
+                 "BL": cluster_mode("bl", s_bl),
+                 "EL": cluster_mode("el", s_el)}
         for name, mode in modes.items():
             for gamma_db in GAMMA_GRID_DB:
                 full, beyond = mode(db_to_linear(gamma_db))

@@ -177,12 +177,17 @@ class TestEeValue:
         pol = _policy(mode, (0.25,) * f, (0.1,) * f)
         ee = ee_value(pol, empty_ctx)
         assert math.isfinite(ee) and ee > 0.0
-        # with no serving SBS the cached fractions do not change the rate
+        # with no serving SBS the cached fractions change neither the rate
+        # nor the power, so neither the EE
         no_cache = (0.0,) * f
         q = (pol.q1, no_cache) if empty == "n1" else (no_cache, pol.q2)
         rate = sum_rate_scheme1 if mode == "fractional" else sum_rate_scheme2
         assert rate(*q, empty_ctx) == pytest.approx(
             rate(no_cache, no_cache, empty_ctx), rel=1e-12)
+        for exact_l0 in (False, True):
+            assert ee_value(_policy(mode, *q), empty_ctx, exact_l0) == \
+                pytest.approx(ee_value(_policy(mode, no_cache, no_cache),
+                                       empty_ctx, exact_l0), rel=1e-12)
 
     def test_theta_validation(self, ctx):
         with pytest.raises(ValueError):
