@@ -28,7 +28,9 @@ _TAIL_REL = 1e-8
 
 
 class QuadratureError(RuntimeError):
-    """Raised when an adaptive quadrature fails to reach its tolerance."""
+    """Raised when an adaptive quadrature misses its tolerance, or when the
+    segmented Gauss-Legendre tail integral does not truncate within 40
+    segments."""
 
 
 def g_alpha_zero(alpha: float) -> float:

@@ -1,4 +1,8 @@
-"""Benchmark content-placement policies: MPCP, UCP and ICP."""
+"""Benchmark content-placement policies: MPCP, UCP and ICP.
+
+A 0/1 placement, as MPCP and ICP make, has the same EE in both schemes,
+smoothed or exact, so ICP is drawn and scored in fractional mode.
+"""
 
 from __future__ import annotations
 
@@ -6,20 +10,12 @@ import numpy as np
 
 from svcache.config import CachingPolicy, ContentConfig
 from svcache.montecarlo import Estimate
-from svcache.objective import ObjectiveContext, ee_value
-from svcache.popularity import PopularityProfile
+from svcache.objective import ObjectiveContext, _ee
 
 
-def mpcp_policy(content: ContentConfig,
-                profile: PopularityProfile | None = None,
-                mode: str = "fractional") -> CachingPolicy:
-    """Most Popular Content Placement: cache the top-M_B/M_E files whole.
-
-    Popularity is index order (files are sorted by request probability),
-    so the profile argument only cross-checks the catalog size.
-    """
-    if profile is not None and profile.f_count != content.f_count:
-        raise ValueError("profile / content catalog size mismatch")
+def mpcp_policy(content: ContentConfig, mode: str = "fractional") -> CachingPolicy:
+    """Most Popular Content Placement: cache the top-M_B/M_E files whole
+    (files are sorted by request probability)."""
     q1 = [1.0 if f < content.m_b else 0.0 for f in range(content.f_count)]
     q2 = [1.0 if f < content.m_e else 0.0 for f in range(content.f_count)]
     return CachingPolicy(mode=mode, q1=tuple(q1), q2=tuple(q2))
@@ -33,25 +29,30 @@ def ucp_policy(content: ContentConfig, mode: str = "fractional") -> CachingPolic
                          q2=(content.m_e / f_count,) * f_count)
 
 
-def icp_policy(content: ContentConfig, seed: int = 0,
-               mode: str = "fractional") -> CachingPolicy:
-    """Independent Content Placement: one uniform-random binary placement."""
+def _icp_rows(content: ContentConfig, seed) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
     q1 = np.zeros(content.f_count)
     q1[rng.choice(content.f_count, size=content.m_b, replace=False)] = 1.0
     q2 = np.zeros(content.f_count)
     q2[rng.choice(content.f_count, size=content.m_e, replace=False)] = 1.0
-    return CachingPolicy(mode=mode, q1=tuple(q1), q2=tuple(q2))
+    return q1, q2
+
+
+def icp_policy(content: ContentConfig, seed: int = 0) -> CachingPolicy:
+    """Independent Content Placement: one uniform-random binary placement."""
+    q1, q2 = _icp_rows(content, seed)
+    return CachingPolicy(mode="fractional", q1=tuple(q1), q2=tuple(q2))
 
 
 def icp_expected_ee(ctx: ObjectiveContext, n_realizations: int = 1000,
-                    seed: int = 0, mode: str = "fractional") -> Estimate:
-    """Average EE of ICP over independently re-drawn placements."""
+                    seed: int = 0) -> Estimate:
+    """Average EE of ICP over independently re-drawn placements, all
+    scored in one stacked evaluation."""
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
     seeds = np.random.SeedSequence(seed).generate_state(n_realizations)
-    values = np.array([ee_value(icp_policy(ctx.content, int(s), mode), ctx)
-                       for s in seeds])
+    placements = np.array([_icp_rows(ctx.content, int(s)) for s in seeds])
+    values = _ee("fractional", placements[:, 0], placements[:, 1], ctx)
     se = float(values.std(ddof=1) / np.sqrt(n_realizations)) \
         if n_realizations > 1 else 0.0
     return Estimate(mean=float(values.mean()), std_error=se,

@@ -9,8 +9,8 @@ Subcommands:
   compare   - EE of both schemes and all baselines over a parameter sweep
 
 All outputs are CSV files plus a JSON "plot manifest" describing column
-roles.  Exit codes: 0 success, 1 validation failure, 2 numeric
-non-convergence.
+roles.  Exit codes: 0 success, 1 validation failure, bad input or usage
+error, 2 numeric non-convergence.
 """
 
 from __future__ import annotations
@@ -23,16 +23,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from svcache import analytic, montecarlo
 from svcache.analytic import QuadratureError
 from svcache.baselines import icp_expected_ee, mpcp_policy, ucp_policy
 from svcache.config import (NetworkConfig, ContentConfig, PowerCoefficients,
-                            CachingPolicy, db_to_linear, load_scenario)
+                            db_to_linear, load_scenario)
 from svcache.objective import ObjectiveContext, ee_value
-from svcache.optimizer import (SolverSettings, make_initial_policy, optimize,
-                               optimize_best)
+from svcache.optimizer import (INITIAL_KINDS, SolverSettings, make_initial_policy,
+                               optimize, optimize_best)
 from svcache.popularity import build_profile
 
 GAMMA_GRID_DB = (0.0, 5.0, 10.0, 15.0, 20.0)
@@ -198,14 +196,9 @@ def cmd_optimize(args) -> int:
     net, content, coeff = _load(args)
     ctx = _context(args, net, content, coeff)
     mode = "fractional" if args.scheme == 1 else "random"
-    if args.init == "ucp":
-        initial = ucp_policy(content, mode=mode)
-    elif args.init == "mpcp":
-        initial = mpcp_policy(content, mode=mode)
-    else:
-        initial = make_initial_policy(args.init, content, args.seed, mode=mode)
+    initial = make_initial_policy(args.init, content, args.seed, mode=mode)
     settings = SolverSettings(max_iters=args.max_iters, rel_tol=args.rel_tol,
-                              theta=args.theta, seed=args.seed)
+                              theta=args.theta)
     policy, trace = optimize(initial, ctx, settings)
 
     out_dir = Path(args.out_dir)
@@ -233,13 +226,13 @@ def cmd_compare(args) -> int:
     net0, content0, coeff = _load(args)
     grid = [float(x) for x in args.grid.split(",")]
     settings = SolverSettings(max_iters=args.max_iters, rel_tol=args.rel_tol,
-                              theta=args.theta, seed=args.seed)
+                              theta=args.theta)
     rows = []
-    table = None
+    table_net = None
     for value in grid:
         net, content = _SWEEPS[args.sweep](net0, content0, value)
-        if table is None or args.sweep in ("p_s", "gamma_bl"):
-            table = analytic.build_rate_table(net, seed=args.seed)
+        if net != table_net:
+            table, table_net = analytic.build_rate_table(net, seed=args.seed), net
         ctx = ObjectiveContext(rates=table, profile=build_profile(content),
                                net=net, content=content, coeff=coeff,
                                theta=args.theta)
@@ -261,9 +254,14 @@ def cmd_compare(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # Exit 1, not argparse's 2: here 2 means numeric non-convergence.
+        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="svcache",
-                                     description=__doc__.splitlines()[0])
+    parser = _Parser(prog="svcache", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="scenario file (key = value lines)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out-dir", default=".")
@@ -280,9 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dump raw per-drop SIR samples")
     p_opt = sub.add_parser("optimize", help="run the EE maximizer")
     p_opt.add_argument("--scheme", type=int, choices=(1, 2), default=2)
-    p_opt.add_argument("--init", default="ucp",
-                       choices=("ucp", "mpcp", "uniform",
-                                "popularity-proportional", "random"))
+    p_opt.add_argument("--init", default="ucp", choices=INITIAL_KINDS)
     p_opt.add_argument("--max-iters", type=int, default=500)
     p_opt.add_argument("--rel-tol", type=float, default=1e-6)
     p_cmp = sub.add_parser("compare", help="EE sweep across policies")
@@ -297,16 +293,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     handler = {"validate": cmd_validate, "analyze": cmd_analyze,
                "simulate": cmd_simulate, "optimize": cmd_optimize,
                "compare": cmd_compare}[args.command]
     try:
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
         return handler(args)
     except QuadratureError as exc:
         print(f"numeric non-convergence: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

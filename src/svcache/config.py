@@ -143,18 +143,21 @@ class CachingPolicy:
     def f_count(self) -> int:
         return len(self.q1)
 
-    def validate_budget(self, content: ContentConfig, tol: float = 1e-9) -> None:
+    def validate_budget(self, content: ContentConfig) -> None:
         """Check the cache-size budget equalities sum(q1)=M_B, sum(q2)=M_E."""
-        check_budget(self.q1, self.q2, content, tol)
+        check_budget(self.q1, self.q2, content)
 
 
-def check_budget(q1, q2, content: ContentConfig, tol: float = 1e-9) -> None:
+_BUDGET_TOL = 1e-9
+
+
+def check_budget(q1, q2, content: ContentConfig) -> None:
     """Check sum(q1)=M_B and sum(q2)=M_E for raw length-F sequences."""
     _require(len(q1) == content.f_count, "q1",
              f"length {len(q1)} != catalog size {content.f_count}")
-    if abs(sum(q1) - content.m_b) > tol:
+    if abs(sum(q1) - content.m_b) > _BUDGET_TOL:
         raise ValueError(f"q1: sum {sum(q1)} != BL budget {content.m_b}")
-    if abs(sum(q2) - content.m_e) > tol:
+    if abs(sum(q2) - content.m_e) > _BUDGET_TOL:
         raise ValueError(f"q2: sum {sum(q2)} != EL budget {content.m_e}")
 
 

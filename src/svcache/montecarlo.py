@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class Estimate:
     std_error: float
     n_samples: int
     seed: int
-    meta: dict | None = field(default=None, hash=False, compare=False)
 
 
 def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -161,8 +160,7 @@ def _success_estimate(sir: np.ndarray, gamma: float, seed: int) -> Estimate:
     hits = sir >= gamma
     p = float(hits.mean())
     se = math.sqrt(max(p * (1.0 - p), 0.0) / len(sir))
-    return Estimate(mean=p, std_error=se, n_samples=len(sir), seed=seed,
-                    meta={"window_factor": WINDOW_FACTOR})
+    return Estimate(mean=p, std_error=se, n_samples=len(sir), seed=seed)
 
 
 def _sir_samples(cfg: NetworkConfig, source: str, n_serving: int,
@@ -212,6 +210,4 @@ def estimate_ergodic_rate(cfg: NetworkConfig, gamma: float, source: str,
     logs = np.log2(1.0 + hits)
     mean = cfg.w * float(logs.mean())
     se = cfg.w * float(logs.std(ddof=1)) / math.sqrt(len(hits))
-    return Estimate(mean=mean, std_error=se, n_samples=len(hits), seed=seed,
-                    meta={"window_factor": WINDOW_FACTOR,
-                          "conditioning_drops": len(hits)})
+    return Estimate(mean=mean, std_error=se, n_samples=len(hits), seed=seed)

@@ -16,7 +16,7 @@ import numpy as np
 from svcache.analytic import RateTable
 from svcache.config import CachingPolicy, ContentConfig, NetworkConfig, PowerCoefficients
 from svcache.popularity import PopularityProfile
-from svcache.power import _power_terms
+from svcache.power import _power_terms, _smooth_or_l0
 
 DEFAULT_THETA = 0.01
 _FD_STEP = 1e-6
@@ -26,13 +26,14 @@ def smooth_l0(x: float, theta: float) -> float:
     """Logarithmic surrogate of the nonzero indicator on [0, 1].
 
     f_theta(x) = log(x/theta + 1) / log(1/theta + 1); increasing,
-    concave, 0 at 0 and 1 at 1.
+    concave, 0 at 0 and 1 at 1.  This is the expression the Scheme I
+    power terms evaluate.
     """
     if theta <= 0:
         raise ValueError("theta must be > 0")
     if not 0 <= x <= 1:
         raise ValueError("x must lie in [0, 1]")
-    return math.log(x / theta + 1.0) / math.log(1.0 / theta + 1.0)
+    return float(_smooth_or_l0(x, theta))
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,8 @@ def _ee_gradient(mode: str, q1, q2, ctx: ObjectiveContext, which: str,
                  step: float = _FD_STEP) -> np.ndarray:
     # Rows f and F + f of the stacked evaluation move coordinate f up and
     # down by step, clipped to [0, 1].
-    if which not in ("q1", "q2", "t1", "t2"):
-        raise ValueError("which must be one of q1, q2, t1, t2")
+    if which not in ("q1", "q2"):
+        raise ValueError("which must be 'q1' or 'q2'")
     blocks = [q1, q2]
     block = int(which[1]) - 1
     base = blocks[block]
@@ -146,9 +147,9 @@ def ee_gradient(policy: CachingPolicy, ctx: ObjectiveContext, which: str,
                 step: float = _FD_STEP) -> np.ndarray:
     """Finite-difference gradient of the (smoothed) EE in one policy block.
 
-    which selects 'q1'/'t1' (base layers) or 'q2'/'t2' (enhancement
-    layers).  Central differences in the interior, one-sided at the
-    box boundary.
+    which selects 'q1' (base layers) or 'q2' (enhancement layers) in
+    either scheme.  Central differences in the interior, one-sided at
+    the box boundary.
     """
     return _ee_gradient(policy.mode, np.asarray(policy.q1),
                         np.asarray(policy.q2), ctx, which, step)

@@ -13,9 +13,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from svcache.baselines import mpcp_policy, ucp_policy
 from svcache.config import CachingPolicy, ContentConfig, check_budget
 from svcache.objective import (DEFAULT_THETA, ObjectiveContext, _ee, _ee_gradient,
                                ee_value)
+from svcache.popularity import zipf
+
+INITIAL_KINDS = ("ucp", "mpcp", "popularity-proportional", "random")
 
 
 @dataclass(frozen=True)
@@ -23,7 +27,6 @@ class SolverSettings:
     max_iters: int = 500
     rel_tol: float = 1e-6
     theta: float = DEFAULT_THETA
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -45,7 +48,6 @@ class TraceRow:
 @dataclass
 class SolverTrace:
     rows: list = field(default_factory=list)
-    final_policy: CachingPolicy | None = None
     termination: str = ""
 
     def ee_values(self) -> np.ndarray:
@@ -93,13 +95,14 @@ def _project_with_threshold(v: np.ndarray, budget: float):
 
 def make_initial_policy(kind: str, content: ContentConfig, seed: int = 0,
                         mode: str = "fractional") -> CachingPolicy:
-    """Feasible starting policy: uniform, popularity-proportional or random."""
+    """Feasible starting policy of one of the INITIAL_KINDS; "ucp" and
+    "mpcp" are the baseline placements, and only "random" reads seed."""
     f_count = content.f_count
-    if kind == "uniform":
-        q1 = np.full(f_count, content.m_b / f_count)
-        q2 = np.full(f_count, content.m_e / f_count)
-    elif kind == "popularity-proportional":
-        from svcache.popularity import zipf
+    if kind == "ucp":
+        return ucp_policy(content, mode)
+    if kind == "mpcp":
+        return mpcp_policy(content, mode)
+    if kind == "popularity-proportional":
         p = zipf(f_count, content.zipf_alpha)
         q1 = project_capped_simplex(p * content.m_b / max(p.max(), 1e-300),
                                     content.m_b)
@@ -110,7 +113,7 @@ def make_initial_policy(kind: str, content: ContentConfig, seed: int = 0,
         q1 = project_capped_simplex(rng.random(f_count), content.m_b)
         q2 = project_capped_simplex(rng.random(f_count), content.m_e)
     else:
-        raise ValueError("kind must be uniform, popularity-proportional or random")
+        raise ValueError(f"kind must be one of {', '.join(INITIAL_KINDS)}")
     return CachingPolicy(mode=mode, q1=tuple(q1), q2=tuple(q2))
 
 
@@ -138,17 +141,17 @@ def optimize(initial: CachingPolicy, ctx: ObjectiveContext,
     ee = float(_ee(mode, q1, q2, ctx))
     best_q, best_ee = (q1, q2), ee
     termination = "max_iters"
-    # The EE gradient carries physical units (bits/joule per caching
-    # fraction), so the diminishing step 1/t is normalized by the
-    # initial gradient's sup-norm; otherwise the first steps saturate
-    # the box for any realistic parameter scale.
-    g0 = max(np.abs(_ee_gradient(mode, q1, q2, ctx, "q1")).max(),
-             np.abs(_ee_gradient(mode, q1, q2, ctx, "q2")).max())
-    eps0 = 1.0 / g0 if g0 > 0 else 1.0
     for t in range(1, settings.max_iters + 1):
-        step = eps0 / t
         grad1 = _ee_gradient(mode, q1, q2, ctx, "q1")
         grad2 = _ee_gradient(mode, q1, q2, ctx, "q2")
+        if t == 1:
+            # The EE gradient carries physical units (bits/joule per
+            # caching fraction), so the diminishing step 1/t is normalized
+            # by the initial gradient's sup-norm; otherwise the first
+            # steps saturate the box for any realistic parameter scale.
+            g0 = max(np.abs(grad1).max(), np.abs(grad2).max())
+            eps0 = 1.0 / g0 if g0 > 0 else 1.0
+        step = eps0 / t
         q1_new, u_thresh = _project_with_threshold(q1 + step * grad1, ctx.content.m_b)
         q2_new, v_thresh = _project_with_threshold(q2 + step * grad2, ctx.content.m_e)
         max_delta = max(np.abs(q1_new - q1).max(), np.abs(q2_new - q2).max())
@@ -164,30 +167,23 @@ def optimize(initial: CachingPolicy, ctx: ObjectiveContext,
             break
         ee = ee_new
 
-    trace.final_policy = CachingPolicy(mode=mode, q1=tuple(best_q[0]),
-                                       q2=tuple(best_q[1]))
     trace.termination = termination
-    return trace.final_policy, trace
+    return CachingPolicy(mode=mode, q1=tuple(best_q[0]), q2=tuple(best_q[1])), trace
 
 
 def optimize_best(ctx: ObjectiveContext, mode: str,
                   settings: SolverSettings = SolverSettings()
                   ) -> tuple[CachingPolicy, SolverTrace]:
-    """Multi-start ascent from the uniform, top-popularity-binary and
-    popularity-proportional feasible points; returns the best run.
+    """Multi-start ascent from the UCP, MPCP and popularity-proportional
+    starts; returns the best run.
 
     Fractional policies are ranked by their exact-l0 EE (the reported
     figure), random policies by the plain objective.
     """
-    from svcache.baselines import mpcp_policy, ucp_policy
-
-    starts = [ucp_policy(ctx.content, mode=mode),
-              mpcp_policy(ctx.content, mode=mode),
-              make_initial_policy("popularity-proportional", ctx.content,
-                                  settings.seed, mode=mode)]
     exact = mode == "fractional"
     best = None
-    for initial in starts:
+    for kind in ("ucp", "mpcp", "popularity-proportional"):
+        initial = make_initial_policy(kind, ctx.content, mode=mode)
         policy, trace = optimize(initial, ctx, settings)
         score = ee_value(policy, ctx, exact_l0=exact)
         if best is None or score > best[0]:

@@ -1,6 +1,7 @@
 """Benchmark placements: top-popularity, uniform and random binary."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,11 +25,6 @@ class TestMpcp:
         content = ContentConfig(f_count=4, m_cache=1e12)
         pol = mpcp_policy(content)
         assert pol.q1 == (1.0,) * 4 and pol.q2 == (1.0,) * 4
-
-    def test_profile_size_cross_check(self, content):
-        small = build_profile(ContentConfig(f_count=5))
-        with pytest.raises(ValueError, match="size"):
-            mpcp_policy(content, profile=small)
 
     def test_maximizes_hit_probability(self):
         """Among all binary placements of the same cardinality, caching
@@ -55,7 +51,7 @@ class TestUcp:
         pol = ucp_policy(content)
         assert sum(pol.q1) == pytest.approx(content.m_b, abs=1e-9)
         assert sum(pol.q2) == pytest.approx(content.m_e, abs=1e-9)
-        pol.validate_budget(content, tol=1e-9)
+        pol.validate_budget(content)
 
 
 class TestIcp:
@@ -65,7 +61,7 @@ class TestIcp:
             assert set(pol.q1) <= {0.0, 1.0} and set(pol.q2) <= {0.0, 1.0}
             assert sum(pol.q1) == content.m_b
             assert sum(pol.q2) == content.m_e
-            pol.validate_budget(content, tol=1e-9)
+            pol.validate_budget(content)
 
     def test_uniform_inclusion_frequency(self, content):
         n = 10_000
@@ -80,8 +76,33 @@ class TestIcp:
         assert icp_policy(content, seed=7) == icp_policy(content, seed=7)
         assert icp_policy(content, seed=7) != icp_policy(content, seed=8)
 
+    def test_ee_same_in_every_mode(self, ctx):
+        """A 0/1 placement has the same EE under Scheme I, smoothed or
+        exact, and under Scheme II."""
+        for seed in range(5):
+            pol = icp_policy(ctx.content, seed=seed)
+            smoothed = ee_value(pol, ctx)
+            assert ee_value(pol, ctx, exact_l0=True) == smoothed
+            assert ee_value(replace(pol, mode="random"), ctx) == smoothed
+
+
+def _icp_loop_reference(ctx, n_realizations, seed):
+    """Mean and standard error of ee_value over one CachingPolicy per
+    realization, drawn from the same seeds as icp_expected_ee."""
+    seeds = np.random.SeedSequence(seed).generate_state(n_realizations)
+    values = np.array([ee_value(icp_policy(ctx.content, int(s)), ctx)
+                       for s in seeds])
+    return (float(values.mean()),
+            float(values.std(ddof=1) / np.sqrt(n_realizations)))
+
 
 class TestIcpExpectedEe:
+    @pytest.mark.parametrize("n_realizations, seed", [(200, 0), (37, 5)])
+    def test_matches_per_policy_loop(self, ctx, n_realizations, seed):
+        est = icp_expected_ee(ctx, n_realizations, seed)
+        assert (est.mean, est.std_error) == _icp_loop_reference(
+            ctx, n_realizations, seed)
+
     def test_comparable_to_uniform_placement(self, ctx):
         """Averaging random binary placements lands near the uniform
         fractional placement; the EE ratio is nonlinear in the policy,

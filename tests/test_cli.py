@@ -2,11 +2,16 @@
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from svcache import analytic, cli
+from svcache.baselines import ucp_policy
+from svcache.config import load_scenario
+from svcache.objective import ObjectiveContext, ee_value
+from svcache.popularity import build_profile
 
 LIGHT_SCENARIO = """\
 # small single-helper network for fast end-to-end runs
@@ -153,6 +158,24 @@ class TestCompare:
         assert full["scheme1"] >= empty[0] - 1e-6 * empty[0]
         assert full["scheme2"] >= empty[0] - 1e-6 * empty[0]
 
+    def test_network_sweep_rebuilds_rate_table(self, light_cfg, tmp_path):
+        rc = cli.main(["--config", light_cfg, "--out-dir", str(tmp_path),
+                       "compare", "--sweep", "p_s", "--grid", "0.1,0.2",
+                       "--max-iters", "5", "--icp-realizations", "5"])
+        assert rc == 0
+        _, rows = _read_csv(tmp_path / "compare_p_s.csv")
+        ee = {(float(r[0]), r[1]): float(r[2]) for r in rows}
+        for policy in ("scheme1", "scheme2", "mpcp", "ucp", "icp"):
+            assert ee[0.1, policy] != ee[0.2, policy]
+        # the last grid point is scored with its own rate table
+        net, content, coeff = load_scenario(light_cfg)
+        net = replace(net, p_s=0.2)
+        ctx = ObjectiveContext(rates=analytic.build_rate_table(net, seed=0),
+                               profile=build_profile(content), net=net,
+                               content=content, coeff=coeff)
+        assert ee[0.2, "ucp"] == ee_value(ucp_policy(content), ctx,
+                                          exact_l0=True)
+
 
 class TestExitCodes:
     def test_bad_scenario_exits_1(self, tmp_path):
@@ -172,6 +195,32 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_missing_scenario_exits_1(self, tmp_path, capsys):
+        rc = cli.main(["--config", str(tmp_path / "missing.cfg"),
+                       "--out-dir", str(tmp_path), "analyze"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_file_as_out_dir_exits_1(self, light_cfg, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for out_dir in (taken, taken / "sub"):
+            rc = cli.main(["--config", light_cfg, "--out-dir", str(out_dir),
+                           "analyze"])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["optimize", "--scheme", "3"],
+                                      ["optimize", "--init", "uniform"],
+                                      ["frobnicate"]],
+                             ids=["bad-scheme", "removed-init", "bad-command"])
+    def test_usage_error_exits_1(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--out-dir", str(tmp_path)] + argv)
+        assert exc.value.code == 1
 
     def test_quadrature_failure_exits_2(self, light_cfg, tmp_path,
                                         monkeypatch):

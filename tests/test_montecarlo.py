@@ -73,7 +73,6 @@ class TestSuccessEstimates:
         est = montecarlo.estimate_p_success_mbs(net, 10.0, 4096, seed=9)
         assert est.n_samples == 4096 and est.seed == 9
         assert est.std_error >= 0.0
-        assert est.meta["window_factor"] == montecarlo.WINDOW_FACTOR
 
     def test_preconditions(self, net):
         with pytest.raises(ValueError):

@@ -94,14 +94,24 @@ class TestProjection:
 
 
 class TestInitialPolicies:
-    def test_uniform(self, content):
-        pol = make_initial_policy("uniform", content)
+    def test_ucp(self, content):
+        pol = make_initial_policy("ucp", content)
+        assert pol == ucp_policy(content)
         assert pol.q1 == pytest.approx((0.25,) * content.f_count)
         assert pol.q2 == pytest.approx((0.1,) * content.f_count)
 
+    def test_mpcp(self, content):
+        assert make_initial_policy("mpcp", content, mode="random") == \
+            mpcp_policy(content, mode="random")
+
+    @pytest.mark.parametrize("kind", ["ucp", "mpcp", "popularity-proportional"])
+    def test_seed_read_only_by_random(self, content, kind):
+        assert make_initial_policy(kind, content, seed=0) == \
+            make_initial_policy(kind, content, seed=99)
+
     def test_popularity_proportional_feasible(self, content):
         pol = make_initial_policy("popularity-proportional", content)
-        pol.validate_budget(content, tol=1e-9)
+        pol.validate_budget(content)
         # more popular files get at least as much cache
         assert all(a >= b for a, b in zip(pol.q1, pol.q1[1:]))
 
@@ -110,7 +120,7 @@ class TestInitialPolicies:
         b = make_initial_policy("random", content, seed=4)
         c = make_initial_policy("random", content, seed=5)
         assert a == b and a != c
-        a.validate_budget(content, tol=1e-9)
+        a.validate_budget(content)
 
     def test_unknown_kind(self, content):
         with pytest.raises(ValueError):
@@ -150,7 +160,7 @@ class TestOptimize:
         initial = ucp_policy(ctx.content, mode="random")
         policy, trace = optimize(initial, ctx, SolverSettings(max_iters=100))
         assert ee_value(policy, ctx) > ee_value(initial, ctx)
-        policy.validate_budget(ctx.content, tol=1e-9)
+        policy.validate_budget(ctx.content)
         assert all(0.0 <= x <= 1.0 for x in policy.q1 + policy.q2)
 
     def test_running_max_stabilizes(self, ctx):
