@@ -35,10 +35,17 @@ from svcache.popularity import build_profile
 
 GAMMA_GRID_DB = (0.0, 5.0, 10.0, 15.0, 20.0)
 
-# 3-sigma windows wider than these are reported as inconclusive rather
-# than pass/fail.
-_MAX_CONCLUSIVE_SIGMA_PROB = 0.02
-_MAX_CONCLUSIVE_SIGMA_REL = 0.02
+# A standard error above this fraction of the scale (1 for a probability,
+# the analytic value for a rate) is reported as inconclusive rather than
+# pass/fail.
+_MAX_CONCLUSIVE_SIGMA = 0.02
+
+# The delivery modes: name suffix of their analytic and sampler functions,
+# Monte-Carlo source, and the NetworkConfig field holding the serving count.
+# The functions are fetched from their modules at each call, so a wrapper
+# set on a module attribute sees every call.
+_MODES = (("mbs", "MBS", None), ("sbs_bl", "SBS-BL", "n1"),
+          ("sbs_el", "SBS-EL", "n2"))
 
 
 def _write_csv(path: Path, header: list, rows: list, roles: dict) -> None:
@@ -56,14 +63,33 @@ def _load(args):
     return NetworkConfig(), ContentConfig(), PowerCoefficients()
 
 
-def _status(analytic_value, est, scale, rel=False):
-    sigma3 = 3.0 * est.std_error
-    limit = (_MAX_CONCLUSIVE_SIGMA_REL * scale if rel
-             else _MAX_CONCLUSIVE_SIGMA_PROB)
-    if est.std_error > limit:
+def _modes(net):
+    """(name, source, serving-count arguments) of each delivery mode."""
+    return [(name, source, () if field is None else (getattr(net, field),))
+            for name, source, field in _MODES]
+
+
+def _analytic(kind, name, serving, net, gamma, seed):
+    fn = getattr(analytic, f"{kind}_{name}")
+    return fn(net, gamma, *serving, seed=seed) if serving else fn(net, gamma)
+
+
+def _estimate(kind, source, serving, net, gamma, args):
+    if kind == "ergodic_rate":
+        return montecarlo.estimate_ergodic_rate(net, gamma, source, args.drops,
+                                                args.seed, *serving)
+    if not serving:
+        return montecarlo.estimate_p_success_mbs(net, gamma, args.drops,
+                                                 args.seed)
+    return montecarlo.estimate_p_success_sbs(
+        net, gamma, source.removeprefix("SBS-"), *serving, args.drops, args.seed)
+
+
+def _status(analytic_value, est, scale):
+    if est.std_error > _MAX_CONCLUSIVE_SIGMA * scale:
         return "inconclusive"
-    return "pass" if abs(analytic_value - est.mean) <= max(sigma3, 0.01 * scale) \
-        else "fail"
+    tolerance = max(3.0 * est.std_error, 0.01 * scale)
+    return "pass" if abs(analytic_value - est.mean) <= tolerance else "fail"
 
 
 def cmd_validate(args) -> int:
@@ -72,46 +98,20 @@ def cmd_validate(args) -> int:
     failed = False
     for gamma_db in GAMMA_GRID_DB:
         gamma = db_to_linear(gamma_db)
-        quantities = [
-            ("p_success_mbs", analytic.p_success_mbs(net, gamma),
-             montecarlo.estimate_p_success_mbs(net, gamma, args.drops, args.seed)),
-            ("p_success_sbs_bl", analytic.p_success_sbs_bl(net, gamma, net.n1,
-                                                           seed=args.seed),
-             montecarlo.estimate_p_success_sbs(net, gamma, "BL", net.n1,
-                                               args.drops, args.seed)),
-            ("p_success_sbs_el", analytic.p_success_sbs_el(net, gamma, net.n2,
-                                                           seed=args.seed),
-             montecarlo.estimate_p_success_sbs(net, gamma, "EL", net.n2,
-                                               args.drops, args.seed)),
-        ]
-        for name, value, est in quantities:
-            status = _status(value, est, 1.0)
-            failed |= status == "fail"
-            rows.append([name, gamma_db, value, est.mean, est.std_error, status])
-        rate_specs = [
-            ("ergodic_rate_mbs", lambda: analytic.ergodic_rate_mbs(net, gamma),
-             "MBS", net.n1),
-            ("ergodic_rate_sbs_bl",
-             lambda: analytic.ergodic_rate_sbs_bl(net, gamma, net.n1,
-                                                  seed=args.seed),
-             "SBS-BL", net.n1),
-            ("ergodic_rate_sbs_el",
-             lambda: analytic.ergodic_rate_sbs_el(net, gamma, net.n2,
-                                                  seed=args.seed),
-             "SBS-EL", net.n2),
-        ]
-        for name, fn, source, n_serving in rate_specs:
-            value = fn()
-            try:
-                est = montecarlo.estimate_ergodic_rate(
-                    net, gamma, source, args.drops, args.seed,
-                    n_serving=n_serving)
-                status = _status(value, est, value, rel=True)
-            except RuntimeError:
-                est = montecarlo.Estimate(math.nan, math.inf, 0, args.seed)
-                status = "inconclusive"
-            failed |= status == "fail"
-            rows.append([name, gamma_db, value, est.mean, est.std_error, status])
+        for kind in ("p_success", "ergodic_rate"):
+            for name, source, serving in _modes(net):
+                value = _analytic(kind, name, serving, net, gamma, args.seed)
+                try:
+                    est = _estimate(kind, source, serving, net, gamma, args)
+                    status = _status(value, est,
+                                     1.0 if kind == "p_success" else value)
+                except RuntimeError:
+                    # too few drops met the QoS condition for a rate
+                    est = montecarlo.Estimate(math.nan, math.inf, 0, args.seed)
+                    status = "inconclusive"
+                failed |= status == "fail"
+                rows.append([f"{kind}_{name}", gamma_db, value, est.mean,
+                             est.std_error, status])
 
     out = Path(args.out_dir) / "validate.csv"
     _write_csv(out, ["quantity", "gamma_db", "analytic", "mc_mean",
@@ -127,12 +127,10 @@ def cmd_analyze(args) -> int:
     rows = []
     for gamma_db in GAMMA_GRID_DB:
         gamma = db_to_linear(gamma_db)
-        rows.append(["p_success_mbs", gamma_db,
-                     analytic.p_success_mbs(net, gamma)])
-        rows.append(["p_success_sbs_bl", gamma_db,
-                     analytic.p_success_sbs_bl(net, gamma, net.n1, seed=args.seed)])
-        rows.append(["p_success_sbs_el", gamma_db,
-                     analytic.p_success_sbs_el(net, gamma, net.n2, seed=args.seed)])
+        for name, _, serving in _modes(net):
+            rows.append([f"p_success_{name}", gamma_db,
+                         _analytic("p_success", name, serving, net, gamma,
+                                   args.seed)])
     table = analytic.build_rate_table(net, seed=args.seed)
     rows.append(["rate_mbs_bl_threshold", None, table.r_m_bl])
     rows.append(["rate_mbs_el_threshold", None, table.r_m_el])
@@ -152,17 +150,10 @@ def cmd_simulate(args) -> int:
     rows = []
     for gamma_db in GAMMA_GRID_DB:
         gamma = db_to_linear(gamma_db)
-        for name, est in [
-            ("p_success_mbs",
-             montecarlo.estimate_p_success_mbs(net, gamma, args.drops, args.seed)),
-            ("p_success_sbs_bl",
-             montecarlo.estimate_p_success_sbs(net, gamma, "BL", net.n1,
-                                               args.drops, args.seed)),
-            ("p_success_sbs_el",
-             montecarlo.estimate_p_success_sbs(net, gamma, "EL", net.n2,
-                                               args.drops, args.seed)),
-        ]:
-            rows.append([name, gamma_db, est.mean, est.std_error, est.n_samples])
+        for name, source, serving in _modes(net):
+            est = _estimate("p_success", source, serving, net, gamma, args)
+            rows.append([f"p_success_{name}", gamma_db, est.mean,
+                         est.std_error, est.n_samples])
     out = Path(args.out_dir) / "simulate.csv"
     _write_csv(out, ["quantity", "gamma_db", "mc_mean", "mc_std_error",
                      "n_samples"],
@@ -172,13 +163,12 @@ def cmd_simulate(args) -> int:
     if args.dump:
         dump = Path(args.out_dir) / "sir_drops.txt"
         with open(dump, "w") as fh:
-            fh.write("# seed sir_mbs sir_sbs_bl sir_sbs_el\n")
-            sir_m = montecarlo.sir_samples_mbs(net, args.drops, args.seed)
-            sir_b = montecarlo.sir_samples_sbs_bl(net, net.n1, args.drops,
-                                                  args.seed)
-            sir_e = montecarlo.sir_samples_sbs_el(net, net.n2, args.drops,
-                                                  args.seed)
-            for vals in zip(sir_m, sir_b, sir_e):
+            fh.write("# seed " + " ".join(f"sir_{name}" for name, _, _ in _MODES)
+                     + "\n")
+            samples = [getattr(montecarlo, f"sir_samples_{name}")(
+                net, *serving, args.drops, args.seed)
+                for name, _, serving in _modes(net)]
+            for vals in zip(*samples):
                 fh.write(f"{args.seed} "
                          + " ".join(repr(float(v)) for v in vals) + "\n")
         print(f"wrote {dump}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 
@@ -112,7 +112,7 @@ class PowerCoefficients:
         if self.c_ca >= self.c_bh:
             warnings.warn(
                 "c_ca >= c_bh: caching costs more power per bit than backhaul",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 
@@ -166,13 +166,10 @@ def _require(cond: bool, key: str, msg: str) -> None:
         raise ValueError(f"{key}: {msg}")
 
 
-# Scenario file schema: flat "key = value" lines, '#' comments.  Powers
-# accept either a *_w or *_dbm suffix; SIR thresholds either linear
-# (gamma_bl) or dB (gamma_bl_db).  Unlisted keys fall back to defaults.
-_NETWORK_KEYS = {"lambda_m", "lambda_s", "alpha_m", "alpha_s", "a", "b",
-                 "n1", "n2", "w"}
-_CONTENT_KEYS = {"f_count", "l_b", "l_e", "m_cache", "zipf_alpha"}
-_POWER_KEYS = {"c_ca", "c_bh", "zeta_s", "zeta_m", "p_s_fix", "p_m_fix"}
+# Scenario file schema: flat "key = value" lines, '#' comments.  A key is a
+# field of one of the config classes, or one of the alternate spellings
+# below.  Unlisted keys fall back to defaults.
+_SCENARIO_CLASSES = (NetworkConfig, ContentConfig, PowerCoefficients)
 # Spellings of the NetworkConfig fields that have a unit choice, with the
 # conversion to SI; a scenario gives at most one spelling per field.
 _ALT_KEYS = {"p_m_w": ("p_m", float), "p_m_dbm": ("p_m", dbm_to_watts),
@@ -181,7 +178,6 @@ _ALT_KEYS = {"p_m_w": ("p_m", float), "p_m_dbm": ("p_m", dbm_to_watts),
              "gamma_bl_db": ("gamma_bl", db_to_linear),
              "gamma_el": ("gamma_el", float),
              "gamma_el_db": ("gamma_el", db_to_linear)}
-_INT_KEYS = {"n1", "n2", "f_count"}
 
 
 def _parse_kv(path) -> dict:
@@ -204,27 +200,30 @@ def _parse_kv(path) -> dict:
 def load_scenario(path) -> tuple[NetworkConfig, ContentConfig, PowerCoefficients]:
     """Load and validate a scenario file, filling gaps with defaults."""
     raw = _parse_kv(path)
-    known = _NETWORK_KEYS | _CONTENT_KEYS | _POWER_KEYS | set(_ALT_KEYS)
+    spelled_only = {name for name, _ in _ALT_KEYS.values()}
+    # Annotations are strings here (postponed evaluation).
+    direct = {f.name: f.type for cls in _SCENARIO_CLASSES for f in fields(cls)
+              if f.name not in spelled_only}
     for key in raw:
-        if key not in known:
+        if key not in direct and key not in _ALT_KEYS:
             raise ValueError(f"{key}: unknown scenario key")
-    for key in _INT_KEYS & raw.keys():
-        if not raw[key].is_integer():
-            raise ValueError(f"{key}: must be an integer, got {raw[key]!r}")
-        raw[key] = int(raw[key])
+    values = {}
+    for key, value in raw.items():
+        if key in direct:
+            if direct[key] == "int":
+                if not value.is_integer():
+                    raise ValueError(f"{key}: must be an integer, got {value!r}")
+                value = int(value)
+            values[key] = value
 
-    net_kwargs = {k: raw[k] for k in _NETWORK_KEYS if k in raw}
     spelled = {}
     for key, (name, convert) in _ALT_KEYS.items():
         if key in raw:
             if name in spelled:
                 raise ValueError(f"{name}: both {spelled[name]} and {key} given")
             spelled[name] = key
-            net_kwargs[name] = convert(raw[key])
+            values[name] = convert(raw[key])
 
-    content_kwargs = {k: raw[k] for k in _CONTENT_KEYS if k in raw}
-    power_kwargs = {k: raw[k] for k in _POWER_KEYS if k in raw}
-
-    return (NetworkConfig(**net_kwargs),
-            ContentConfig(**content_kwargs),
-            PowerCoefficients(**power_kwargs))
+    return tuple(cls(**{f.name: values[f.name] for f in fields(cls)
+                        if f.name in values})
+                 for cls in _SCENARIO_CLASSES)

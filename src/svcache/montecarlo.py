@@ -111,30 +111,26 @@ def sir_samples_mbs(cfg: NetworkConfig, n_drops: int, seed: int = 0) -> np.ndarr
     return _run_batches(worker, n_drops, seed)
 
 
-def _sir_samples_cluster(cfg, n_serving, n_drops, seed, layer):
-    if not 1 <= n_serving <= (cfg.n1 if layer == "BL" else cfg.n2):
+def _sir_samples_cluster(cfg, n_cluster, ring2, n_serving, n_drops, seed):
+    # ring2 = (lo^2, hi^2) holds the serving SBSs; interferers lie inside
+    # lo and beyond hi.  A base-layer ring starts at 0, so its inner field
+    # is empty and draws nothing from the RNG.
+    if not 1 <= n_serving <= n_cluster:
         raise ValueError("n_serving must lie in 1..cluster size")
-    r_sim = window_radius(cfg)
-    a2, b2, w2 = cfg.a ** 2, cfg.b ** 2, r_sim ** 2
+    lo2, hi2 = ring2
+    w2 = window_radius(cfg) ** 2
 
     def worker(seed_seq, size):
         rng = np.random.default_rng(seed_seq)
-        if layer == "BL":
-            r2 = rng.uniform(0.0, a2, (size, n_serving))
-        else:
-            r2 = rng.uniform(a2, b2, (size, n_serving))
+        r2 = rng.uniform(lo2, hi2, (size, n_serving))
         h = (rng.standard_normal((size, n_serving))
              + 1j * rng.standard_normal((size, n_serving))) / math.sqrt(2)
         amp = (h * r2 ** (-cfg.alpha_s / 4.0)).sum(axis=1)
         signal = cfg.p_s * np.abs(amp) ** 2
-        if layer == "BL":
-            i_sbs = _interference(rng, cfg.lambda_s, a2, w2, cfg.p_s,
-                                  cfg.alpha_s, size)
-        else:
-            i_sbs = (_interference(rng, cfg.lambda_s, 0.0, a2, cfg.p_s,
-                                   cfg.alpha_s, size)
-                     + _interference(rng, cfg.lambda_s, b2, w2, cfg.p_s,
-                                     cfg.alpha_s, size))
+        i_sbs = (_interference(rng, cfg.lambda_s, 0.0, lo2, cfg.p_s,
+                               cfg.alpha_s, size)
+                 + _interference(rng, cfg.lambda_s, hi2, w2, cfg.p_s,
+                                 cfg.alpha_s, size))
         i_mbs = _interference(rng, cfg.lambda_m, 0.0, w2, cfg.p_m,
                               cfg.alpha_m, size)
         return signal / (i_sbs + i_mbs)
@@ -146,14 +142,16 @@ def _sir_samples_cluster(cfg, n_serving, n_drops, seed, layer):
 def sir_samples_sbs_bl(cfg: NetworkConfig, n_serving: int, n_drops: int,
                        seed: int = 0) -> np.ndarray:
     """SIR samples for cooperative base-layer delivery."""
-    return _sir_samples_cluster(cfg, n_serving, n_drops, seed, "BL")
+    return _sir_samples_cluster(cfg, cfg.n1, (0.0, cfg.a ** 2), n_serving,
+                                n_drops, seed)
 
 
 @functools.lru_cache(maxsize=64)
 def sir_samples_sbs_el(cfg: NetworkConfig, n_serving: int, n_drops: int,
                        seed: int = 0) -> np.ndarray:
     """SIR samples for cooperative enhancement-layer delivery."""
-    return _sir_samples_cluster(cfg, n_serving, n_drops, seed, "EL")
+    return _sir_samples_cluster(cfg, cfg.n2, (cfg.a ** 2, cfg.b ** 2),
+                                n_serving, n_drops, seed)
 
 
 def _success_estimate(sir: np.ndarray, gamma: float, seed: int) -> Estimate:

@@ -108,7 +108,7 @@ def _ee(mode: str, q1, q2, ctx: ObjectiveContext, exact_l0: bool = False):
         None if exact_l0 else ctx.theta)
     power = p_tr + p_ca + p_bh + p_fix
     if np.any(power <= 0):
-        raise ZeroDivisionError("total power is zero; no valid EE")
+        raise ValueError("total power is zero; no valid EE")
     return rate / power
 
 

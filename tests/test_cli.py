@@ -2,12 +2,13 @@
 
 import csv
 import json
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from svcache import analytic, cli
+from svcache import analytic, cli, montecarlo
 from svcache.baselines import ucp_policy
 from svcache.config import load_scenario
 from svcache.objective import ObjectiveContext, ee_value
@@ -20,6 +21,9 @@ n2 = 1
 f_count = 10
 m_cache = 3e8
 """
+ZERO_POWER_SCENARIO = LIGHT_SCENARIO + "".join(
+    f"{key} = 0\n"
+    for key in ("c_ca", "c_bh", "zeta_s", "zeta_m", "p_s_fix", "p_m_fix"))
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +181,61 @@ class TestCompare:
                                           exact_l0=True)
 
 
+class TestModuleLookup:
+    def test_mode_functions_fetched_from_their_modules(self, light_cfg,
+                                                       tmp_path, monkeypatch):
+        """A wrapper set on a module attribute sees every call of
+        validate and analyze; the benchmark's traced run relies on it."""
+        calls = Counter()
+        depth = [0]
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                # Only the CLI's own calls count, not those inside another
+                # counted call (the MBS rate integrates p_success_mbs).  The
+                # shared estimators are counted per source or layer.
+                if not depth[0]:
+                    calls[(name, *(a for a in args if isinstance(a, str)))] += 1
+                depth[0] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+
+            monkeypatch.setattr(module, name, counted)
+
+        for mode in ("mbs", "sbs_bl", "sbs_el"):
+            count(analytic, f"p_success_{mode}")
+            count(analytic, f"ergodic_rate_{mode}")
+        for name in ("estimate_p_success_mbs", "estimate_p_success_sbs",
+                     "estimate_ergodic_rate"):
+            count(montecarlo, name)
+        n = len(cli.GAMMA_GRID_DB)
+
+        assert cli.main(["--config", light_cfg, "--out-dir", str(tmp_path),
+                         "--drops", "300", "validate"]) == 0
+        assert calls == {key: n for key in [
+            ("p_success_mbs",), ("p_success_sbs_bl",), ("p_success_sbs_el",),
+            ("ergodic_rate_mbs",), ("ergodic_rate_sbs_bl",),
+            ("ergodic_rate_sbs_el",), ("estimate_p_success_mbs",),
+            ("estimate_p_success_sbs", "BL"), ("estimate_p_success_sbs", "EL"),
+            ("estimate_ergodic_rate", "MBS"),
+            ("estimate_ergodic_rate", "SBS-BL"),
+            ("estimate_ergodic_rate", "SBS-EL")]}
+
+        calls.clear()
+        assert cli.main(["--config", light_cfg, "--out-dir", str(tmp_path),
+                         "analyze"]) == 0
+        # the rate table adds the MBS rate at both thresholds and each
+        # cluster rate at n = 1
+        assert calls == {("p_success_mbs",): n, ("p_success_sbs_bl",): n,
+                         ("p_success_sbs_el",): n, ("ergodic_rate_mbs",): 2,
+                         ("ergodic_rate_sbs_bl",): 1,
+                         ("ergodic_rate_sbs_el",): 1}
+
+
 class TestExitCodes:
     def test_bad_scenario_exits_1(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -195,6 +254,21 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--max-iters", "3"],
+        ["compare", "--sweep", "cache_size", "--grid", "3e8",
+         "--max-iters", "3", "--icp-realizations", "3"]],
+        ids=["optimize", "compare"])
+    def test_zero_power_exits_1(self, argv, tmp_path, capsys):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(ZERO_POWER_SCENARIO)
+        with pytest.warns(UserWarning, match="c_ca >= c_bh"):
+            rc = cli.main(["--config", str(cfg), "--out-dir", str(tmp_path)]
+                          + argv)
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: total power is zero; no valid EE\n"
 
     def test_missing_scenario_exits_1(self, tmp_path, capsys):
         rc = cli.main(["--config", str(tmp_path / "missing.cfg"),

@@ -1,13 +1,17 @@
 """Scenario constants: validation, unit conversion and file loading."""
 
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from svcache.config import (CachingPolicy, ContentConfig, NetworkConfig,
-                            PowerCoefficients, db_to_linear, dbm_to_watts,
-                            load_scenario, watts_to_dbm)
+from svcache.config import (_ALT_KEYS, CachingPolicy, ContentConfig,
+                            NetworkConfig, PowerCoefficients, db_to_linear,
+                            dbm_to_watts, load_scenario, watts_to_dbm)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestConversions:
@@ -87,8 +91,10 @@ class TestPowerCoefficients:
         assert coeff.p_m_fix == 130.0
 
     def test_warns_when_caching_costs_more_than_backhaul(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             PowerCoefficients(c_ca=1.0, c_bh=0.5)
+        # the warning names the line that built the coefficients
+        assert Path(record[0].filename) == Path(__file__)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -195,6 +201,28 @@ class TestLoadScenario:
         p.write_text("bandwidth = 10\n")
         with pytest.raises(ValueError, match="unknown"):
             load_scenario(p)
+
+    @pytest.mark.parametrize("key", ["p_m", "p_s"])
+    def test_power_needs_its_unit(self, tmp_path, key):
+        p = tmp_path / "s.cfg"
+        p.write_text(f"{key} = 1\n")
+        with pytest.raises(ValueError, match=f"{key}: unknown"):
+            load_scenario(p)
+
+    def test_readme_example_loads(self, tmp_path, net, content, coeff):
+        block = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+        p = tmp_path / "readme.cfg"
+        p.write_text(block)
+        loaded = load_scenario(p)
+        keys = {line.split("=", 1)[0].strip() for line in block.splitlines()
+                if "=" in line.split("#", 1)[0]}
+        named = {_ALT_KEYS[k][0] if k in _ALT_KEYS else k for k in keys}
+        # the example spells out every field at its (rounded) default
+        for got, default in zip(loaded, (net, content, coeff)):
+            for f in fields(default):
+                assert f.name in named
+                assert getattr(got, f.name) == pytest.approx(
+                    getattr(default, f.name), rel=1e-3), f.name
 
     def test_malformed_line(self, tmp_path):
         p = tmp_path / "s.cfg"
