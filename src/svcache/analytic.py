@@ -3,10 +3,13 @@
 The interference tail function G_alpha(x) = int_x^inf dt / (1 + t^(alpha/2))
 underpins every expression.  Cluster probabilities depend on the serving
 positions only through S = sum r^-alpha and are averaged over S by
-Monte-Carlo position integration with inverse-CDF radius sampling.  The
-nearest-MBS radial integral uses adaptive quadrature; the SIR tail of
-every ergodic rate uses fixed 40-node Gauss-Legendre segments on a
-logarithmic scale, extended until they stop contributing.
+Monte-Carlo position integration with inverse-CDF radius sampling.  A
+sample whose exponent is so large that exp underflows to exactly 0.0 is
+not evaluated: its 0.0 is written in place, so every average keeps the
+bits of the full evaluation.  The nearest-MBS radial integral uses
+adaptive quadrature; the SIR tail of every ergodic rate uses fixed
+40-node Gauss-Legendre segments on a logarithmic scale, extended until
+they stop contributing.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ DEFAULT_POSITION_SAMPLES = 200_000
 
 # Relative tail threshold for truncating the SIR integral over t.
 _TAIL_REL = 1e-8
+
+# exp(-x) rounds to exactly 0.0 for every x above 745.14.
+_UNDERFLOW = 746.0
 
 
 class QuadratureError(RuntimeError):
@@ -181,15 +187,63 @@ def _cluster_exponent(cfg: NetworkConfig, layer: str, c,
     return math.pi * (sbs_term + mbs_term)
 
 
+def _underflow_c(cfg: NetworkConfig, layer: str, closed_form: bool) -> float:
+    """A c at or above which _cluster_exponent is >= _UNDERFLOW, or inf.
+
+    The exponent is a Laplace exponent, increasing in c, so bisection finds
+    where it crosses _UNDERFLOW.  Its MBS term alone reaches _UNDERFLOW at a
+    closed-form c; the SBS term is >= 0, so that c brackets the crossing.
+    When that bound overflows, nothing is cut.
+    """
+    with np.errstate(over="ignore"):
+        hi = float(cfg.p_s / cfg.p_m * np.float64(
+            _UNDERFLOW / (math.pi * cfg.lambda_m * g_alpha_zero(cfg.alpha_m)))
+            ** (cfg.alpha_m / 2.0))
+    if not math.isfinite(hi):
+        return math.inf
+    lo = 0.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if _cluster_exponent(cfg, layer, mid, closed_form) >= _UNDERFLOW:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _cluster_p(cfg, layer, gamma, n_serving, n_samples, seed, closed_form):
-    """P(SIR_S >= t) averaged over serving positions, as a function of t."""
+    """P(SIR_S >= t) averaged over serving positions, as a function of t.
+
+    A sample with S <= t / c_max has c = t/S >= c_max, so its exponent is
+    >= _UNDERFLOW and its exp is exactly 0.0.  Only the samples above that
+    cut are evaluated; the others keep the 0.0 of np.zeros in their place,
+    so the mean sums the same array in the same order as a full evaluation
+    and gives the same bits.
+    """
     if n_serving < 1:
         raise ValueError("n_serving must be >= 1")
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
     scale = _serving_scale(cfg, layer, n_serving, n_samples, seed)
-    return lambda t: float(np.exp(-_cluster_exponent(
-        cfg, layer, t / scale, closed_form)).mean())
+    c_max = _underflow_c(cfg, layer, closed_form)
+    s_min = scale.min()
+    order = ordered = None      # argsort of scale and sorted scale, on first cut
+
+    def p_at(t):
+        nonlocal order, ordered
+        cut = t / c_max
+        keep = slice(None)
+        if cut > s_min:
+            if order is None:
+                order = np.argsort(scale)
+                ordered = scale[order]
+            keep = order[np.searchsorted(ordered, cut, side="right"):]
+        terms = np.zeros(scale.size)
+        terms[keep] = np.exp(-_cluster_exponent(cfg, layer, t / scale[keep],
+                                                closed_form))
+        return float(terms.mean())
+
+    return p_at
 
 
 def p_success_sbs_bl(cfg: NetworkConfig, gamma_bl: float, n1_serving: int,

@@ -64,9 +64,11 @@ def _load(args):
 
 
 def _modes(net):
-    """(name, source, serving-count arguments) of each delivery mode."""
+    """(name, source, serving-count arguments) of each delivery mode; a
+    cluster of size 0 serves nothing and is left out."""
     return [(name, source, () if field is None else (getattr(net, field),))
-            for name, source, field in _MODES]
+            for name, source, field in _MODES
+            if field is None or getattr(net, field) > 0]
 
 
 def _analytic(kind, name, serving, net, gamma, seed):
@@ -162,12 +164,13 @@ def cmd_simulate(args) -> int:
     print(f"wrote {out}")
     if args.dump:
         dump = Path(args.out_dir) / "sir_drops.txt"
+        modes = _modes(net)
         with open(dump, "w") as fh:
-            fh.write("# seed " + " ".join(f"sir_{name}" for name, _, _ in _MODES)
+            fh.write("# seed " + " ".join(f"sir_{name}" for name, _, _ in modes)
                      + "\n")
             samples = [getattr(montecarlo, f"sir_samples_{name}")(
                 net, *serving, args.drops, args.seed)
-                for name, _, serving in _modes(net)]
+                for name, _, serving in modes]
             for vals in zip(*samples):
                 fh.write(f"{args.seed} "
                          + " ".join(repr(float(v)) for v in vals) + "\n")

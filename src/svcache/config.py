@@ -109,9 +109,9 @@ class PowerCoefficients:
     def __post_init__(self):
         for key in ("c_ca", "c_bh", "zeta_s", "zeta_m", "p_s_fix", "p_m_fix"):
             _require(getattr(self, key) >= 0, key, "must be >= 0")
-        if self.c_ca >= self.c_bh:
+        if self.c_ca > self.c_bh:
             warnings.warn(
-                "c_ca >= c_bh: caching costs more power per bit than backhaul",
+                "c_ca > c_bh: caching costs more power per bit than backhaul",
                 stacklevel=3,
             )
 

@@ -159,6 +159,62 @@ class TestSuccessSbs:
             analytic.p_success_sbs_bl_closed(replace(net, alpha_s=3.0), 10.0, 1)
 
 
+class TestUnderflowCut:
+    """_cluster_p evaluates only the samples whose exp(-exponent) can be
+    nonzero; every value must equal the full-sample mean bit for bit."""
+
+    N_SAMPLES = 20_000
+
+    @staticmethod
+    def _full_mean(net, layer, scale, t, closed_form):
+        return float(np.exp(-analytic._cluster_exponent(
+            net, layer, t / scale, closed_form)).mean())
+
+    @pytest.mark.parametrize("alpha", [4.0, 3.5])
+    @pytest.mark.parametrize("layer", ["bl", "el"])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_cut_is_exact(self, net, alpha, layer, n):
+        net = replace(net, alpha_m=alpha, alpha_s=alpha)
+        closed = alpha == 4.0
+        scale = analytic._serving_scale(net, layer, n, self.N_SAMPLES, 0)
+        p_at = analytic._cluster_p(net, layer, 1.0, n, self.N_SAMPLES, 0,
+                                   closed)
+        c_max = analytic._underflow_c(net, layer, closed)
+        # t from 1e-2 to 1e60, plus t where the cut falls among the samples
+        band = c_max * np.quantile(scale, [0.0, 0.01, 0.5, 0.99, 1.0])
+        ts = np.concatenate([np.geomspace(1e-2, 1e60, 25), band, 0.999 * band])
+        kept = [(scale > t / c_max).sum() for t in ts]
+        assert min(kept) == 0 and max(kept) == scale.size
+        assert any(0 < k < scale.size for k in kept)
+        for t in ts:
+            assert p_at(t) == self._full_mean(net, layer, scale, t, closed)
+
+    @pytest.mark.parametrize("closed", [True, False])
+    @pytest.mark.parametrize("layer", ["bl", "el"])
+    def test_threshold(self, net, layer, closed):
+        c_max = analytic._underflow_c(net, layer, closed)
+        exponent = analytic._cluster_exponent(
+            net, layer, c_max * np.array([1.0, 1.5, 10.0, 1e6]), closed)
+        assert (np.exp(-exponent) == 0.0).all()
+        # the bisection converged below its MBS-only bracket
+        mbs_only = net.p_s / net.p_m * (
+            analytic._UNDERFLOW / (math.pi * net.lambda_m
+                                   * analytic.g_alpha_zero(net.alpha_m))
+        ) ** (net.alpha_m / 2.0)
+        assert c_max <= mbs_only
+        assert analytic._cluster_exponent(net, layer, 0.5 * c_max,
+                                          closed) < analytic._UNDERFLOW
+
+    @pytest.mark.parametrize("layer", ["bl", "el"])
+    def test_overflowing_bound_cuts_nothing(self, net, layer):
+        net = replace(net, lambda_m=1e-300)
+        assert analytic._underflow_c(net, layer, True) == math.inf
+        scale = analytic._serving_scale(net, layer, 2, self.N_SAMPLES, 0)
+        p_at = analytic._cluster_p(net, layer, 1.0, 2, self.N_SAMPLES, 0, True)
+        for t in (1e-2, 1.0, 1e6, 1e30):
+            assert p_at(t) == self._full_mean(net, layer, scale, t, True)
+
+
 class TestErgodicRates:
     def test_rate_floor(self, net, rates):
         assert rates.r_m_bl >= net.w * math.log2(1.0 + net.gamma_bl)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -143,6 +144,28 @@ class TestOptimize:
         assert rc == 0
 
 
+class TestEmptyCluster:
+    def test_analyze_simulate_validate_skip_the_empty_layer(self, tmp_path):
+        """With n1 = 0 the BL cluster serves nothing: analyze, simulate
+        and validate leave out its rows and its dump column."""
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(LIGHT_SCENARIO.replace("n1 = 1", "n1 = 0"))
+        base = ["--config", str(cfg), "--out-dir", str(tmp_path),
+                "--drops", "300"]
+        assert cli.main(base + ["analyze"]) == 0
+        assert cli.main(base + ["simulate", "--dump"]) == 0
+        assert cli.main(base + ["validate"]) <= 1
+        for name in ("analyze", "simulate", "validate"):
+            _, rows = _read_csv(tmp_path / f"{name}.csv")
+            quantities = {r[0] for r in rows}
+            assert "p_success_sbs_el" in quantities
+            assert not any("sbs_bl" in q for q in quantities)
+        header, *drops = (tmp_path / "sir_drops.txt").read_text().splitlines()
+        assert header == "# seed sir_mbs sir_sbs_el"
+        assert len(drops) == 300
+        assert all(len(line.split()) == 3 for line in drops)
+
+
 class TestCompare:
     def test_cache_sweep_with_empty_cache_tie(self, light_cfg, tmp_path):
         rc = cli.main(["--config", light_cfg, "--out-dir", str(tmp_path),
@@ -263,7 +286,9 @@ class TestExitCodes:
     def test_zero_power_exits_1(self, argv, tmp_path, capsys):
         cfg = tmp_path / "zero.cfg"
         cfg.write_text(ZERO_POWER_SCENARIO)
-        with pytest.warns(UserWarning, match="c_ca >= c_bh"):
+        with warnings.catch_warnings():
+            # c_ca = c_bh = 0: caching costs no more than backhaul
+            warnings.simplefilter("error")
             rc = cli.main(["--config", str(cfg), "--out-dir", str(tmp_path)]
                           + argv)
         assert rc == 1

@@ -1,6 +1,7 @@
 """Scenario constants: validation, unit conversion and file loading."""
 
 import math
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -95,6 +96,11 @@ class TestPowerCoefficients:
             PowerCoefficients(c_ca=1.0, c_bh=0.5)
         # the warning names the line that built the coefficients
         assert Path(record[0].filename) == Path(__file__)
+
+    def test_equal_costs_do_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            PowerCoefficients(c_ca=0.0, c_bh=0.0)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

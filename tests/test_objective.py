@@ -197,13 +197,9 @@ class TestEeValue:
 def _flat_context(rates, rate_value=1e7):
     """Context whose objective is policy-independent: equal rates, zero
     marginal power (only the fixed term survives)."""
-    import warnings
     net = NetworkConfig()
     content = ContentConfig()
-    with warnings.catch_warnings():
-        # zeroed coefficients trip the cache-vs-backhaul cost advisory
-        warnings.simplefilter("ignore", UserWarning)
-        coeff = PowerCoefficients(c_ca=0.0, c_bh=0.0, zeta_s=0.0, zeta_m=0.0)
+    coeff = PowerCoefficients(c_ca=0.0, c_bh=0.0, zeta_s=0.0, zeta_m=0.0)
     flat = RateTable(r_m_bl=rate_value, r_m_el=rate_value,
                      r_s_bl={n: rate_value for n in range(1, net.n1 + 1)},
                      r_s_el={n: rate_value for n in range(1, net.n2 + 1)})
