@@ -13,9 +13,8 @@ from svcache.config import (
     CachingPolicy,
     load_scenario,
     dbm_to_watts,
-    watts_to_dbm,
 )
-from svcache.popularity import PopularityProfile, zipf, quality_preference, build_profile
+from svcache.popularity import PopularityProfile, zipf, build_profile
 from svcache.analytic import (
     g_alpha,
     p_success_mbs,

@@ -85,11 +85,6 @@ def g_alpha_vec(alpha: float, x) -> np.ndarray:
     return out
 
 
-def g_alpha_head_vec(alpha: float, x) -> np.ndarray:
-    """Vectorized head integral int_0^x dt / (1 + t^(alpha/2))."""
-    return g_alpha_zero(alpha) - g_alpha_vec(alpha, x)
-
-
 # ---------------------------------------------------------------------------
 # Serving via the nearest MBS
 # ---------------------------------------------------------------------------
@@ -180,7 +175,9 @@ def _cluster_exponent(cfg: NetworkConfig, layer: str, c,
     scale = c ** (-2.0 / cfg.alpha_s)
     sbs = g_alpha_vec(cfg.alpha_s, outer ** 2 * scale)
     if inner > 0.0:
-        sbs = g_alpha_head_vec(cfg.alpha_s, inner ** 2 * scale) + sbs
+        # head integral over (0, inner): G(0) - G(inner^2 * scale)
+        sbs = (g_alpha_zero(cfg.alpha_s)
+               - g_alpha_vec(cfg.alpha_s, inner ** 2 * scale)) + sbs
     sbs_term = cfg.lambda_s * c ** (2.0 / cfg.alpha_s) * sbs
     mbs_term = (cfg.lambda_m * (c * cfg.p_m / cfg.p_s) ** (2.0 / cfg.alpha_m)
                 * g_alpha_zero(cfg.alpha_m))

@@ -56,4 +56,4 @@ def icp_expected_ee(ctx: ObjectiveContext, n_realizations: int = 1000,
     se = float(values.std(ddof=1) / np.sqrt(n_realizations)) \
         if n_realizations > 1 else 0.0
     return Estimate(mean=float(values.mean()), std_error=se,
-                    n_samples=n_realizations, seed=seed)
+                    n_samples=n_realizations)

@@ -8,9 +8,11 @@ Subcommands:
   optimize  - run the gradient-projection EE maximizer for one scheme
   compare   - EE of both schemes and all baselines over a parameter sweep
 
-All outputs are CSV files plus a JSON "plot manifest" describing column
-roles.  Exit codes: 0 success, 1 validation failure, bad input or usage
-error, 2 numeric non-convergence.
+--drops is read by validate and simulate, --theta by optimize and
+compare.  Every CSV, trace.csv included, is written with a JSON "plot
+manifest" describing its column roles.  Exit codes: 0 success, 1
+validation failure, bad input (non-finite numbers included) or usage
+error, 2 numeric non-convergence or overflow.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 from svcache import analytic, montecarlo
@@ -29,8 +31,8 @@ from svcache.baselines import icp_expected_ee, mpcp_policy, ucp_policy
 from svcache.config import (NetworkConfig, ContentConfig, PowerCoefficients,
                             db_to_linear, load_scenario)
 from svcache.objective import ObjectiveContext, ee_value
-from svcache.optimizer import (INITIAL_KINDS, SolverSettings, make_initial_policy,
-                               optimize, optimize_best)
+from svcache.optimizer import (INITIAL_KINDS, SolverSettings, TraceRow,
+                               make_initial_policy, optimize, optimize_best)
 from svcache.popularity import build_profile
 
 GAMMA_GRID_DB = (0.0, 5.0, 10.0, 15.0, 20.0)
@@ -109,7 +111,7 @@ def cmd_validate(args) -> int:
                                      1.0 if kind == "p_success" else value)
                 except RuntimeError:
                     # too few drops met the QoS condition for a rate
-                    est = montecarlo.Estimate(math.nan, math.inf, 0, args.seed)
+                    est = montecarlo.Estimate(math.nan, math.inf, 0)
                     status = "inconclusive"
                 failed |= status == "fail"
                 rows.append([f"{kind}_{name}", gamma_db, value, est.mean,
@@ -187,15 +189,16 @@ def _context(args, net, content, coeff):
 
 def cmd_optimize(args) -> int:
     net, content, coeff = _load(args)
+    settings = SolverSettings(max_iters=args.max_iters, rel_tol=args.rel_tol,
+                              theta=args.theta)
     ctx = _context(args, net, content, coeff)
     mode = "fractional" if args.scheme == 1 else "random"
     initial = make_initial_policy(args.init, content, args.seed, mode=mode)
-    settings = SolverSettings(max_iters=args.max_iters, rel_tol=args.rel_tol,
-                              theta=args.theta)
     policy, trace = optimize(initial, ctx, settings)
 
     out_dir = Path(args.out_dir)
-    trace.to_csv(out_dir / "trace.csv")
+    _write_csv(out_dir / "trace.csv", [f.name for f in fields(TraceRow)],
+               [astuple(r) for r in trace.rows], {"x": "iteration", "y": ["ee"]})
     rows = [[f + 1, policy.q1[f], policy.q2[f]] for f in range(content.f_count)]
     _write_csv(out_dir / "policy.csv", ["file", "q1", "q2"], rows,
                {"x": "file", "y": ["q1", "q2"]})
@@ -218,6 +221,8 @@ _SWEEPS = {
 def cmd_compare(args) -> int:
     net0, content0, coeff = _load(args)
     grid = [float(x) for x in args.grid.split(",")]
+    if not all(map(math.isfinite, grid)):
+        raise ValueError(f"--grid entries must be finite, got {args.grid}")
     settings = SolverSettings(max_iters=args.max_iters, rel_tol=args.rel_tol,
                               theta=args.theta)
     rows = []
@@ -259,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out-dir", default=".")
     parser.add_argument("--drops", type=int, default=20_000,
-                        help="Monte-Carlo drops per quantity")
+                        help="Monte-Carlo drops per quantity (validate, simulate)")
     parser.add_argument("--theta", type=float, default=0.01,
-                        help="l0 smoothing parameter")
+                        help="l0 smoothing parameter (optimize, compare)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("validate", help="analytic vs Monte-Carlo cross-check")
@@ -294,6 +299,10 @@ def main(argv=None) -> int:
         return handler(args)
     except QuadratureError as exc:
         print(f"numeric non-convergence: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"numeric range error ({type(exc).__name__}): {exc}",
+              file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,10 +17,6 @@ def dbm_to_watts(x_dbm: float) -> float:
     return 10.0 ** ((x_dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(x_w: float) -> float:
-    return 10.0 * math.log10(x_w) + 30.0
-
-
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
@@ -85,14 +81,14 @@ class ContentConfig:
         """Number of cacheable base layers, clamped to the catalog size."""
         if self.l_b == 0:
             return self.f_count
-        return min(int(self.m_cache // self.l_b), self.f_count)
+        return int(min(self.m_cache // self.l_b, self.f_count))
 
     @property
     def m_e(self) -> int:
         """Number of cacheable enhancement layers, clamped to the catalog size."""
         if self.l_e == 0:
             return self.f_count
-        return min(int(self.m_cache // self.l_e), self.f_count)
+        return int(min(self.m_cache // self.l_e, self.f_count))
 
 
 @dataclass(frozen=True)
@@ -168,7 +164,8 @@ def _require(cond: bool, key: str, msg: str) -> None:
 
 # Scenario file schema: flat "key = value" lines, '#' comments.  A key is a
 # field of one of the config classes, or one of the alternate spellings
-# below.  Unlisted keys fall back to defaults.
+# below.  Values are finite numbers, integers for the int fields.  Unlisted
+# keys fall back to defaults.
 _SCENARIO_CLASSES = (NetworkConfig, ContentConfig, PowerCoefficients)
 # Spellings of the NetworkConfig fields that have a unit choice, with the
 # conversion to SI; a scenario gives at most one spelling per field.
@@ -180,7 +177,7 @@ _ALT_KEYS = {"p_m_w": ("p_m", float), "p_m_dbm": ("p_m", dbm_to_watts),
              "gamma_el_db": ("gamma_el", db_to_linear)}
 
 
-def _parse_kv(path) -> dict:
+def _parse_kv(path, int_keys) -> dict:
     raw = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -191,30 +188,31 @@ def _parse_kv(path) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         try:
-            raw[key] = float(value.strip())
+            value = float(value.strip())
         except ValueError:
             raise ValueError(f"{path}:{lineno}: non-numeric value for {key!r}") from None
+        if key in int_keys:
+            if not value.is_integer():
+                raise ValueError(
+                    f"{path}:{lineno}: {key}: must be an integer, got {value!r}")
+            value = int(value)
+        elif not math.isfinite(value):
+            raise ValueError(f"{path}:{lineno}: {key} must be finite")
+        raw[key] = value
     return raw
 
 
 def load_scenario(path) -> tuple[NetworkConfig, ContentConfig, PowerCoefficients]:
     """Load and validate a scenario file, filling gaps with defaults."""
-    raw = _parse_kv(path)
     spelled_only = {name for name, _ in _ALT_KEYS.values()}
     # Annotations are strings here (postponed evaluation).
     direct = {f.name: f.type for cls in _SCENARIO_CLASSES for f in fields(cls)
               if f.name not in spelled_only}
+    raw = _parse_kv(path, {key for key, kind in direct.items() if kind == "int"})
     for key in raw:
         if key not in direct and key not in _ALT_KEYS:
             raise ValueError(f"{key}: unknown scenario key")
-    values = {}
-    for key, value in raw.items():
-        if key in direct:
-            if direct[key] == "int":
-                if not value.is_integer():
-                    raise ValueError(f"{key}: must be an integer, got {value!r}")
-                value = int(value)
-            values[key] = value
+    values = {key: value for key, value in raw.items() if key in direct}
 
     spelled = {}
     for key, (name, convert) in _ALT_KEYS.items():

@@ -49,7 +49,6 @@ class Estimate:
     mean: float
     std_error: float
     n_samples: int
-    seed: int
 
 
 def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -60,7 +59,7 @@ def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def _interference(rng, density, r2_lo, r2_hi, power, alpha, n_drops):
     """Per-drop PPP interference powers over an annular region (radii^2)."""
-    if density == 0 or r2_hi <= r2_lo:
+    if r2_hi <= r2_lo:
         return np.zeros(n_drops)
     counts = rng.poisson(density * math.pi * (r2_hi - r2_lo), n_drops)
     total = int(counts.sum())
@@ -154,11 +153,10 @@ def sir_samples_sbs_el(cfg: NetworkConfig, n_serving: int, n_drops: int,
                                 n_serving, n_drops, seed)
 
 
-def _success_estimate(sir: np.ndarray, gamma: float, seed: int) -> Estimate:
-    hits = sir >= gamma
-    p = float(hits.mean())
-    se = math.sqrt(max(p * (1.0 - p), 0.0) / len(sir))
-    return Estimate(mean=p, std_error=se, n_samples=len(sir), seed=seed)
+def _success_estimate(sir: np.ndarray, gamma: float) -> Estimate:
+    p = float((sir >= gamma).mean())
+    se = math.sqrt(p * (1.0 - p) / len(sir))
+    return Estimate(mean=p, std_error=se, n_samples=len(sir))
 
 
 def _sir_samples(cfg: NetworkConfig, source: str, n_serving: int,
@@ -179,7 +177,7 @@ def estimate_p_success_mbs(cfg: NetworkConfig, gamma: float, n_drops: int,
                            seed: int = 0) -> Estimate:
     """Empirical P(SIR_M >= gamma)."""
     return _success_estimate(_sir_samples(cfg, "MBS", 1, n_drops, seed),
-                             gamma, seed)
+                             gamma)
 
 
 def estimate_p_success_sbs(cfg: NetworkConfig, gamma: float, layer: str,
@@ -187,7 +185,7 @@ def estimate_p_success_sbs(cfg: NetworkConfig, gamma: float, layer: str,
                            seed: int = 0) -> Estimate:
     """Empirical P(SIR_S,layer >= gamma) for layer in {'BL', 'EL'}."""
     return _success_estimate(
-        _sir_samples(cfg, f"SBS-{layer}", n_serving, n_drops, seed), gamma, seed)
+        _sir_samples(cfg, f"SBS-{layer}", n_serving, n_drops, seed), gamma)
 
 
 def estimate_ergodic_rate(cfg: NetworkConfig, gamma: float, source: str,
@@ -208,4 +206,4 @@ def estimate_ergodic_rate(cfg: NetworkConfig, gamma: float, source: str,
     logs = np.log2(1.0 + hits)
     mean = cfg.w * float(logs.mean())
     se = cfg.w * float(logs.std(ddof=1)) / math.sqrt(len(hits))
-    return Estimate(mean=mean, std_error=se, n_samples=len(hits), seed=seed)
+    return Estimate(mean=mean, std_error=se, n_samples=len(hits))

@@ -48,8 +48,8 @@ class ObjectiveContext:
     theta: float = DEFAULT_THETA
 
     def __post_init__(self):
-        if self.theta <= 0:
-            raise ValueError("theta must be > 0")
+        if not 0 < self.theta < math.inf:
+            raise ValueError(f"theta must be finite and > 0, got {self.theta}")
         if len(self.rates.r_s_bl) < self.net.n1 or len(self.rates.r_s_el) < self.net.n2:
             raise ValueError("rate table incomplete for the cluster sizes")
 

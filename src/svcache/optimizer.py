@@ -9,7 +9,8 @@ terminates when the relative objective change falls below rel_tol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,8 +32,10 @@ class SolverSettings:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.rel_tol < 0:
-            raise ValueError("rel_tol must be >= 0")
+        if not 0 <= self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol}")
+        if not 0 < self.theta < math.inf:
+            raise ValueError(f"theta must be finite and > 0, got {self.theta}")
 
 
 @dataclass
@@ -52,13 +55,6 @@ class SolverTrace:
 
     def ee_values(self) -> np.ndarray:
         return np.array([r.ee for r in self.rows])
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("iteration,ee,step,u_thresh,v_thresh,max_delta\n")
-            for r in self.rows:
-                fh.write(f"{r.iteration},{r.ee!r},{r.step!r},"
-                         f"{r.u_thresh!r},{r.v_thresh!r},{r.max_delta!r}\n")
 
 
 def project_capped_simplex(v, budget: float) -> np.ndarray:
@@ -104,10 +100,8 @@ def make_initial_policy(kind: str, content: ContentConfig, seed: int = 0,
         return mpcp_policy(content, mode)
     if kind == "popularity-proportional":
         p = zipf(f_count, content.zipf_alpha)
-        q1 = project_capped_simplex(p * content.m_b / max(p.max(), 1e-300),
-                                    content.m_b)
-        q2 = project_capped_simplex(p * content.m_e / max(p.max(), 1e-300),
-                                    content.m_e)
+        q1 = project_capped_simplex(p * content.m_b / p.max(), content.m_b)
+        q2 = project_capped_simplex(p * content.m_e / p.max(), content.m_e)
     elif kind == "random":
         rng = np.random.default_rng(seed)
         q1 = project_capped_simplex(rng.random(f_count), content.m_b)
@@ -125,7 +119,8 @@ def optimize(initial: CachingPolicy, ctx: ObjectiveContext,
     Both block gradients are evaluated at the current iterate, then the
     base-layer block is projected onto its budget, followed by the
     enhancement-layer block.  Returns the best-EE iterate visited and a
-    full per-iteration trace.
+    full per-iteration trace.  Scheme I is smoothed with ctx.theta;
+    settings.theta must equal it.
     """
     try:
         initial.validate_budget(ctx.content)
@@ -133,7 +128,9 @@ def optimize(initial: CachingPolicy, ctx: ObjectiveContext,
         raise ValueError(
             f"infeasible initial policy ({exc}); project it onto the "
             "capped simplex first") from None
-    ctx = replace(ctx, theta=settings.theta)
+    if settings.theta != ctx.theta:
+        raise ValueError(f"settings.theta = {settings.theta} differs from "
+                         f"ctx.theta = {ctx.theta}")
 
     mode = initial.mode
     q1, q2 = np.asarray(initial.q1), np.asarray(initial.q2)

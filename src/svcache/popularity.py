@@ -1,4 +1,11 @@
-"""Content request popularity and perceptual-quality preference models."""
+"""Content request popularity and perceptual-quality preference models.
+
+Every user requests a file's base layer; a user who prefers HD video
+also requests its enhancement layer.  The HD share g_hdv of file f is
+1 - (f-1)/(F-1), so the most popular file is watched only in HD and the
+least popular only in SD.  The SD share needs no term of its own: an SD
+request asks for the base layer, which every request already counts.
+"""
 
 from __future__ import annotations
 
@@ -26,35 +33,22 @@ def zipf(f_count: int, zipf_alpha: float) -> np.ndarray:
     return weights / norm
 
 
-def quality_preference(f: int, f_count: int) -> tuple[float, float]:
-    """(SDV, HDV) preference of file f: g_sdv = (f-1)/(F-1), g_hdv = 1 - g_sdv."""
-    if f_count < 2:
-        raise ValueError("f_count must be >= 2")
-    if not 1 <= f <= f_count:
-        raise ValueError(f"file index {f} outside 1..{f_count}")
-    g_sdv = (f - 1) / (f_count - 1)
-    return g_sdv, 1.0 - g_sdv
-
-
 @dataclass(frozen=True)
 class PopularityProfile:
-    """Per-file request probabilities and quality preferences."""
+    """Per-file request probabilities and HD shares."""
 
     p: tuple
-    g_sdv: tuple
     g_hdv: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "p", tuple(float(x) for x in self.p))
-        object.__setattr__(self, "g_sdv", tuple(float(x) for x in self.g_sdv))
         object.__setattr__(self, "g_hdv", tuple(float(x) for x in self.g_hdv))
         if abs(sum(self.p) - 1.0) > 1e-12:
             raise ValueError("request probabilities must sum to 1")
         if any(self.p[i] < self.p[i + 1] - 1e-15 for i in range(len(self.p) - 1)):
             raise ValueError("request probabilities must be non-increasing")
-        for s, h in zip(self.g_sdv, self.g_hdv):
-            if s + h != 1.0:
-                raise ValueError("g_sdv + g_hdv must equal 1 exactly")
+        if not all(0.0 <= h <= 1.0 for h in self.g_hdv):
+            raise ValueError("g_hdv entries must lie in [0, 1]")
 
     @property
     def f_count(self) -> int:
@@ -63,9 +57,7 @@ class PopularityProfile:
 
 def build_profile(content: ContentConfig) -> PopularityProfile:
     """Assemble the request/preference profile for a content catalog."""
-    p = zipf(content.f_count, content.zipf_alpha)
-    prefs = [quality_preference(f, content.f_count)
-             for f in range(1, content.f_count + 1)]
-    g_sdv = [s for s, _ in prefs]
-    g_hdv = [h for _, h in prefs]
-    return PopularityProfile(p=tuple(p), g_sdv=tuple(g_sdv), g_hdv=tuple(g_hdv))
+    f_count = content.f_count
+    g_hdv = [1.0 - (f - 1) / (f_count - 1) for f in range(1, f_count + 1)]
+    return PopularityProfile(p=tuple(zipf(f_count, content.zipf_alpha)),
+                             g_hdv=tuple(g_hdv))

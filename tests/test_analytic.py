@@ -43,11 +43,6 @@ class TestGAlpha:
             ref = np.array([analytic.g_alpha(alpha, xi) for xi in x])
             assert vec == pytest.approx(ref, abs=1e-12, rel=1e-12)
 
-    def test_head_plus_tail_is_total(self):
-        x = np.array([0.2, 1.0, 7.0])
-        total = analytic.g_alpha_head_vec(4.0, x) + analytic.g_alpha_vec(4.0, x)
-        assert total == pytest.approx(analytic.g_alpha_zero(4.0), abs=1e-12)
-
     def test_divergent_exponent_rejected(self):
         for fn in (analytic.g_alpha_zero,
                    lambda a: analytic.g_alpha(a, 1.0),

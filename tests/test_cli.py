@@ -4,14 +4,14 @@ import csv
 import json
 import warnings
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from svcache import analytic, cli, montecarlo
 from svcache.baselines import ucp_policy
-from svcache.config import load_scenario
+from svcache.config import _ALT_KEYS, _SCENARIO_CLASSES, load_scenario
 from svcache.objective import ObjectiveContext, ee_value
 from svcache.popularity import build_profile
 
@@ -25,6 +25,9 @@ m_cache = 3e8
 ZERO_POWER_SCENARIO = LIGHT_SCENARIO + "".join(
     f"{key} = 0\n"
     for key in ("c_ca", "c_bh", "zeta_s", "zeta_m", "p_s_fix", "p_m_fix"))
+FLOAT_KEYS = sorted([f.name for cls in _SCENARIO_CLASSES for f in fields(cls)
+                     if f.type == "float" and f.name not in
+                     {name for name, _ in _ALT_KEYS.values()}] + list(_ALT_KEYS))
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +145,27 @@ class TestOptimize:
         rc = cli.main(["--config", str(cfg), "--out-dir", str(tmp_path),
                        "optimize", "--scheme", scheme, "--max-iters", "3"])
         assert rc == 0
+
+
+class TestManifests:
+    def test_every_csv_has_its_manifest(self, light_cfg, tmp_path):
+        base = ["--config", light_cfg, "--out-dir", str(tmp_path),
+                "--drops", "300"]
+        for argv in (["validate"], ["analyze"], ["simulate"],
+                     ["optimize", "--max-iters", "3"],
+                     ["compare", "--sweep", "cache_size", "--grid", "3e8",
+                      "--max-iters", "3", "--icp-realizations", "3"]):
+            assert cli.main(base + argv) <= 1
+        csvs = sorted(p.name for p in tmp_path.glob("*.csv"))
+        assert csvs == ["analyze.csv", "compare_cache_size.csv", "policy.csv",
+                        "simulate.csv", "trace.csv", "validate.csv"]
+        for name in csvs:
+            manifest = json.loads(
+                (tmp_path / name).with_suffix(".manifest.json").read_text())
+            assert manifest["csv"] == name
+            header, _ = _read_csv(tmp_path / name)
+            roles = manifest["columns"]
+            assert roles["x"] in header and set(roles["y"]) <= set(header)
 
 
 class TestEmptyCluster:
@@ -277,6 +301,41 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_scenario_value_exits_1(self, key, tmp_path, capsys):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text(f"{key} = inf\n")
+        rc = cli.main(["--config", str(cfg), "--out-dir", str(tmp_path),
+                       "analyze"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {cfg}:1: {key} must be finite\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--theta", "nan", "optimize", "--max-iters", "3"],
+        ["optimize", "--rel-tol", "nan", "--max-iters", "3"],
+        ["compare", "--sweep", "cache_size", "--grid", "0,inf",
+         "--max-iters", "3", "--icp-realizations", "3"]],
+        ids=["theta", "rel-tol", "grid"])
+    def test_non_finite_flag_exits_1(self, argv, light_cfg, tmp_path, capsys):
+        rc = cli.main(["--config", light_cfg, "--out-dir", str(tmp_path)]
+                      + argv)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be finite" in err
+
+    @pytest.mark.parametrize("line", ["lambda_s = 1e300", "b = 1e300"])
+    def test_numeric_range_error_exits_2(self, line, tmp_path, capsys):
+        """A huge SBS density drives P(SIR >= gamma) to 0 before the rate
+        divides by it; a huge cluster radius overflows its square."""
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(LIGHT_SCENARIO + line + "\n")
+        rc = cli.main(["--config", str(cfg), "--out-dir", str(tmp_path),
+                       "analyze"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric range error") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["optimize", "--max-iters", "3"],

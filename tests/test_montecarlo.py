@@ -71,7 +71,7 @@ class TestSuccessEstimates:
 
     def test_estimate_fields(self, net):
         est = montecarlo.estimate_p_success_mbs(net, 10.0, 4096, seed=9)
-        assert est.n_samples == 4096 and est.seed == 9
+        assert est.n_samples == 4096
         assert est.std_error >= 0.0
 
     def test_preconditions(self, net):

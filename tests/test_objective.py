@@ -190,8 +190,9 @@ class TestEeValue:
                                        empty_ctx, exact_l0), rel=1e-12)
 
     def test_theta_validation(self, ctx):
-        with pytest.raises(ValueError):
-            replace(ctx, theta=0.0)
+        for theta in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="theta must be finite"):
+                replace(ctx, theta=theta)
 
 
 def _flat_context(rates, rate_value=1e7):
@@ -285,8 +286,7 @@ class TestRelabelingInvariance:
         """Files with identical popularity and quality preference can be
         permuted together with the policy without changing the EE."""
         f = 6
-        profile = PopularityProfile(p=(1.0 / f,) * f, g_sdv=(0.5,) * f,
-                                    g_hdv=(0.5,) * f)
+        profile = PopularityProfile(p=(1.0 / f,) * f, g_hdv=(0.5,) * f)
         net = NetworkConfig()
         content = ContentConfig(f_count=f)
         ctx = ObjectiveContext(rates=rates, profile=profile, net=net,

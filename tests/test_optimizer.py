@@ -1,6 +1,8 @@
 """Capped-simplex projection and the projected-gradient EE maximizer."""
 
 import itertools
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -172,20 +174,17 @@ class TestOptimize:
         spread = running_max[-50:].max() - running_max[-50:].min()
         assert spread < 0.005 * running_max[-1]
 
-    def test_trace_csv_round_trip(self, ctx, tmp_path):
-        _, trace = optimize(ucp_policy(ctx.content, mode="random"), ctx,
-                            SolverSettings(max_iters=5))
-        out = tmp_path / "trace.csv"
-        trace.to_csv(out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "iteration,ee,step,u_thresh,v_thresh,max_delta"
-        assert len(lines) == 1 + len(trace.rows)
-        first = lines[1].split(",")
-        assert int(first[0]) == 1
-        assert float(first[1]) == trace.rows[0].ee
+    def test_theta_mismatch_rejected(self, ctx):
+        """The context's theta is the one smoothed; settings may not
+        silently replace it."""
+        with pytest.raises(ValueError, match="0.01.*0.5"):
+            optimize(ucp_policy(ctx.content), replace(ctx, theta=0.5),
+                     SolverSettings(max_iters=3))
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             SolverSettings(max_iters=0)
-        with pytest.raises(ValueError):
-            SolverSettings(rel_tol=-1.0)
+        for field in ("rel_tol", "theta"):
+            for value in (-1.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"{field} must be finite"):
+                    SolverSettings(**{field: value})

@@ -1,4 +1,4 @@
-"""Zipf request probabilities and quality-preference model."""
+"""Zipf request probabilities and the HD-share preference model."""
 
 from fractions import Fraction
 
@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from svcache.config import ContentConfig
-from svcache.popularity import (PopularityProfile, build_profile,
-                                quality_preference, zipf)
+from svcache.popularity import PopularityProfile, build_profile, zipf
 
 
 class TestZipf:
@@ -48,48 +47,46 @@ class TestZipf:
 
 
 class TestQualityPreference:
+    """The HD share g_hdv = 1 - (f-1)/(F-1) of file f in build_profile."""
+
     def test_most_popular_watched_in_hd(self):
-        assert quality_preference(1, 20) == (0.0, 1.0)
+        assert build_profile(ContentConfig(f_count=20)).g_hdv[0] == 1.0
 
     def test_least_popular_watched_in_sd(self):
-        assert quality_preference(20, 20) == (1.0, 0.0)
+        assert build_profile(ContentConfig(f_count=20)).g_hdv[-1] == 0.0
 
     def test_interior(self):
-        assert quality_preference(11, 20) == pytest.approx((10 / 19, 9 / 19))
+        g_hdv = build_profile(ContentConfig(f_count=20)).g_hdv
+        assert g_hdv[10] == pytest.approx(9 / 19)
 
-    @given(st.integers(min_value=2, max_value=100), st.data())
-    def test_preferences_sum_to_one_exactly(self, f_count, data):
-        f = data.draw(st.integers(min_value=1, max_value=f_count))
-        s, h = quality_preference(f, f_count)
-        assert s + h == 1.0
+    @given(st.integers(min_value=2, max_value=100))
+    def test_hd_share_falls_linearly_with_rank(self, f_count):
+        g_hdv = build_profile(ContentConfig(f_count=f_count)).g_hdv
+        exact = [1 - Fraction(f - 1, f_count - 1) for f in range(1, f_count + 1)]
+        # within one rounding of the subtraction 1 - (f-1)/(F-1)
+        assert g_hdv == pytest.approx([float(x) for x in exact], rel=0,
+                                      abs=2.0 ** -52)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            quality_preference(0, 20)
-        with pytest.raises(ValueError):
-            quality_preference(21, 20)
-        with pytest.raises(ValueError):
-            quality_preference(1, 1)
+        for g_hdv in ((1.0, 1.5), (-0.1, 0.0), (1.0, float("nan"))):
+            with pytest.raises(ValueError, match="g_hdv"):
+                PopularityProfile(p=(0.5, 0.5), g_hdv=g_hdv)
 
 
 class TestProfile:
     def test_build_profile_shape(self, content, profile):
         assert profile.f_count == content.f_count
         assert abs(sum(profile.p) - 1.0) <= 1e-12
-        assert all(s + h == 1.0 for s, h in zip(profile.g_sdv, profile.g_hdv))
-        assert np.all(np.diff(profile.g_sdv) >= 0)
+        assert len(profile.g_hdv) == content.f_count
+        assert np.all(np.diff(profile.g_hdv) <= 0)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
-            PopularityProfile(p=(0.5, 0.4), g_sdv=(0.0, 1.0), g_hdv=(1.0, 0.0))
+            PopularityProfile(p=(0.5, 0.4), g_hdv=(1.0, 0.0))
 
     def test_rejects_increasing_popularity(self):
         with pytest.raises(ValueError):
-            PopularityProfile(p=(0.4, 0.6), g_sdv=(0.0, 1.0), g_hdv=(1.0, 0.0))
-
-    def test_rejects_inconsistent_preferences(self):
-        with pytest.raises(ValueError):
-            PopularityProfile(p=(0.5, 0.5), g_sdv=(0.0, 0.5), g_hdv=(0.9, 0.5))
+            PopularityProfile(p=(0.4, 0.6), g_hdv=(1.0, 0.0))
 
     def test_zero_skew_content(self):
         profile = build_profile(ContentConfig(f_count=4, zipf_alpha=0.0))
