@@ -14,6 +14,7 @@ they stop contributing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -143,16 +144,39 @@ def _ring(cfg: NetworkConfig, layer: str) -> tuple[float, float]:
     return (0.0, cfg.a) if layer == "bl" else (cfg.a, cfg.b)
 
 
+# The last serving draw of each layer, keyed on the arguments that made it.
+# One draw per layer bounds the memory the cache holds.
+_SCALES: dict = {}
+
+
 def _serving_scale(cfg: NetworkConfig, layer: str, n: int, n_samples: int,
                    seed: int) -> np.ndarray:
     """S = sum r^-alpha_s of n serving SBSs uniform in the layer's ring,
-    one value per position sample (inverse-CDF radii)."""
+    one value per position sample (inverse-CDF radii), read-only.
+
+    The radii and their powers are built in place in the one (n_samples, n)
+    array of uniforms.  The last draw of each layer is kept, so repeated
+    calls at one (cfg, n, n_samples, seed) draw once.
+    """
+    key = (cfg, n, n_samples, seed)
+    if layer in _SCALES and _SCALES[layer][0] == key:
+        return _SCALES[layer][1]
+    _SCALES.pop(layer, None)    # free the old draw before the new one
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    u = rng.random((n_samples, n))
+    r = rng.random((n_samples, n))
     inner, outer = _ring(cfg, layer)
-    radii = (outer * np.sqrt(u) if inner == 0.0
-             else np.sqrt(inner ** 2 + (outer ** 2 - inner ** 2) * u))
-    return (radii ** -cfg.alpha_s).sum(axis=1)
+    if inner == 0.0:
+        np.sqrt(r, out=r)
+        r *= outer
+    else:
+        r *= outer ** 2 - inner ** 2
+        r += inner ** 2
+        np.sqrt(r, out=r)
+    r **= -cfg.alpha_s
+    scale = r.sum(axis=1)
+    scale.setflags(write=False)
+    _SCALES[layer] = (key, scale)
+    return scale
 
 
 def _cluster_exponent(cfg: NetworkConfig, layer: str, c,
@@ -184,6 +208,7 @@ def _cluster_exponent(cfg: NetworkConfig, layer: str, c,
     return math.pi * (sbs_term + mbs_term)
 
 
+@functools.lru_cache(maxsize=4)
 def _underflow_c(cfg: NetworkConfig, layer: str, closed_form: bool) -> float:
     """A c at or above which _cluster_exponent is >= _UNDERFLOW, or inf.
 

@@ -12,7 +12,8 @@ Subcommands:
 compare.  Every CSV, trace.csv included, is written with a JSON "plot
 manifest" describing its column roles.  Exit codes: 0 success, 1
 validation failure, bad input (non-finite numbers included) or usage
-error, 2 numeric non-convergence or overflow.
+error, 2 numeric non-convergence, or a floating-point overflow, division by
+zero or invalid value.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import math
 import sys
 from dataclasses import astuple, fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from svcache import analytic, montecarlo
 from svcache.analytic import QuadratureError
@@ -296,7 +299,10 @@ def main(argv=None) -> int:
                "compare": cmd_compare}[args.command]
     try:
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-        return handler(args)
+        # An overflow, division by zero or invalid value in numpy ends the
+        # run here with one line, not with a warning and a NaN carried on.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return handler(args)
     except QuadratureError as exc:
         print(f"numeric non-convergence: {exc}", file=sys.stderr)
         return 2

@@ -220,7 +220,10 @@ def load_scenario(path) -> tuple[NetworkConfig, ContentConfig, PowerCoefficients
             if name in spelled:
                 raise ValueError(f"{name}: both {spelled[name]} and {key} given")
             spelled[name] = key
-            values[name] = convert(raw[key])
+            try:
+                values[name] = convert(raw[key])
+            except OverflowError:
+                raise ValueError(f"{key}: {raw[key]:g} is out of range") from None
 
     return tuple(cls(**{f.name: values[f.name] for f in fields(cls)
                         if f.name in values})

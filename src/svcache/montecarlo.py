@@ -5,7 +5,9 @@ the exact SIR expressions (coherent cooperative sum for cluster service,
 nearest-MBS service otherwise) and estimates success probabilities and
 conditional ergodic rates empirically.  Drops are drawn serially in
 fixed-size batches; batch i draws from child i of SeedSequence(seed), so
-a seeded call returns the same array on every run.
+a seeded call returns the same array on every run.  Each interference
+sum is built in place, so its memory is two float64 arrays the size of
+the batch's point count, whatever the number of drops.
 
 The simulation window is a disk of radius R_sim = 30 / sqrt(pi*lambda_m)
 centred on the user; truncation beyond it biases results by well under
@@ -28,7 +30,9 @@ import numpy as np
 from svcache.config import NetworkConfig
 
 # Fixed batch size: it bounds the memory of one draw, and every seeded
-# result depends on it.
+# result depends on it.  An interference sum over a batch holds two arrays
+# with one float64 per point (see _faded_sums): about 2 x 46 MB for the
+# ambient SBS field of the default scenario.
 _BATCH = 1024
 
 WINDOW_FACTOR = 30.0
@@ -51,8 +55,30 @@ class Estimate:
     n_samples: int
 
 
-def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    csum = np.concatenate(([0.0], np.cumsum(values)))
+def _faded_sums(rng, r2, counts, power, alpha, by_square=False):
+    """Per-drop sums of fade * power * r2^(-alpha/2), where drop i holds the
+    next counts[i] points of r2 and the unit-mean fades are drawn here.
+
+    r2 is overwritten.  The fades are drawn straight into the cumulative-sum
+    buffer and every step works in place, so a call holds two per-point
+    arrays: r2 and that buffer.  by_square (alpha = 4 only) divides by
+    r2 * r2 instead of multiplying by r2^-2; the two round differently, and
+    each sampler keeps its own rounding so that seeded drops keep their
+    bits.  A drop with no points sums to exactly 0.0.
+    """
+    csum = np.empty(r2.size + 1)
+    csum[0] = 0.0
+    p = csum[1:]
+    # Draws the same numbers as rng.exponential(1.0, r2.size).
+    rng.standard_exponential(out=p)
+    p *= power
+    if by_square:
+        r2 *= r2
+        p /= r2
+    else:
+        np.power(r2, -alpha / 2.0, out=r2)
+        p *= r2
+    np.cumsum(p, out=p)
     ends = np.cumsum(counts)
     return csum[ends] - csum[ends - counts]
 
@@ -62,14 +88,8 @@ def _interference(rng, density, r2_lo, r2_hi, power, alpha, n_drops):
     if r2_hi <= r2_lo:
         return np.zeros(n_drops)
     counts = rng.poisson(density * math.pi * (r2_hi - r2_lo), n_drops)
-    total = int(counts.sum())
-    r2 = rng.uniform(r2_lo, r2_hi, total)
-    fade = rng.exponential(1.0, total)
-    if alpha == 4.0:
-        p = fade * power / (r2 * r2)
-    else:
-        p = fade * power * r2 ** (-alpha / 2.0)
-    return _segment_sums(p, counts)
+    r2 = rng.uniform(r2_lo, r2_hi, int(counts.sum()))
+    return _faded_sums(rng, r2, counts, power, alpha, by_square=alpha == 4.0)
 
 
 def _run_batches(worker, n_drops: int, seed: int) -> np.ndarray:
@@ -98,11 +118,11 @@ def sir_samples_mbs(cfg: NetworkConfig, n_drops: int, seed: int = 0) -> np.ndarr
         min_r2 = a2 * (1.0 - rng.random(size) ** (1.0 / counts))
         signal = rng.exponential(1.0, size) * cfg.p_m * min_r2 ** (-cfg.alpha_m / 2.0)
         n_interf = counts - 1
-        total = int(n_interf.sum())
-        lo = np.repeat(min_r2, n_interf)
-        r2 = lo + rng.uniform(0.0, 1.0, total) * (a2 - lo)
-        fade = rng.exponential(1.0, total)
-        i_mbs = _segment_sums(fade * cfg.p_m * r2 ** (-cfg.alpha_m / 2.0), n_interf)
+        # r2 = lo + u * (a2 - lo) with lo the drop's min_r2, built in place.
+        r2 = rng.uniform(0.0, 1.0, int(n_interf.sum()))
+        r2 *= np.repeat(a2 - min_r2, n_interf)
+        r2 += np.repeat(min_r2, n_interf)
+        i_mbs = _faded_sums(rng, r2, n_interf, cfg.p_m, cfg.alpha_m)
         i_sbs = _interference(rng, cfg.lambda_s, 0.0, a2, cfg.p_s,
                               cfg.alpha_s, size)
         return signal / (i_mbs + i_sbs)

@@ -337,6 +337,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numeric range error") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("key", ["p_s_dbm", "p_m_dbm"])
+    def test_overflowing_db_value_exits_1(self, key, tmp_path, capsys):
+        """10^(397) overflows a float while the scenario loads: bad input."""
+        cfg = tmp_path / "loud.cfg"
+        cfg.write_text(LIGHT_SCENARIO + f"{key} = 4000\n")
+        rc = cli.main(["--config", str(cfg), "--out-dir", str(tmp_path),
+                       "analyze"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {key}: 4000 is out of range\n"
+
+    def test_tiny_disk_exits_2_with_one_line(self, tmp_path, capsys):
+        """a = 1e-300 overflows every r^-alpha of the BL serving draw; the
+        run ends on that overflow, with no numpy warning before it."""
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(LIGHT_SCENARIO + "a = 1e-300\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["--config", str(cfg), "--out-dir", str(tmp_path),
+                           "analyze"])
+        assert rc == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("numeric range error (FloatingPointError)")
+
     @pytest.mark.parametrize("argv", [
         ["optimize", "--max-iters", "3"],
         ["compare", "--sweep", "cache_size", "--grid", "3e8",

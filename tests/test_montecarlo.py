@@ -1,6 +1,7 @@
 """End-to-end Monte-Carlo oracle: sampling, SIR statistics, reproducibility."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,11 +14,121 @@ from svcache.config import db_to_linear
 DROPS = 20_000
 
 
+def _allocating_interference(rng, density, r2_lo, r2_hi, power, alpha,
+                             n_drops):
+    """The interference sum as written before it was built in place: one
+    new array per step."""
+    if r2_hi <= r2_lo:
+        return np.zeros(n_drops)
+    counts = rng.poisson(density * math.pi * (r2_hi - r2_lo), n_drops)
+    total = int(counts.sum())
+    r2 = rng.uniform(r2_lo, r2_hi, total)
+    fade = rng.exponential(1.0, total)
+    if alpha == 4.0:
+        p = fade * power / (r2 * r2)
+    else:
+        p = fade * power * r2 ** (-alpha / 2.0)
+    csum = np.concatenate(([0.0], np.cumsum(p)))
+    ends = np.cumsum(counts)
+    return csum[ends] - csum[ends - counts]
+
+
+def _allocating_mbs_worker(cfg, seed_seq, size):
+    """The nearest-MBS batch as written before it was built in place."""
+    a2 = montecarlo.window_radius(cfg) ** 2
+    rng = np.random.default_rng(seed_seq)
+    counts = rng.poisson(cfg.lambda_m * math.pi * a2, size)
+    min_r2 = a2 * (1.0 - rng.random(size) ** (1.0 / counts))
+    signal = (rng.exponential(1.0, size) * cfg.p_m
+              * min_r2 ** (-cfg.alpha_m / 2.0))
+    n_interf = counts - 1
+    total = int(n_interf.sum())
+    lo = np.repeat(min_r2, n_interf)
+    r2 = lo + rng.uniform(0.0, 1.0, total) * (a2 - lo)
+    fade = rng.exponential(1.0, total)
+    p = fade * cfg.p_m * r2 ** (-cfg.alpha_m / 2.0)
+    csum = np.concatenate(([0.0], np.cumsum(p)))
+    ends = np.cumsum(n_interf)
+    i_mbs = csum[ends] - csum[ends - n_interf]
+    i_sbs = _allocating_interference(rng, cfg.lambda_s, 0.0, a2, cfg.p_s,
+                                     cfg.alpha_s, size)
+    return signal / (i_mbs + i_sbs)
+
+
+def _allocating_serving_scale(cfg, layer, n, n_samples, seed):
+    """The serving draw as written before it was built in place."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    u = rng.random((n_samples, n))
+    inner, outer = (0.0, cfg.a) if layer == "bl" else (cfg.a, cfg.b)
+    radii = (outer * np.sqrt(u) if inner == 0.0
+             else np.sqrt(inner ** 2 + (outer ** 2 - inner ** 2) * u))
+    return (radii ** -cfg.alpha_s).sum(axis=1)
+
+
 class TestInterference:
     def test_zero_density(self):
         i = montecarlo._interference(np.random.default_rng(0), 0.0, 0.0,
                                      1e4, 1.0, 4.0, 7)
         assert np.array_equal(i, np.zeros(7))
+
+    @pytest.mark.parametrize("alpha, density", [
+        (4.0, 1e-4), (3.5, 1e-4), (4.0, 3e-7), (3.5, 3e-7)])
+    def test_same_bits_as_allocating_sum(self, alpha, density):
+        """In place, the sum keeps every bit and every RNG draw; at 3e-7
+        about 39% of the drops have no interferer and sum to exactly 0."""
+        args = (density, 0.0, 1e6, 200.0, alpha, 1024)
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = montecarlo._interference(rng, *args)
+        want = _allocating_interference(ref_rng, *args)
+        assert np.array_equal(got, want)
+        if density < 1e-6:
+            assert 0 < np.count_nonzero(got == 0.0) < got.size
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("alpha", [4.0, 3.5])
+    def test_mbs_batch_same_bits_as_allocating_worker(self, net, alpha):
+        cfg = replace(net, alpha_m=alpha, alpha_s=alpha)
+        (child,) = np.random.SeedSequence(17).spawn(1)
+        want = _allocating_mbs_worker(cfg, child, 64)
+        assert np.array_equal(montecarlo.sir_samples_mbs(cfg, 64, seed=17),
+                              want)
+
+    def test_peak_memory_two_per_point_arrays(self, net):
+        """One default-scenario batch of the ambient SBS field holds two
+        float64 arrays of its point count at its peak, not five."""
+        w2 = montecarlo.window_radius(net) ** 2
+        drops = 1024
+        expected_points = net.lambda_s * math.pi * w2 * drops
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            montecarlo._interference(rng, net.lambda_s, 0.0, w2, net.p_s,
+                                     net.alpha_s, drops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * 8 * expected_points
+
+
+class TestServingScale:
+    @pytest.mark.parametrize("alpha", [4.0, 3.5])
+    @pytest.mark.parametrize("layer", ["bl", "el"])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_same_bits_as_allocating_draw(self, net, alpha, layer, n):
+        cfg = replace(net, alpha_m=alpha, alpha_s=alpha)
+        got = analytic._serving_scale(cfg, layer, n, 5_000, 23)
+        assert np.array_equal(got,
+                              _allocating_serving_scale(cfg, layer, n, 5_000,
+                                                        23))
+
+    def test_last_draw_of_each_layer_is_kept_read_only(self, net):
+        bl = analytic._serving_scale(net, "bl", 2, 1_000, 31)
+        assert not bl.flags.writeable
+        assert analytic._serving_scale(net, "el", 2, 1_000, 31) is not bl
+        assert analytic._serving_scale(net, "bl", 2, 1_000, 31) is bl
+        analytic._serving_scale(net, "bl", 3, 1_000, 31)
+        again = analytic._serving_scale(net, "bl", 2, 1_000, 31)
+        assert again is not bl and np.array_equal(again, bl)
 
 
 class TestSamplerArguments:
