@@ -9,9 +9,12 @@ a seeded call returns the same array on every run.  Each interference
 sum is built in place, so its memory is two float64 arrays the size of
 the batch's point count, whatever the number of drops.
 
-The simulation window is a disk of radius R_sim = 30 / sqrt(pi*lambda_m)
-centred on the user; truncation beyond it biases results by well under
-1e-3 for path-loss exponents around 4.  In each delivery mode the
+The simulation window is a disk of radius R_sim = 10 / sqrt(pi*lambda_m)
+centred on the user.  Each field that the window cuts off contributes
+its Campbell mean 2*pi*lambda*P*R_sim^(2-alpha)/(alpha-2) to every drop
+(Haenggi, Stochastic Geometry for Wireless Networks, 2012); with it,
+truncation moves each success probability by less than 1e-3 for
+path-loss exponents from 3 to 4.  In each delivery mode the
 ambient interfering-SBS field is a homogeneous PPP over the region that
 is not silenced by the serving cluster: the whole window for nearest-MBS
 service, radii beyond a for base-layer service, and the inner disk plus
@@ -31,11 +34,15 @@ from svcache.config import NetworkConfig
 
 # Fixed batch size: it bounds the memory of one draw, and every seeded
 # result depends on it.  An interference sum over a batch holds two arrays
-# with one float64 per point (see _faded_sums): about 2 x 46 MB for the
+# with one float64 per point (see _faded_sums): about 2 x 5 MB for the
 # ambient SBS field of the default scenario.
 _BATCH = 1024
 
-WINDOW_FACTOR = 30.0
+WINDOW_FACTOR = 10.0
+
+# Most points a batch may expect to draw; at two float64s a point, 2^27
+# points hold 2 GiB.
+_MAX_BATCH_POINTS = 2 ** 27
 
 # Minimum number of drops that must satisfy the QoS condition before a
 # conditional rate estimate is reported.
@@ -44,6 +51,24 @@ MIN_CONDITIONING_DROPS = 100
 
 def window_radius(cfg: NetworkConfig) -> float:
     return WINDOW_FACTOR / math.sqrt(math.pi * cfg.lambda_m)
+
+
+def _window2(cfg: NetworkConfig) -> float:
+    """R_sim^2, once the points a batch expects in it are known to fit."""
+    w2 = window_radius(cfg) ** 2
+    points = (cfg.lambda_m + cfg.lambda_s) * math.pi * w2 * _BATCH
+    if not points <= _MAX_BATCH_POINTS:
+        raise ValueError(
+            f"Monte-Carlo window too large: lambda_m = {cfg.lambda_m:g} and "
+            f"lambda_s = {cfg.lambda_s:g} expect {points:.3g} points per "
+            f"batch of {_BATCH} drops, above the limit of 2^27")
+    return w2
+
+
+def _far_mean(density, power, alpha, r2):
+    """Campbell mean of a PPP field's interference beyond radius^2 r2."""
+    return (2.0 * math.pi * density * power * r2 ** (1.0 - alpha / 2.0)
+            / (alpha - 2.0))
 
 
 @dataclass(frozen=True)
@@ -105,14 +130,15 @@ def _run_batches(worker, n_drops: int, seed: int) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def sir_samples_mbs(cfg: NetworkConfig, n_drops: int, seed: int = 0) -> np.ndarray:
     """SIR samples for nearest-MBS service (one value per drop)."""
-    r_sim = window_radius(cfg)
-    a2 = r_sim ** 2
+    a2 = _window2(cfg)
     mean_mbs = cfg.lambda_m * math.pi * a2
+    far = (_far_mean(cfg.lambda_m, cfg.p_m, cfg.alpha_m, a2)
+           + _far_mean(cfg.lambda_s, cfg.p_s, cfg.alpha_s, a2))
 
     def worker(seed_seq, size):
         rng = np.random.default_rng(seed_seq)
-        # mean_mbs = WINDOW_FACTOR^2 = 900 for every config, so a drop has
-        # no MBS with probability e^-900, which is 0 in double precision.
+        # mean_mbs = WINDOW_FACTOR^2 = 100 for every config, so a drop has
+        # no MBS with probability e^-100, about 3.7e-44: negligible.
         counts = rng.poisson(mean_mbs, size)
         # Nearest-of-m uniform-in-disk distance, remaining MBSs beyond it.
         min_r2 = a2 * (1.0 - rng.random(size) ** (1.0 / counts))
@@ -125,7 +151,7 @@ def sir_samples_mbs(cfg: NetworkConfig, n_drops: int, seed: int = 0) -> np.ndarr
         i_mbs = _faded_sums(rng, r2, n_interf, cfg.p_m, cfg.alpha_m)
         i_sbs = _interference(rng, cfg.lambda_s, 0.0, a2, cfg.p_s,
                               cfg.alpha_s, size)
-        return signal / (i_mbs + i_sbs)
+        return signal / (i_mbs + i_sbs + far)
 
     return _run_batches(worker, n_drops, seed)
 
@@ -137,7 +163,9 @@ def _sir_samples_cluster(cfg, n_cluster, ring2, n_serving, n_drops, seed):
     if not 1 <= n_serving <= n_cluster:
         raise ValueError("n_serving must lie in 1..cluster size")
     lo2, hi2 = ring2
-    w2 = window_radius(cfg) ** 2
+    w2 = _window2(cfg)
+    far = (_far_mean(cfg.lambda_s, cfg.p_s, cfg.alpha_s, w2)
+           + _far_mean(cfg.lambda_m, cfg.p_m, cfg.alpha_m, w2))
 
     def worker(seed_seq, size):
         rng = np.random.default_rng(seed_seq)
@@ -152,7 +180,7 @@ def _sir_samples_cluster(cfg, n_cluster, ring2, n_serving, n_drops, seed):
                                  cfg.alpha_s, size))
         i_mbs = _interference(rng, cfg.lambda_m, 0.0, w2, cfg.p_m,
                               cfg.alpha_m, size)
-        return signal / (i_sbs + i_mbs)
+        return signal / (i_sbs + i_mbs + far)
 
     return _run_batches(worker, n_drops, seed)
 

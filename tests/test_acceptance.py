@@ -296,6 +296,20 @@ class TestStatisticalSanity:
         assert abs(i.var(ddof=1) - k2) <= 3 * math.sqrt((k4 + 2 * k2 ** 2)
                                                         / len(i))
 
+    @pytest.mark.parametrize("alpha", [4.0, 3.5, 3.0])
+    def test_far_mean_is_campbell_mean(self, net, alpha):
+        """The far-field mean added beyond the window is Campbell's first
+        cumulant: beyond lo less beyond hi is the mean over (lo, hi)."""
+        lo2 = montecarlo.window_radius(net) ** 2
+        hi2 = 4.0 * lo2
+        for density, power in ((net.lambda_s, net.p_s),
+                               (net.lambda_m, net.p_m)):
+            band = (montecarlo._far_mean(density, power, alpha, lo2)
+                    - montecarlo._far_mean(density, power, alpha, hi2))
+            assert band == pytest.approx(
+                _campbell_cumulant(density, lo2, hi2, power, alpha, 1),
+                rel=1e-12, abs=0.0)
+
     def test_bit_exact_across_runs_and_workers(self, net):
         for sampler, n_serving in ((montecarlo.sir_samples_mbs, ()),
                                    (montecarlo.sir_samples_sbs_bl, (net.n1,)),

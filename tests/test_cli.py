@@ -362,6 +362,19 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert err.startswith("numeric range error (FloatingPointError)")
 
+    def test_huge_window_exits_1_with_one_line(self, tmp_path, capsys):
+        """A tiny MBS density widens the window until one batch would ask
+        for terabytes; the sampler refuses before it draws."""
+        cfg = tmp_path / "sparse.cfg"
+        cfg.write_text(LIGHT_SCENARIO + "lambda_m = 1e-12\n")
+        rc = cli.main(["--config", str(cfg), "--out-dir", str(tmp_path),
+                       "--drops", "300", "simulate"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Monte-Carlo window too large")
+        assert err.count("\n") == 1
+        assert "lambda_m = 1e-12" in err and "lambda_s = " in err
+
     @pytest.mark.parametrize("argv", [
         ["optimize", "--max-iters", "3"],
         ["compare", "--sweep", "cache_size", "--grid", "3e8",
