@@ -21,8 +21,6 @@ from svcache.analytic import (
     p_success_mbs_closed,
     p_success_sbs_bl,
     p_success_sbs_el,
-    p_success_sbs_bl_closed,
-    p_success_sbs_el_closed,
     ergodic_rate_mbs,
     ergodic_rate_sbs_bl,
     ergodic_rate_sbs_el,

@@ -1,15 +1,18 @@
 """Closed-form successful-transmission probabilities and ergodic rates.
 
 The interference tail function G_alpha(x) = int_x^inf dt / (1 + t^(alpha/2))
-underpins every expression.  Cluster probabilities depend on the serving
-positions only through S = sum r^-alpha and are averaged over S by
-Monte-Carlo position integration with inverse-CDF radius sampling.  A
-sample whose exponent is so large that exp underflows to exactly 0.0 is
-not evaluated: its 0.0 is written in place, so every average keeps the
-bits of the full evaluation.  The nearest-MBS radial integral uses
-adaptive quadrature; the SIR tail of every ergodic rate uses fixed
-40-node Gauss-Legendre segments on a logarithmic scale, extended until
-they stop contributing.
+underpins every expression: arctan(1/x) at alpha = 4, a hypergeometric
+form otherwise.  Cluster probabilities depend on the serving positions
+only through S = sum r^-alpha and are averaged over S by Monte-Carlo
+position integration with inverse-CDF radius sampling.  One kernel serves
+every alpha: it sorts the draw by S once, keeps S^(-2/alpha) per sample,
+and sums the terms in sorted order.  A sample whose exponent is so large
+that exp underflows to exactly 0.0 is not evaluated: its 0.0 is written in
+place, so every average keeps the bits of the kernel run on every sample.
+The nearest-MBS radial integral is exact when alpha_m = alpha_s and uses
+adaptive quadrature otherwise; the SIR tail of every ergodic rate uses
+fixed 40-node Gauss-Legendre segments on a logarithmic scale, extended
+until they stop contributing.
 """
 
 from __future__ import annotations
@@ -64,17 +67,21 @@ def g_alpha(alpha: float, x: float) -> float:
 
 
 def g_alpha_vec(alpha: float, x) -> np.ndarray:
-    """Vectorized G_alpha via hypergeometric representations.
+    """Vectorized G_alpha: arctan(1/x) at alpha = 4, otherwise via
+    hypergeometric representations.
 
-    For x <= 1 the head integral series x*2F1(1, 1/b; 1+1/b; -x^b) is
-    subtracted from G_alpha(0); for x > 1 the tail representation
-    x^(1-b)/(b-1) * 2F1(1, 1-1/b; 2-1/b; -x^-b) is used directly.  Both
-    keep the hypergeometric argument in [-1, 0].
+    At alpha = 4, arctan2(1, x) gives arctan(1/x) without dividing, so
+    G_4(0) = pi/2.  Otherwise, for x <= 1 the head integral series
+    x*2F1(1, 1/b; 1+1/b; -x^b) is subtracted from G_alpha(0); for x > 1 the
+    tail representation x^(1-b)/(b-1) * 2F1(1, 1-1/b; 2-1/b; -x^-b) is used
+    directly.  Both keep the hypergeometric argument in [-1, 0].
     """
     if alpha <= 2:
         raise ValueError("alpha must be > 2 for the tail integral to converge")
-    beta = alpha / 2.0
     x = np.asarray(x, dtype=float)
+    if alpha == 4.0:
+        return np.arctan2(1.0, x)
+    beta = alpha / 2.0
     out = np.empty_like(x)
     g0 = g_alpha_zero(alpha)
     small = x <= 1.0
@@ -94,7 +101,8 @@ def p_success_mbs(cfg: NetworkConfig, gamma: float) -> float:
     """P(SIR_M >= gamma): nearest-MBS success probability.
 
     Radial integral over the serving distance, nondimensionalized via
-    z = pi*lambda_m*x^2 so the position density becomes exp(-z).
+    z = pi*lambda_m*x^2 so the position density becomes exp(-z).  It is
+    exact when alpha_m = alpha_s and adaptive quadrature otherwise.
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
@@ -108,6 +116,9 @@ def p_success_mbs(cfg: NetworkConfig, gamma: float) -> float:
     c2 = (math.pi * cfg.lambda_s * g_alpha_zero(cfg.alpha_s)
           * (gamma * cfg.p_s / cfg.p_m) ** (2.0 / cfg.alpha_s)
           * (math.pi * cfg.lambda_m) ** -kappa)
+    if cfg.alpha_m == cfg.alpha_s:
+        # the exponent is (c1 + c2) z: int_0^inf exp(-(1 + c1 + c2) z) dz
+        return 1.0 / (1.0 + c1 + c2)
 
     def integrand(u):
         z = u / (1.0 + c1)
@@ -144,24 +155,14 @@ def _ring(cfg: NetworkConfig, layer: str) -> tuple[float, float]:
     return (0.0, cfg.a) if layer == "bl" else (cfg.a, cfg.b)
 
 
-# The last serving draw of each layer, keyed on the arguments that made it.
-# One draw per layer bounds the memory the cache holds.
-_SCALES: dict = {}
-
-
 def _serving_scale(cfg: NetworkConfig, layer: str, n: int, n_samples: int,
                    seed: int) -> np.ndarray:
     """S = sum r^-alpha_s of n serving SBSs uniform in the layer's ring,
-    one value per position sample (inverse-CDF radii), read-only.
+    one value per position sample (inverse-CDF radii).
 
     The radii and their powers are built in place in the one (n_samples, n)
-    array of uniforms.  The last draw of each layer is kept, so repeated
-    calls at one (cfg, n, n_samples, seed) draw once.
+    array of uniforms.
     """
-    key = (cfg, n, n_samples, seed)
-    if layer in _SCALES and _SCALES[layer][0] == key:
-        return _SCALES[layer][1]
-    _SCALES.pop(layer, None)    # free the old draw before the new one
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     r = rng.random((n_samples, n))
     inner, outer = _ring(cfg, layer)
@@ -173,47 +174,59 @@ def _serving_scale(cfg: NetworkConfig, layer: str, n: int, n_samples: int,
         r += inner ** 2
         np.sqrt(r, out=r)
     r **= -cfg.alpha_s
-    scale = r.sum(axis=1)
-    scale.setflags(write=False)
-    _SCALES[layer] = (key, scale)
-    return scale
+    return r.sum(axis=1)
 
 
-def _cluster_exponent(cfg: NetworkConfig, layer: str, c,
-                      closed_form: bool = False) -> np.ndarray:
-    """-ln P(SIR_S >= .) given serving positions, as a function of
-    c = gamma / S.  SBSs inside and beyond the layer's silent ring
-    interfere; a ring starting at 0 has no inner part."""
-    c = np.asarray(c, dtype=float)
+def _cluster_log_p(cfg: NetworkConfig, layer: str, t: float, sigma, sigma_m,
+                   out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """ln P(SIR_S >= t) given serving positions, written into out.
+
+    One entry per position sample, given sigma = S^(-2/alpha_s) and
+    sigma_m = S^(-2/alpha_m) of its S = sum r^-alpha_s (used only when
+    alpha_m != alpha_s).  With c = t/S, y = t^(2/alpha_s) * sigma is
+    c^(2/alpha_s), and the SBSs beyond the layer's silent ring contribute
+    G(outer^2 / y); at alpha = 4 that is arctan(y / outer^2), which does
+    not cancel at large y as pi/2 - arctan(outer^2 / y) would.  SBSs inside
+    the ring add the head integral G(0) - G(inner^2 / y); a ring starting
+    at 0 has none.  work holds two scratch rows of out's length.
+    """
+    a_s, a_m = cfg.alpha_s, cfg.alpha_m
     inner, outer = _ring(cfg, layer)
-    if closed_form:
-        if cfg.alpha_m != 4.0 or cfg.alpha_s != 4.0:
-            raise ValueError("closed form requires alpha_m = alpha_s = 4")
-        root = np.sqrt(c)
-        sbs = math.pi / 2.0 - np.arctan(outer ** 2 / root)
+    y, tmp = work
+    np.multiply(sigma, t ** (2.0 / a_s), out=y)
+    if a_s == 4.0:
+        # G_4(x) = arctan(1/x), and its head integral is arctan(x)
+        np.divide(y, outer ** 2, out=out)
+        np.arctan(out, out=out)
         if inner > 0.0:
-            sbs = np.arctan(inner ** 2 / root) + sbs
-        u = (cfg.lambda_s * sbs
-             + math.pi / 2.0 * cfg.lambda_m * math.sqrt(cfg.p_m / cfg.p_s))
-        return math.pi * u * root
-    scale = c ** (-2.0 / cfg.alpha_s)
-    sbs = g_alpha_vec(cfg.alpha_s, outer ** 2 * scale)
-    if inner > 0.0:
-        # head integral over (0, inner): G(0) - G(inner^2 * scale)
-        sbs = (g_alpha_zero(cfg.alpha_s)
-               - g_alpha_vec(cfg.alpha_s, inner ** 2 * scale)) + sbs
-    sbs_term = cfg.lambda_s * c ** (2.0 / cfg.alpha_s) * sbs
-    mbs_term = (cfg.lambda_m * (c * cfg.p_m / cfg.p_s) ** (2.0 / cfg.alpha_m)
-                * g_alpha_zero(cfg.alpha_m))
-    return math.pi * (sbs_term + mbs_term)
+            np.divide(inner ** 2, y, out=tmp)
+            out += np.arctan(tmp, out=tmp)
+    else:
+        np.divide(outer ** 2, y, out=out)
+        out[:] = g_alpha_vec(a_s, out)
+        if inner > 0.0:
+            np.divide(inner ** 2, y, out=tmp)
+            out += g_alpha_zero(a_s) - g_alpha_vec(a_s, tmp)
+    out *= -math.pi * cfg.lambda_s
+    # MBS interference: -pi lambda_m (c p_m/p_s)^(2/alpha_m) G_alpha_m(0)
+    mbs = (-math.pi * cfg.lambda_m * (cfg.p_m / cfg.p_s) ** (2.0 / a_m)
+           * g_alpha_zero(a_m))
+    if a_m == a_s:
+        out += mbs
+        out *= y
+    else:
+        out *= y
+        out += np.multiply(sigma_m, mbs * t ** (2.0 / a_m), out=tmp)
+    return out
 
 
 @functools.lru_cache(maxsize=4)
-def _underflow_c(cfg: NetworkConfig, layer: str, closed_form: bool) -> float:
-    """A c at or above which _cluster_exponent is >= _UNDERFLOW, or inf.
+def _underflow_c(cfg: NetworkConfig, layer: str) -> float:
+    """A c at or above which _cluster_log_p is <= -_UNDERFLOW, or inf.
 
     The exponent is a Laplace exponent, increasing in c, so bisection finds
-    where it crosses _UNDERFLOW.  Its MBS term alone reaches _UNDERFLOW at a
+    where it crosses _UNDERFLOW; it evaluates _cluster_log_p itself at t = c
+    and S = 1.  The exponent's MBS term alone reaches _UNDERFLOW at a
     closed-form c; the SBS term is >= 0, so that c brackets the crossing.
     When that bound overflows, nothing is cut.
     """
@@ -223,47 +236,72 @@ def _underflow_c(cfg: NetworkConfig, layer: str, closed_form: bool) -> float:
             ** (cfg.alpha_m / 2.0))
     if not math.isfinite(hi):
         return math.inf
+    one, out, work = np.ones(1), np.empty(1), np.empty((2, 1))
     lo = 0.0
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        if _cluster_exponent(cfg, layer, mid, closed_form) >= _UNDERFLOW:
+        _cluster_log_p(cfg, layer, mid, one, one, out, work)
+        if out[0] <= -_UNDERFLOW:
             hi = mid
         else:
             lo = mid
     return hi
 
 
-def _cluster_p(cfg, layer, gamma, n_serving, n_samples, seed, closed_form):
+# The kernel state of the last serving draw of each layer, keyed on the
+# arguments that made it.  One draw per layer bounds the memory it holds.
+_STATES: dict = {}
+
+
+def _cluster_state(cfg: NetworkConfig, layer: str, n: int, n_samples: int,
+                   seed: int) -> tuple:
+    """(S, sigma, sigma_m) of one serving draw, read-only.
+
+    S is the _serving_scale draw sorted ascending, sigma = S^(-2/alpha_s)
+    and sigma_m = S^(-2/alpha_m) (sigma itself when alpha_m = alpha_s).
+    The state of the last draw of each layer is kept, so repeated calls at
+    one (cfg, n, n_samples, seed) draw and sort once.
+    """
+    key = (cfg, n, n_samples, seed)
+    if layer in _STATES and _STATES[layer][0] == key:
+        return _STATES[layer][1]
+    _STATES.pop(layer, None)    # free the old state before the new one
+    s = _serving_scale(cfg, layer, n, n_samples, seed)
+    s.sort()
+    sigma = s ** (-2.0 / cfg.alpha_s)
+    sigma_m = (sigma if cfg.alpha_m == cfg.alpha_s
+               else s ** (-2.0 / cfg.alpha_m))
+    for a in (s, sigma, sigma_m):
+        a.setflags(write=False)
+    _STATES[layer] = (key, (s, sigma, sigma_m))
+    return s, sigma, sigma_m
+
+
+def _cluster_p(cfg, layer, gamma, n_serving, n_samples, seed):
     """P(SIR_S >= t) averaged over serving positions, as a function of t.
 
-    A sample with S <= t / c_max has c = t/S >= c_max, so its exponent is
-    >= _UNDERFLOW and its exp is exactly 0.0.  Only the samples above that
-    cut are evaluated; the others keep the 0.0 of np.zeros in their place,
-    so the mean sums the same array in the same order as a full evaluation
-    and gives the same bits.
+    The samples are sorted by S.  A sample with S <= t / c_max has
+    c = t/S >= c_max, so its exponent is >= _UNDERFLOW and its exp is
+    exactly 0.0: that prefix of the buffer is zero-filled, the kernel runs
+    on the rest, and the mean sums the whole buffer, so it gives the bits
+    of the kernel run on every sample.
     """
     if n_serving < 1:
         raise ValueError("n_serving must be >= 1")
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    scale = _serving_scale(cfg, layer, n_serving, n_samples, seed)
-    c_max = _underflow_c(cfg, layer, closed_form)
-    s_min = scale.min()
-    order = ordered = None      # argsort of scale and sorted scale, on first cut
+    s, sigma, sigma_m = _cluster_state(cfg, layer, n_serving, n_samples, seed)
+    c_max = _underflow_c(cfg, layer)
+    out, work = np.empty(s.size), np.empty((2, s.size))
 
     def p_at(t):
-        nonlocal order, ordered
-        cut = t / c_max
-        keep = slice(None)
-        if cut > s_min:
-            if order is None:
-                order = np.argsort(scale)
-                ordered = scale[order]
-            keep = order[np.searchsorted(ordered, cut, side="right"):]
-        terms = np.zeros(scale.size)
-        terms[keep] = np.exp(-_cluster_exponent(cfg, layer, t / scale[keep],
-                                                closed_form))
-        return float(terms.mean())
+        k = int(np.searchsorted(s, t / c_max, side="right"))
+        out[:k] = 0.0
+        kept = out[k:]
+        _cluster_log_p(cfg, layer, t, sigma[k:], sigma_m[k:], kept,
+                       work[:, k:])
+        np.exp(kept, out=kept)
+        return float(out.sum()) / s.size
 
     return p_at
 
@@ -272,32 +310,16 @@ def p_success_sbs_bl(cfg: NetworkConfig, gamma_bl: float, n1_serving: int,
                      n_samples: int = DEFAULT_POSITION_SAMPLES,
                      seed: int = 0) -> float:
     """P(SIR_S,BL >= gamma_bl) with n1_serving cooperative SBSs in the disk."""
-    return _cluster_p(cfg, "bl", gamma_bl, n1_serving, n_samples, seed,
-                      False)(gamma_bl)
+    return _cluster_p(cfg, "bl", gamma_bl, n1_serving, n_samples,
+                      seed)(gamma_bl)
 
 
 def p_success_sbs_el(cfg: NetworkConfig, gamma_el: float, n2_serving: int,
                      n_samples: int = DEFAULT_POSITION_SAMPLES,
                      seed: int = 0) -> float:
     """P(SIR_S,EL >= gamma_el) with n2_serving cooperative SBSs in the annulus."""
-    return _cluster_p(cfg, "el", gamma_el, n2_serving, n_samples, seed,
-                      False)(gamma_el)
-
-
-def p_success_sbs_bl_closed(cfg: NetworkConfig, gamma_bl: float, n1_serving: int,
-                            n_samples: int = DEFAULT_POSITION_SAMPLES,
-                            seed: int = 0) -> float:
-    """Arccot-based special case (alpha = 4), sharing position samples."""
-    return _cluster_p(cfg, "bl", gamma_bl, n1_serving, n_samples, seed,
-                      True)(gamma_bl)
-
-
-def p_success_sbs_el_closed(cfg: NetworkConfig, gamma_el: float, n2_serving: int,
-                            n_samples: int = DEFAULT_POSITION_SAMPLES,
-                            seed: int = 0) -> float:
-    """Arccot/arctan-based special case (alpha = 4), sharing position samples."""
-    return _cluster_p(cfg, "el", gamma_el, n2_serving, n_samples, seed,
-                      True)(gamma_el)
+    return _cluster_p(cfg, "el", gamma_el, n2_serving, n_samples,
+                      seed)(gamma_el)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +337,9 @@ def _tail_rate(cfg: NetworkConfig, gamma: float, p_at) -> float:
                                        / ((1+t) P(SIR>=gamma)) dt.
 
     The tail integral is log-substituted (t = gamma*e^s) and summed over
-    40-node Gauss-Legendre segments of doubling width until the last
-    segment contributes < _TAIL_REL of the total.
+    40-node Gauss-Legendre segments of width 4 in s until the last
+    segment contributes < _TAIL_REL of the total (the default scenario's
+    BL rates take 9 segments, to s = 36).
     """
     total = 0.0
     s_lo, s_hi = 0.0, 4.0
@@ -344,9 +367,8 @@ def ergodic_rate_mbs(cfg: NetworkConfig, gamma: float) -> float:
 
 
 def _ergodic_rate_cluster(cfg, layer, gamma, n_serving, n_samples, seed):
-    closed = cfg.alpha_m == 4.0 and cfg.alpha_s == 4.0
     return _tail_rate(cfg, gamma, _cluster_p(cfg, layer, gamma, n_serving,
-                                             n_samples, seed, closed))
+                                             n_samples, seed))
 
 
 def ergodic_rate_sbs_bl(cfg: NetworkConfig, gamma_bl: float, n1_serving: int,

@@ -1,7 +1,12 @@
-"""Shared fixtures: default scenario and a session-wide rate table."""
+"""Shared fixtures: default scenario, a session-wide rate table and the
+paper's alpha = 4 cluster formula."""
 
+import math
+
+import numpy as np
 import pytest
 
+from svcache import analytic
 from svcache.analytic import build_rate_table
 from svcache.config import ContentConfig, NetworkConfig, PowerCoefficients
 from svcache.objective import ObjectiveContext
@@ -38,3 +43,26 @@ def rates(net):
 def ctx(rates, profile, net, content, coeff):
     return ObjectiveContext(rates=rates, profile=profile, net=net,
                             content=content, coeff=coeff)
+
+
+def _arccot_cluster_p(cfg, layer, gamma, n_serving, n_samples, seed):
+    """The paper's alpha = 4 cluster success probability, averaged over the
+    library's serving draw: with c = gamma/S and root = sqrt(c), the
+    exponent is pi*root*(lambda_s*(arccot(outer^2/root)
+    + arctan(inner^2/root)) + pi/2*lambda_m*sqrt(p_m/p_s))."""
+    if cfg.alpha_m != 4.0 or cfg.alpha_s != 4.0:
+        raise ValueError("closed form requires alpha_m = alpha_s = 4")
+    inner, outer = (0.0, cfg.a) if layer == "bl" else (cfg.a, cfg.b)
+    scale = analytic._serving_scale(cfg, layer, n_serving, n_samples, seed)
+    root = np.sqrt(gamma / scale)
+    sbs = math.pi / 2.0 - np.arctan(outer ** 2 / root)
+    if inner > 0.0:
+        sbs = np.arctan(inner ** 2 / root) + sbs
+    u = (cfg.lambda_s * sbs
+         + math.pi / 2.0 * cfg.lambda_m * math.sqrt(cfg.p_m / cfg.p_s))
+    return float(np.exp(-math.pi * u * root).mean())
+
+
+@pytest.fixture(scope="session")
+def arccot_cluster_p():
+    return _arccot_cluster_p

@@ -92,7 +92,8 @@ class TestSuccessProbabilityAgreement:
 class TestClosedFormConsistency:
     """Criterion 2: alpha=4 special cases vs general quadrature."""
 
-    def test_all_closed_forms_within_1e3_relative(self, net):
+    def test_all_closed_forms_within_1e3_relative(self, net,
+                                                  arccot_cluster_p):
         t0 = time.perf_counter()
         for gamma_db in GAMMA_GRID_DB:
             gamma = db_to_linear(gamma_db)
@@ -100,14 +101,11 @@ class TestClosedFormConsistency:
                 analytic.p_success_mbs(net, gamma), rel=1e-3)
             for n in (1, 4):
                 kw = dict(n_samples=50_000, seed=0)
-                assert analytic.p_success_sbs_bl_closed(
-                    net, gamma, n, **kw) == pytest.approx(
-                        analytic.p_success_sbs_bl(net, gamma, n, **kw),
-                        rel=1e-3)
-                assert analytic.p_success_sbs_el_closed(
-                    net, gamma, n, **kw) == pytest.approx(
-                        analytic.p_success_sbs_el(net, gamma, n, **kw),
-                        rel=1e-3)
+                for layer in ("bl", "el"):
+                    general = getattr(analytic, f"p_success_sbs_{layer}")
+                    assert arccot_cluster_p(
+                        net, layer, gamma, n, **kw) == pytest.approx(
+                            general(net, gamma, n, **kw), rel=1e-3)
         elapsed = time.perf_counter() - t0
         print(f"closed-form consistency checked in {elapsed:.2f}s")
         assert elapsed <= 10.0

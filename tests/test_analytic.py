@@ -6,11 +6,29 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import hyp2f1
 
 from svcache import analytic
 from svcache.config import NetworkConfig, db_to_linear
 
 GAMMA_GRID = [db_to_linear(g) for g in (0.0, 5.0, 10.0, 15.0, 20.0)]
+
+
+def _g_hyp2f1(alpha, x):
+    """G_alpha(x) through its hypergeometric head (x <= 1) and tail (x > 1)
+    representations, as g_alpha_vec computes it for alpha != 4."""
+    beta = alpha / 2.0
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = x <= 1.0
+    xs, xl = x[small], x[~small]
+    out[small] = (analytic.g_alpha_zero(alpha)
+                  - xs * hyp2f1(1.0, 1.0 / beta, 1.0 + 1.0 / beta,
+                                -xs ** beta))
+    out[~small] = (xl ** (1.0 - beta) / (beta - 1.0)
+                   * hyp2f1(1.0, 1.0 - 1.0 / beta, 2.0 - 1.0 / beta,
+                            -xl ** -beta))
+    return out
 
 
 class TestGAlpha:
@@ -43,6 +61,22 @@ class TestGAlpha:
             ref = np.array([analytic.g_alpha(alpha, xi) for xi in x])
             assert vec == pytest.approx(ref, abs=1e-12, rel=1e-12)
 
+    def test_alpha4_matches_quadrature(self):
+        x = np.array([0.0, 1e-6, 0.3, 1.0, 2.0, 10.0, 1e2, 1e4])
+        vec = analytic.g_alpha_vec(4.0, x)
+        ref = np.array([analytic.g_alpha(4.0, xi) for xi in x])
+        assert vec == pytest.approx(ref, rel=0.0, abs=1e-10)
+
+    def test_alpha4_matches_hypergeometric_form(self):
+        x = np.geomspace(1e-8, 1e8, 321)
+        assert analytic.g_alpha_vec(4.0, x) == pytest.approx(
+            _g_hyp2f1(4.0, x), rel=1e-14, abs=0.0)
+
+    def test_alpha4_at_zero_is_half_pi_without_warnings(self):
+        with np.errstate(all="raise"):
+            assert analytic.g_alpha_vec(4.0, 0.0) == math.pi / 2
+            assert analytic.g_alpha_vec(4.0, [0.0, 1.0])[0] == math.pi / 2
+
     def test_divergent_exponent_rejected(self):
         for fn in (analytic.g_alpha_zero,
                    lambda a: analytic.g_alpha(a, 1.0),
@@ -66,6 +100,25 @@ class TestSuccessMbs:
             general = analytic.p_success_mbs(net, gamma)
             closed = analytic.p_success_mbs_closed(net, gamma)
             assert general == pytest.approx(closed, rel=1e-4)
+
+    @pytest.mark.parametrize("alpha", [3.0, 3.5, 4.0, 5.0])
+    def test_equal_exponents_match_quadrature(self, net, alpha):
+        """At alpha_m = alpha_s the radial integral is 1/(1 + c1 + c2);
+        the oracle integrates exp(-z (1 + c1 + c2)) numerically, with G
+        from the scalar quadrature."""
+        cfg = replace(net, alpha_m=alpha, alpha_s=alpha)
+        for gamma_db in np.linspace(-20.0, 45.0, 27):
+            gamma = db_to_linear(gamma_db)
+            c1 = (gamma ** (2.0 / alpha)
+                  * analytic.g_alpha(alpha, gamma ** (-2.0 / alpha)))
+            c2 = (math.pi * cfg.lambda_s * analytic.g_alpha_zero(alpha)
+                  * (gamma * cfg.p_s / cfg.p_m) ** (2.0 / alpha)
+                  / (math.pi * cfg.lambda_m))
+            ref, _ = integrate.quad(
+                lambda u: math.exp(-u - c2 * u / (1.0 + c1)) / (1.0 + c1),
+                0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+            assert analytic.p_success_mbs(cfg, gamma) == pytest.approx(
+                ref, rel=1e-13, abs=0.0)
 
     def test_in_unit_interval_and_monotone_in_gamma(self, net):
         vals = [analytic.p_success_mbs(net, g) for g in GAMMA_GRID]
@@ -128,14 +181,13 @@ class TestSuccessSbs:
               for g in GAMMA_GRID]
         assert all(a >= b for a, b in zip(bl, bl[1:]))
 
-    def test_closed_form_agreement(self, net):
+    def test_closed_form_agreement(self, net, arccot_cluster_p):
         for gamma in GAMMA_GRID:
-            for fn, closed in [
-                (analytic.p_success_sbs_bl, analytic.p_success_sbs_bl_closed),
-                (analytic.p_success_sbs_el, analytic.p_success_sbs_el_closed),
-            ]:
+            for layer in ("bl", "el"):
+                fn = getattr(analytic, f"p_success_sbs_{layer}")
                 general = fn(net, gamma, 2, n_samples=self.N_SAMPLES)
-                special = closed(net, gamma, 2, n_samples=self.N_SAMPLES)
+                special = arccot_cluster_p(net, layer, gamma, 2,
+                                           self.N_SAMPLES, 0)
                 assert general == pytest.approx(special, rel=1e-3)
 
     def test_deterministic_given_seed(self, net):
@@ -150,64 +202,114 @@ class TestSuccessSbs:
             analytic.p_success_sbs_bl(net, 10.0, 0)
         with pytest.raises(ValueError):
             analytic.p_success_sbs_el(net, 0.0, 1)
-        with pytest.raises(ValueError):
-            analytic.p_success_sbs_bl_closed(replace(net, alpha_s=3.0), 10.0, 1)
+
+
+def _reference_exponent(cfg, layer, c):
+    """-ln P(SIR_S >= .) as a function of c = t/S: powers of c times G
+    from its hypergeometric form, with no sorting, cut or per-sample
+    powers of S."""
+    inner, outer = (0.0, cfg.a) if layer == "bl" else (cfg.a, cfg.b)
+    scale = c ** (-2.0 / cfg.alpha_s)
+    sbs = _g_hyp2f1(cfg.alpha_s, outer ** 2 * scale)
+    if inner > 0.0:
+        sbs = (analytic.g_alpha_zero(cfg.alpha_s)
+               - _g_hyp2f1(cfg.alpha_s, inner ** 2 * scale)) + sbs
+    sbs_term = cfg.lambda_s * c ** (2.0 / cfg.alpha_s) * sbs
+    mbs_term = (cfg.lambda_m * (c * cfg.p_m / cfg.p_s) ** (2.0 / cfg.alpha_m)
+                * analytic.g_alpha_zero(cfg.alpha_m))
+    return math.pi * (sbs_term + mbs_term)
+
+
+def _log_p_at_c(cfg, layer, c):
+    """The kernel's ln P(SIR_S >= t) at t = c and S = 1, as _underflow_c
+    evaluates it."""
+    one = np.ones(1)
+    return analytic._cluster_log_p(cfg, layer, c, one, one, np.empty(1),
+                                   np.empty((2, 1)))[0]
 
 
 class TestUnderflowCut:
-    """_cluster_p evaluates only the samples whose exp(-exponent) can be
-    nonzero; every value must equal the full-sample mean bit for bit."""
+    """_cluster_p runs the kernel only on the samples whose exp(log p) can
+    be nonzero; every value must equal the kernel run on every sample bit
+    for bit, and the mean of _reference_exponent over the unsorted draw to
+    1e-12."""
 
     N_SAMPLES = 20_000
 
     @staticmethod
-    def _full_mean(net, layer, scale, t, closed_form):
-        return float(np.exp(-analytic._cluster_exponent(
-            net, layer, t / scale, closed_form)).mean())
+    def _full_mean(net, layer, n, t):
+        """The kernel on every sample of the sorted draw, with no cut."""
+        s, sigma, sigma_m = analytic._cluster_state(
+            net, layer, n, TestUnderflowCut.N_SAMPLES, 0)
+        terms = np.exp(analytic._cluster_log_p(
+            net, layer, t, sigma, sigma_m, np.empty(s.size),
+            np.empty((2, s.size))))
+        cut = np.searchsorted(s, t / analytic._underflow_c(net, layer),
+                              side="right")
+        assert (terms[:cut] == 0.0).all()
+        return float(terms.sum()) / s.size
+
+    def _t_grid(self, net, layer, n):
+        """t from 1e-2 to 1e60, plus t where the cut falls among the
+        samples."""
+        scale = analytic._serving_scale(net, layer, n, self.N_SAMPLES, 0)
+        c_max = analytic._underflow_c(net, layer)
+        band = c_max * np.quantile(scale, [0.0, 0.01, 0.5, 0.99, 1.0])
+        ts = np.concatenate([np.geomspace(1e-2, 1e60, 25), band, 0.999 * band])
+        kept = [(scale > t / c_max).sum() for t in ts]
+        assert min(kept) == 0 and max(kept) == scale.size
+        assert any(0 < k < scale.size for k in kept)
+        return ts
 
     @pytest.mark.parametrize("alpha", [4.0, 3.5])
     @pytest.mark.parametrize("layer", ["bl", "el"])
     @pytest.mark.parametrize("n", [1, 4])
     def test_cut_is_exact(self, net, alpha, layer, n):
         net = replace(net, alpha_m=alpha, alpha_s=alpha)
-        closed = alpha == 4.0
-        scale = analytic._serving_scale(net, layer, n, self.N_SAMPLES, 0)
-        p_at = analytic._cluster_p(net, layer, 1.0, n, self.N_SAMPLES, 0,
-                                   closed)
-        c_max = analytic._underflow_c(net, layer, closed)
-        # t from 1e-2 to 1e60, plus t where the cut falls among the samples
-        band = c_max * np.quantile(scale, [0.0, 0.01, 0.5, 0.99, 1.0])
-        ts = np.concatenate([np.geomspace(1e-2, 1e60, 25), band, 0.999 * band])
-        kept = [(scale > t / c_max).sum() for t in ts]
-        assert min(kept) == 0 and max(kept) == scale.size
-        assert any(0 < k < scale.size for k in kept)
-        for t in ts:
-            assert p_at(t) == self._full_mean(net, layer, scale, t, closed)
+        p_at = analytic._cluster_p(net, layer, 1.0, n, self.N_SAMPLES, 0)
+        for t in self._t_grid(net, layer, n):
+            assert p_at(t) == self._full_mean(net, layer, n, t)
 
-    @pytest.mark.parametrize("closed", [True, False])
+    @pytest.mark.parametrize("alphas", [(4.0, 4.0), (3.5, 3.5), (3.0, 3.0),
+                                        (3.5, 4.0), (4.0, 3.2)])
     @pytest.mark.parametrize("layer", ["bl", "el"])
-    def test_threshold(self, net, layer, closed):
-        c_max = analytic._underflow_c(net, layer, closed)
-        exponent = analytic._cluster_exponent(
-            net, layer, c_max * np.array([1.0, 1.5, 10.0, 1e6]), closed)
-        assert (np.exp(-exponent) == 0.0).all()
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_matches_reference_expression(self, net, alphas, layer, n):
+        """An exponent near 746 carries up to 746 ulp per term, so the
+        agreement is to 1e-12, not bit for bit."""
+        net = replace(net, alpha_m=alphas[0], alpha_s=alphas[1])
+        scale = analytic._serving_scale(net, layer, n, self.N_SAMPLES, 0)
+        p_at = analytic._cluster_p(net, layer, 1.0, n, self.N_SAMPLES, 0)
+        for t in self._t_grid(net, layer, n):
+            ref = float(np.exp(-_reference_exponent(net, layer,
+                                                    t / scale)).mean())
+            assert p_at(t) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("mixed", [True, False])
+    @pytest.mark.parametrize("layer", ["bl", "el"])
+    def test_threshold(self, net, layer, mixed):
+        """At alpha_m = alpha_s = 4, and at alpha_m = 3.5 != alpha_s = 4
+        (mixed), where the MBS term has its own power of S."""
+        if mixed:
+            net = replace(net, alpha_m=3.5)
+        c_max = analytic._underflow_c(net, layer)
+        for c in c_max * np.array([1.0, 1.5, 10.0, 1e6]):
+            assert math.exp(_log_p_at_c(net, layer, c)) == 0.0
         # the bisection converged below its MBS-only bracket
         mbs_only = net.p_s / net.p_m * (
             analytic._UNDERFLOW / (math.pi * net.lambda_m
                                    * analytic.g_alpha_zero(net.alpha_m))
         ) ** (net.alpha_m / 2.0)
         assert c_max <= mbs_only
-        assert analytic._cluster_exponent(net, layer, 0.5 * c_max,
-                                          closed) < analytic._UNDERFLOW
+        assert -_log_p_at_c(net, layer, 0.5 * c_max) < analytic._UNDERFLOW
 
     @pytest.mark.parametrize("layer", ["bl", "el"])
     def test_overflowing_bound_cuts_nothing(self, net, layer):
         net = replace(net, lambda_m=1e-300)
-        assert analytic._underflow_c(net, layer, True) == math.inf
-        scale = analytic._serving_scale(net, layer, 2, self.N_SAMPLES, 0)
-        p_at = analytic._cluster_p(net, layer, 1.0, 2, self.N_SAMPLES, 0, True)
+        assert analytic._underflow_c(net, layer) == math.inf
+        p_at = analytic._cluster_p(net, layer, 1.0, 2, self.N_SAMPLES, 0)
         for t in (1e-2, 1.0, 1e6, 1e30):
-            assert p_at(t) == self._full_mean(net, layer, scale, t, True)
+            assert p_at(t) == self._full_mean(net, layer, 2, t)
 
 
 class TestErgodicRates:
@@ -285,8 +387,8 @@ class TestTailIntegralOracle:
 
     @pytest.mark.parametrize("layer", ["bl", "el"])
     def test_cluster_rate_against_direct_quadrature(self, net, layer):
-        """The rate uses the alpha = 4 closed form, the oracle's
-        probabilities the general form over the same positions."""
+        """The rate's log-substituted Gauss-Legendre segments against
+        scipy quadrature of the same p_success over the same positions."""
         gamma = getattr(net, f"gamma_{layer}")
         p_success = getattr(analytic, f"p_success_sbs_{layer}")
         rate = getattr(analytic, f"ergodic_rate_sbs_{layer}")

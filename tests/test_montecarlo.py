@@ -124,12 +124,18 @@ class TestServingScale:
                                                         23))
 
     def test_last_draw_of_each_layer_is_kept_read_only(self, net):
-        bl = analytic._serving_scale(net, "bl", 2, 1_000, 31)
+        """The cluster kernel keeps the sorted draw of each layer."""
+        def draw(layer, n):
+            return analytic._cluster_state(net, layer, n, 1_000, 31)[0]
+
+        bl = draw("bl", 2)
         assert not bl.flags.writeable
-        assert analytic._serving_scale(net, "el", 2, 1_000, 31) is not bl
-        assert analytic._serving_scale(net, "bl", 2, 1_000, 31) is bl
-        analytic._serving_scale(net, "bl", 3, 1_000, 31)
-        again = analytic._serving_scale(net, "bl", 2, 1_000, 31)
+        assert np.array_equal(
+            bl, np.sort(analytic._serving_scale(net, "bl", 2, 1_000, 31)))
+        assert draw("el", 2) is not bl
+        assert draw("bl", 2) is bl
+        draw("bl", 3)
+        again = draw("bl", 2)
         assert again is not bl and np.array_equal(again, bl)
 
 
@@ -269,10 +275,15 @@ class TestWindow:
                           + window(cfg.lambda_s, scale_s))
 
         def cluster_mode(layer, s_sum):
+            sigma = s_sum ** (-2.0 / alpha)
+
             def mode(gamma):
                 # s = c / p_s
                 c = gamma / s_sum
-                return (analytic._cluster_exponent(cfg, layer, c),
+                log_p = analytic._cluster_log_p(
+                    cfg, layer, gamma, sigma, sigma, np.empty(samples),
+                    np.empty((2, samples)))
+                return (-log_p,
                         window(cfg.lambda_s, c ** (2.0 / alpha))
                         + window(cfg.lambda_m,
                                  (c * cfg.p_m / cfg.p_s) ** (2.0 / alpha)))
