@@ -13,6 +13,11 @@ The nearest-MBS radial integral is exact when alpha_m = alpha_s and uses
 adaptive quadrature otherwise; the SIR tail of every ergodic rate uses
 fixed 40-node Gauss-Legendre segments on a logarithmic scale, extended
 until they stop contributing.
+
+scipy is imported inside the branches that call it: scipy.special for
+hyp2f1 at alpha != 4, scipy.integrate for the radial quadrature at
+alpha_m != alpha_s and for the scalar reference g_alpha.  At the default
+alpha_m = alpha_s = 4 this module runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -22,8 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy.special import hyp2f1
 
 from svcache.config import NetworkConfig
 
@@ -51,16 +54,30 @@ def g_alpha_zero(alpha: float) -> float:
 
 
 def g_alpha(alpha: float, x: float) -> float:
-    """Tail integral G_alpha(x), absolute error <= 1e-10."""
+    """Tail integral G_alpha(x), absolute error <= 1e-10.
+
+    Scalar adaptive quadrature, the reference for g_alpha_vec.  For x > 1
+    it integrates the t = 1/u form int_0^(1/x) u^(b-2) / (1 + u^b) du over
+    a finite interval; over (x, inf) the quadrature misses the tail mass
+    of a large x and reports no error.
+    """
     if alpha <= 2:
         raise ValueError("alpha must be > 2 for the tail integral to converge")
     if x < 0:
         raise ValueError("x must be >= 0")
     if x == 0:
         return g_alpha_zero(alpha)
+    from scipy import integrate
+
     beta = alpha / 2.0
-    val, abserr = integrate.quad(lambda t: 1.0 / (1.0 + t ** beta), x, np.inf,
-                                 epsabs=1e-12, epsrel=1e-12, limit=200)
+    if x > 1.0:
+        val, abserr = integrate.quad(
+            lambda u: u ** (beta - 2.0) / (1.0 + u ** beta), 0.0, 1.0 / x,
+            epsabs=1e-12, epsrel=1e-12, limit=200)
+    else:
+        val, abserr = integrate.quad(lambda t: 1.0 / (1.0 + t ** beta), x,
+                                     np.inf, epsabs=1e-12, epsrel=1e-12,
+                                     limit=200)
     if abserr > 1e-10:
         raise QuadratureError(f"G_alpha quadrature error {abserr:.2e} > 1e-10")
     return val
@@ -81,6 +98,8 @@ def g_alpha_vec(alpha: float, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if alpha == 4.0:
         return np.arctan2(1.0, x)
+    from scipy.special import hyp2f1
+
     beta = alpha / 2.0
     out = np.empty_like(x)
     g0 = g_alpha_zero(alpha)
@@ -119,6 +138,7 @@ def p_success_mbs(cfg: NetworkConfig, gamma: float) -> float:
     if cfg.alpha_m == cfg.alpha_s:
         # the exponent is (c1 + c2) z: int_0^inf exp(-(1 + c1 + c2) z) dz
         return 1.0 / (1.0 + c1 + c2)
+    from scipy import integrate
 
     def integrand(u):
         z = u / (1.0 + c1)

@@ -61,8 +61,18 @@ class TestGAlpha:
             ref = np.array([analytic.g_alpha(alpha, xi) for xi in x])
             assert vec == pytest.approx(ref, abs=1e-12, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [2.5, 3.0])
+    def test_vectorized_matches_quadrature_at_large_x(self, alpha):
+        # G_alpha(x) ~ x^(1 - alpha/2) / (alpha/2 - 1) is still 2e-4 at
+        # alpha = 2.5, x = 1e8: the quadrature must not lose that tail
+        x = np.geomspace(1.0, 1e8, 33)
+        vec = analytic.g_alpha_vec(alpha, x)
+        ref = np.array([analytic.g_alpha(alpha, xi) for xi in x])
+        assert vec == pytest.approx(ref, rel=0.0, abs=1e-10)
+
     def test_alpha4_matches_quadrature(self):
-        x = np.array([0.0, 1e-6, 0.3, 1.0, 2.0, 10.0, 1e2, 1e4])
+        x = np.array([0.0, 1e-6, 0.3, 1.0, 2.0, 10.0, 1e2, 1e4, 1e5, 1e6,
+                      1e7, 1e8])
         vec = analytic.g_alpha_vec(4.0, x)
         ref = np.array([analytic.g_alpha(4.0, xi) for xi in x])
         assert vec == pytest.approx(ref, rel=0.0, abs=1e-10)

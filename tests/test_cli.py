@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from dataclasses import fields, replace
@@ -427,3 +430,59 @@ class TestExitCodes:
         rc = cli.main(["--config", light_cfg, "--out-dir", str(tmp_path),
                        "analyze"])
         assert rc == 2
+
+
+# Runs each argv of the JSON list argv[1] through cli.main in this fresh
+# interpreter and prints the scipy modules it has loaded.  A non-zero
+# argv[2] shrinks the position draw of the cluster functions the CLI calls:
+# the draw size decides no import, and a small draw keeps the alpha != 4
+# runs, whose hyp2f1 kernel is slow, to a fraction of a second.
+_FRESH_RUN = """\
+import json, sys
+from svcache import analytic, cli
+runs, samples = json.loads(sys.argv[1]), int(sys.argv[2])
+if samples:
+    for fn in (analytic.p_success_sbs_bl, analytic.p_success_sbs_el,
+               analytic.build_rate_table):
+        fn.__defaults__ = (samples,) + fn.__defaults__[1:]
+for argv in runs:
+    assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.partition(".")[0] == "scipy")))
+"""
+
+
+def _scipy_after(scenario, runs, tmp_path, samples=0):
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(scenario)
+    base = ["--config", str(cfg), "--out-dir", str(tmp_path)]
+    src = str(Path(analytic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_RUN,
+         json.dumps([base + argv for argv in runs]), str(samples)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+class TestLazyScipy:
+    """scipy is imported only by the branches that call it."""
+
+    def test_default_scenario_imports_no_scipy(self, tmp_path):
+        loaded = _scipy_after(LIGHT_SCENARIO,
+                              [["analyze"], ["--drops", "300", "simulate"],
+                               ["optimize", "--max-iters", "3"]], tmp_path)
+        assert loaded == set()
+
+    def test_general_alpha_imports_hyp2f1_only(self, tmp_path):
+        scenario = LIGHT_SCENARIO + "alpha_m = 3.5\nalpha_s = 3.5\n"
+        loaded = _scipy_after(scenario, [["analyze"]], tmp_path, samples=2000)
+        assert "scipy.special" in loaded
+        assert "scipy.integrate" not in loaded
+
+    def test_mixed_alpha_imports_quadrature(self, tmp_path):
+        scenario = LIGHT_SCENARIO + "alpha_m = 3.5\nalpha_s = 4\n"
+        loaded = _scipy_after(scenario, [["analyze"]], tmp_path, samples=2000)
+        assert "scipy.integrate" in loaded

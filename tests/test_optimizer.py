@@ -1,6 +1,5 @@
 """Capped-simplex projection and the projected-gradient EE maximizer."""
 
-import itertools
 import math
 from dataclasses import replace
 
@@ -16,34 +15,27 @@ from svcache.optimizer import (SolverSettings, make_initial_policy, optimize,
 
 def _oracle_project(v, budget):
     """Exact projection onto {x in [0,1]^F : sum x = budget} by
-    enumerating every {clipped-at-0, free, clipped-at-1} pattern."""
+    enumerating every {clipped-at-0, free, clipped-at-1} pattern, all 3^F
+    of them at once, one row each."""
     v = np.asarray(v, dtype=float)
     f_count = len(v)
-    best, best_dist = None, np.inf
-    for pattern in itertools.product((0, 1, 2), repeat=f_count):
-        pattern = np.array(pattern)
-        zeros, free, ones = pattern == 0, pattern == 1, pattern == 2
-        n_free = int(free.sum())
-        if n_free == 0:
-            if abs(ones.sum() - budget) > 1e-12:
-                continue
-            u = None
-        else:
-            u = (ones.sum() + v[free].sum() - budget) / n_free
-        x = np.where(ones, 1.0, 0.0)
-        if u is not None:
-            x[free] = v[free] - u
-            # KKT consistency of the candidate pattern
-            if np.any(x[free] < -1e-12) or np.any(x[free] > 1 + 1e-12):
-                continue
-            if np.any(v[zeros] - u > 1e-12):
-                continue
-            if np.any(v[ones] - u < 1 - 1e-12):
-                continue
-        dist = ((x - v) ** 2).sum()
-        if dist < best_dist:
-            best, best_dist = np.clip(x, 0.0, 1.0), dist
-    return best
+    patterns = np.indices((3,) * f_count).reshape(f_count, -1).T
+    zeros, free, ones = patterns == 0, patterns == 1, patterns == 2
+    n_free, n_ones = free.sum(axis=1), ones.sum(axis=1)
+    # the threshold u of each pattern; one with no free entry has none
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = ((n_ones + np.where(free, v, 0.0).sum(axis=1) - budget)
+             / n_free)[:, None]
+    x = np.where(ones, 1.0, np.where(free, v - u, 0.0))
+    # KKT consistency of each candidate pattern
+    bad = (free & ((x < -1e-12) | (x > 1 + 1e-12))
+           | zeros & (v - u > 1e-12) | ones & (v - u < 1 - 1e-12))
+    ok = np.where(n_free == 0, np.abs(n_ones - budget) <= 1e-12,
+                  ~bad.any(axis=1))
+    if not ok.any():
+        return None
+    dist = np.where(ok, ((x - v) ** 2).sum(axis=1), np.inf)
+    return np.clip(x[np.argmin(dist)], 0.0, 1.0)
 
 
 class TestProjection:
