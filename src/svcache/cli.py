@@ -131,6 +131,9 @@ def cmd_validate(args) -> int:
 
 def cmd_analyze(args) -> int:
     net, content, _ = _load(args)
+    # The table first: its last entry of each layer leaves the serving draw
+    # at n1 (n2) in place for the p_success grid.
+    table = analytic.build_rate_table(net, seed=args.seed)
     rows = []
     for gamma_db in GAMMA_GRID_DB:
         gamma = db_to_linear(gamma_db)
@@ -138,7 +141,6 @@ def cmd_analyze(args) -> int:
             rows.append([f"p_success_{name}", gamma_db,
                          _analytic("p_success", name, serving, net, gamma,
                                    args.seed)])
-    table = analytic.build_rate_table(net, seed=args.seed)
     rows.append(["rate_mbs_bl_threshold", None, table.r_m_bl])
     rows.append(["rate_mbs_el_threshold", None, table.r_m_el])
     for n, r in table.r_s_bl.items():

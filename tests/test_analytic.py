@@ -1,5 +1,6 @@
 """Closed-form success probabilities and ergodic service rates."""
 
+import functools
 import math
 from dataclasses import replace
 
@@ -406,3 +407,93 @@ class TestTailIntegralOracle:
         expected = _direct_rate(net, gamma,
                                 lambda t: p_success(net, t, 2, **kw))
         assert rate(net, gamma, 2, **kw) == pytest.approx(expected, rel=1e-6)
+
+
+def _legendre_tail_rate(cfg, gamma, p_at):
+    """The tail rate on _tail_rate's width-4 segments and truncation rule,
+    each segment under one fixed 160-node Gauss-Legendre rule."""
+    x, w = np.polynomial.legendre.leggauss(160)
+    total = 0.0
+    for k in range(40):
+        t = gamma * np.exp(4.0 * k + 2.0 * (x + 1.0))
+        seg = 2.0 * float(w @ (np.array([p_at(tk) for tk in t])
+                               * t / (1.0 + t)))
+        total += seg
+        if seg < analytic._TAIL_REL * max(total, 1e-300):
+            break
+    else:
+        raise AssertionError("oracle did not truncate")
+    return (cfg.w * math.log2(1.0 + gamma)
+            + cfg.w / math.log(2.0) * total / p_at(gamma))
+
+
+_TAIL_SCENARIOS = {
+    "default": (NetworkConfig(), None),
+    "alpha-2.2": (NetworkConfig(alpha_m=2.2, alpha_s=2.2), None),
+    "alpha-4-6": (NetworkConfig(alpha_s=6.0), None),
+    "45dB": (NetworkConfig(), db_to_linear(45.0)),
+}
+
+
+class TestTailRule:
+    """The 21-point Gauss-Kronrod rule and its embedded 10-point Gauss rule
+    behind _tail_rate."""
+
+    def test_embedded_gauss_rule_is_leggauss_10(self):
+        x, w = np.polynomial.legendre.leggauss(10)
+        g = analytic._GK_X[1::2]
+        np.testing.assert_allclose(np.concatenate((-g, g[::-1])), x,
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            np.concatenate((analytic._GK_WG, analytic._GK_WG[::-1])), w,
+            rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("d", range(32))
+    def test_kronrod_rule_exact_to_degree_31(self, d):
+        """int_0^1 x^d dx = 1/(d+1), with the rule mapped to [0, 1] so the
+        odd degrees are not zero by symmetry."""
+        x = np.concatenate((-analytic._GK_X, analytic._GK_X[-2::-1]))
+        w = np.concatenate((analytic._GK_WK, analytic._GK_WK[-2::-1]))
+        assert 0.5 * w @ (0.5 * (x + 1.0)) ** d == pytest.approx(
+            1.0 / (d + 1), rel=2e-15)
+
+    @pytest.mark.parametrize("layer", ["mbs", "bl", "el"])
+    @pytest.mark.parametrize("scenario", list(_TAIL_SCENARIOS))
+    def test_matches_160_node_legendre_oracle(self, scenario, layer):
+        """Same segments, same truncation, same p_at: the rates differ only
+        by quadrature error.  The EL tails at alpha = 2.2 and at 45 dB need
+        bisection; a fixed 40-node Gauss-Legendre rule per segment is
+        2.7e-12 and 1.6e-10 off there."""
+        cfg, gamma = _TAIL_SCENARIOS[scenario]
+        gamma = gamma or (cfg.gamma_el if layer == "el" else cfg.gamma_bl)
+        if layer == "mbs":
+            p_at = functools.partial(analytic.p_success_mbs, cfg)
+        else:
+            p_at = analytic._cluster_p(cfg, layer, gamma, 1, 2_000, 0)
+        assert analytic._tail_rate(cfg, gamma, p_at) == pytest.approx(
+            _legendre_tail_rate(cfg, gamma, p_at), rel=1e-13)
+
+    def test_nan_integrand_raises_at_once(self, net):
+        calls = []
+
+        def p_at(t):
+            calls.append(t)
+            return math.nan
+
+        with pytest.raises(analytic.QuadratureError, match="not finite"):
+            analytic._tail_rate(net, net.gamma_bl, p_at)
+        assert len(calls) == 21
+
+    def test_bisection_cap_raises(self, net):
+        """A noisy integrand never meets the piece tolerance: the segment
+        stops after _MAX_BISECTIONS bisections."""
+        rng = np.random.default_rng(0)
+        calls = []
+
+        def p_at(t):
+            calls.append(t)
+            return rng.random()
+
+        with pytest.raises(analytic.QuadratureError, match="bisections"):
+            analytic._tail_rate(net, net.gamma_bl, p_at)
+        assert len(calls) == 21 * (analytic._MAX_BISECTIONS + 1)

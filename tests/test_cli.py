@@ -100,6 +100,44 @@ class TestAnalyze:
         assert manifest["columns"]["y"] == ["value"]
 
 
+class TestServingDraws:
+    """A CLI run draws the serving positions of each (layer, n) once: the
+    p_success calls reuse the draw a rate call at the same n leaves."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch, tmp_path):
+        calls = []
+        draw = analytic._serving_scale
+
+        def counting(cfg, layer, n, n_samples, seed):
+            calls.append((layer, n))
+            return draw(cfg, layer, n, n_samples, seed)
+
+        monkeypatch.setattr(analytic, "_serving_scale", counting)
+        monkeypatch.setattr(analytic, "_STATES", {})
+        # a small draw; the draw size decides no reuse
+        for fn in (analytic.p_success_sbs_bl, analytic.p_success_sbs_el,
+                   analytic.ergodic_rate_sbs_bl, analytic.ergodic_rate_sbs_el,
+                   analytic.build_rate_table):
+            monkeypatch.setattr(fn, "__defaults__",
+                                (2_000,) + fn.__defaults__[1:])
+        cfg = tmp_path / "n2n3.cfg"
+        cfg.write_text(LIGHT_SCENARIO.replace("n1 = 1", "n1 = 2")
+                       .replace("n2 = 1", "n2 = 3"))
+        return calls, ["--config", str(cfg), "--out-dir", str(tmp_path)]
+
+    def test_analyze_draws_n1_plus_n2_times(self, draws):
+        calls, base = draws
+        assert cli.main(base + ["analyze"]) == 0
+        assert sorted(calls) == [("bl", 1), ("bl", 2),
+                                 ("el", 1), ("el", 2), ("el", 3)]
+
+    def test_validate_draws_once_per_layer(self, draws):
+        calls, base = draws
+        assert cli.main(base + ["--drops", "200", "validate"]) in (0, 1)
+        assert sorted(calls) == [("bl", 2), ("el", 3)]
+
+
 class TestSimulate:
     def test_estimates_and_dump(self, light_cfg, tmp_path):
         rc = cli.main(["--config", light_cfg, "--out-dir", str(tmp_path),
