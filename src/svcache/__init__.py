@@ -30,9 +30,6 @@ from svcache.analytic import (
 from svcache.power import PowerBreakdown, power_scheme1, power_scheme2
 from svcache.objective import (
     ObjectiveContext,
-    smooth_l0,
-    sum_rate_scheme1,
-    sum_rate_scheme2,
     ee_value,
     ee_gradient,
 )

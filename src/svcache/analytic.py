@@ -409,6 +409,11 @@ def _tail_rate(cfg: NetworkConfig, gamma: float, p_at) -> float:
             raise QuadratureError("SIR tail integrand is not finite")
         return k21, abs(k21 - half * float(_GK_WG @ pairs[1::2]))
 
+    p_gamma = p_at(gamma)
+    if p_gamma == 0.0:
+        raise ZeroDivisionError(
+            f"P(SIR >= gamma) is 0 at gamma = {gamma:g}, so the rate "
+            "conditioned on SIR >= gamma is undefined")
     total = 0.0
     for k in range(40):
         seg, bisections = 0.0, 0
@@ -431,7 +436,7 @@ def _tail_rate(cfg: NetworkConfig, gamma: float, p_at) -> float:
     else:
         raise QuadratureError("SIR tail integral did not truncate")
     return (cfg.w * math.log2(1.0 + gamma)
-            + cfg.w / math.log(2.0) * total / p_at(gamma))
+            + cfg.w / math.log(2.0) * total / p_gamma)
 
 
 def ergodic_rate_mbs(cfg: NetworkConfig, gamma: float) -> float:

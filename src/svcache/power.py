@@ -3,11 +3,13 @@
 Total power = transmission + caching + backhaul + fixed.  Scheme I
 (fractional caching) drives transmission power through indicator
 (l0-norm) terms, optionally smoothed; Scheme II (random caching)
-through expected active-station counts and cluster-miss probabilities.
+through expected active-station counts.  Both bill the backhaul on the
+cluster miss D0 of the serving-count distribution (_serving_pmf).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,23 +39,48 @@ def _smooth_or_l0(x: np.ndarray, theta) -> np.ndarray:
     return np.log(x / theta + 1.0) / np.log(1.0 / theta + 1.0)
 
 
-def _check_policy(policy: CachingPolicy, profile: PopularityProfile,
-                  expected_mode: str):
-    if policy.mode != expected_mode:
-        raise ValueError(f"policy mode {policy.mode!r}, expected {expected_mode!r}")
-    if policy.f_count != profile.f_count:
-        raise ValueError(f"policy length {policy.f_count} != catalog size "
-                         f"{profile.f_count}")
+def _serving_pmf(mode: str, n: int, q: np.ndarray) -> np.ndarray:
+    """Distribution D of the number k = 0..n of cluster SBSs that hold a
+    layer cached with fraction (or probability) q: shape (n+1, F) for an
+    (F,) block q, (B, n+1, F) for a (B, F) block.
+
+    Fractional caching stores a fraction in all n SBSs or in none (1 - q
+    at k = 0, q at k = n); random caching stores it in each SBS
+    independently (Binomial(n, q)).  A cluster of size 0 is e0.
+    """
+    if mode == "random":
+        k = np.arange(n + 1)[:, None]
+        comb = np.array([math.comb(n, i) for i in range(n + 1)],
+                        dtype=float)[:, None]
+        t = q[..., None, :]
+        # numpy's 0.0**0 is 1: t = 0, t = 1 and n = 0 give point masses.
+        return comb * t ** k * (1.0 - t) ** (n - k)
+    d = np.zeros(q.shape[:-1] + (n + 1, q.shape[-1]))
+    d[..., n, :] = q
+    d[..., 0, :] = 1.0 - q if n else 1.0
+    return d
 
 
-def _power_terms(mode: str, q1, q2, profile: PopularityProfile, net: NetworkConfig,
-                 content: ContentConfig, coeff: PowerCoefficients,
+def _serving_blocks(mode: str, q1, q2, net: NetworkConfig, f_count: int):
+    """The (F,) or (B, F) policy blocks q1, q2 as float arrays, and their
+    serving distributions d1, d2."""
+    q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
+    if q1.shape[-1] != f_count or q2.shape[-1] != f_count:
+        raise ValueError(f"policy lengths {q1.shape[-1]}, {q2.shape[-1]} != "
+                         f"catalog size {f_count}")
+    return (q1, q2, _serving_pmf(mode, net.n1, q1),
+            _serving_pmf(mode, net.n2, q2))
+
+
+def _power_terms(mode: str, q1, q2, d1, d2, profile: PopularityProfile,
+                 net: NetworkConfig, content: ContentConfig,
+                 coeff: PowerCoefficients,
                  smoothing: float | None = None) -> tuple:
     """(p_tr, p_ca, p_bh, p_fix), summed over the last axis of the (F,) or
-    (B, F) blocks; smoothing is as in power_scheme1 (fractional mode only)."""
-    q1, q2 = np.asarray(q1), np.asarray(q2)
+    (B, F) blocks q1, q2 with serving distributions d1, d2 (_serving_pmf);
+    smoothing is as in power_scheme1 (fractional mode only)."""
     # A cluster of size 0 caches nothing: the sum rate serves its block
-    # from the MBS, and so do the power terms.
+    # from the MBS, and so does the transmission power.
     if net.n1 == 0:
         q1 = np.zeros_like(q1, dtype=float)
     if net.n2 == 0:
@@ -64,10 +91,8 @@ def _power_terms(mode: str, q1, q2, profile: PopularityProfile, net: NetworkConf
     # transmits; the (smoothed) l0 indicator in Scheme I, x itself in II.
     if mode == "fractional":
         on = lambda x: _smooth_or_l0(x, smoothing)
-        miss1, miss2 = 1.0 - q1, 1.0 - q2
     else:
         on = lambda x: x
-        miss1, miss2 = (1.0 - q1) ** net.n1, (1.0 - q2) ** net.n2
 
     p_tr = np.sum(p * (
         net.p_s * coeff.zeta_s * (net.n1 * on(q1) + g_hdv * net.n2 * on(q2))
@@ -75,10 +100,21 @@ def _power_terms(mode: str, q1, q2, profile: PopularityProfile, net: NetworkConf
         axis=-1)
     p_ca = coeff.c_ca * np.sum(q1 * content.l_b * net.n1
                                + q2 * content.l_e * net.n2, axis=-1)
-    p_bh = coeff.c_bh * np.sum(p * (miss1 * content.l_b
-                                    + g_hdv * miss2 * content.l_e), axis=-1)
+    p_bh = coeff.c_bh * np.sum(p * (d1[..., 0, :] * content.l_b
+                                    + g_hdv * d2[..., 0, :] * content.l_e),
+                               axis=-1)
     p_fix = (net.n1 + net.n2) * coeff.p_s_fix + coeff.p_m_fix
     return p_tr, p_ca, p_bh, p_fix
+
+
+def _breakdown(mode: str, policy: CachingPolicy, profile: PopularityProfile,
+               net: NetworkConfig, content: ContentConfig,
+               coeff: PowerCoefficients, smoothing: float | None = None):
+    if policy.mode != mode:
+        raise ValueError(f"policy mode {policy.mode!r}, expected {mode!r}")
+    blocks = _serving_blocks(mode, policy.q1, policy.q2, net, profile.f_count)
+    return PowerBreakdown(*map(float, _power_terms(
+        mode, *blocks, profile, net, content, coeff, smoothing)))
 
 
 def power_scheme1(policy: CachingPolicy, profile: PopularityProfile,
@@ -91,15 +127,12 @@ def power_scheme1(policy: CachingPolicy, profile: PopularityProfile,
     each caching fraction; otherwise each indicator is replaced by the
     logarithmic surrogate with parameter theta=smoothing.
     """
-    _check_policy(policy, profile, "fractional")
-    return PowerBreakdown(*map(float, _power_terms(
-        "fractional", policy.q1, policy.q2, profile, net, content, coeff, smoothing)))
+    return _breakdown("fractional", policy, profile, net, content, coeff,
+                      smoothing)
 
 
 def power_scheme2(policy: CachingPolicy, profile: PopularityProfile,
                   net: NetworkConfig, content: ContentConfig,
                   coeff: PowerCoefficients) -> PowerBreakdown:
     """Power consumption under random caching."""
-    _check_policy(policy, profile, "random")
-    return PowerBreakdown(*map(float, _power_terms(
-        "random", policy.q1, policy.q2, profile, net, content, coeff)))
+    return _breakdown("random", policy, profile, net, content, coeff)

@@ -482,7 +482,7 @@ class TestTailRule:
 
         with pytest.raises(analytic.QuadratureError, match="not finite"):
             analytic._tail_rate(net, net.gamma_bl, p_at)
-        assert len(calls) == 21
+        assert len(calls) == 1 + 21      # P(SIR >= gamma), then one piece
 
     def test_bisection_cap_raises(self, net):
         """A noisy integrand never meets the piece tolerance: the segment
@@ -496,4 +496,4 @@ class TestTailRule:
 
         with pytest.raises(analytic.QuadratureError, match="bisections"):
             analytic._tail_rate(net, net.gamma_bl, p_at)
-        assert len(calls) == 21 * (analytic._MAX_BISECTIONS + 1)
+        assert len(calls) == 1 + 21 * (analytic._MAX_BISECTIONS + 1)

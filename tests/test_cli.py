@@ -366,10 +366,12 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "must be finite" in err
 
-    @pytest.mark.parametrize("line", ["lambda_s = 1e300", "b = 1e300"])
+    @pytest.mark.parametrize("line", ["lambda_s = 1e300", "alpha_m = 2.2",
+                                      "b = 1e300"])
     def test_numeric_range_error_exits_2(self, line, tmp_path, capsys):
-        """A huge SBS density drives P(SIR >= gamma) to 0 before the rate
-        divides by it; a huge cluster radius overflows its square."""
+        """A huge SBS density, or a near-free-space MBS path loss, drives
+        P(SIR >= gamma) to 0, so the rate conditioned on it is undefined; a
+        huge cluster radius overflows its square."""
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(LIGHT_SCENARIO + line + "\n")
         rc = cli.main(["--config", str(cfg), "--out-dir", str(tmp_path),
@@ -377,6 +379,10 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("numeric range error") and err.count("\n") == 1
+        if line != "b = 1e300":
+            assert err.startswith("numeric range error (ZeroDivisionError): "
+                                  "P(SIR >= gamma) is 0 at gamma = ")
+            assert "conditioned on SIR >= gamma is undefined" in err
 
     @pytest.mark.parametrize("key", ["p_s_dbm", "p_m_dbm"])
     def test_overflowing_db_value_exits_1(self, key, tmp_path, capsys):

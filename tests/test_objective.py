@@ -10,40 +10,40 @@ from hypothesis import example, given, strategies as st
 from svcache.analytic import RateTable
 from svcache.config import (CachingPolicy, ContentConfig, NetworkConfig,
                             PowerCoefficients)
-from svcache.objective import (ObjectiveContext, _binom_pmf, ee_gradient,
-                               ee_value, smooth_l0, sum_rate_scheme1,
-                               sum_rate_scheme2)
+from svcache.objective import (ObjectiveContext, _sum_rate, ee_gradient,
+                               ee_value)
 from svcache.popularity import PopularityProfile, build_profile
+from svcache.power import _serving_blocks, _serving_pmf, _smooth_or_l0
 
 
 def _policy(mode, q1, q2):
     return CachingPolicy(mode=mode, q1=tuple(q1), q2=tuple(q2))
 
 
+def _rate(mode, q1, q2, ctx):
+    """Sum rate of the (F,) blocks q1, q2 under the scheme of mode."""
+    _, _, d1, d2 = _serving_blocks(mode, q1, q2, ctx.net, ctx.profile.f_count)
+    return _sum_rate(d1, d2, ctx)
+
+
 class TestSmoothL0:
     def test_endpoints(self):
         for theta in (1e-4, 0.01, 0.5):
-            assert smooth_l0(0.0, theta) == 0.0
-            assert smooth_l0(1.0, theta) == pytest.approx(1.0, rel=1e-15)
+            assert _smooth_or_l0(0.0, theta) == 0.0
+            assert _smooth_or_l0(1.0, theta) == pytest.approx(1.0, rel=1e-15)
 
     def test_reference_value(self):
-        assert smooth_l0(0.5, 0.01) == pytest.approx(
+        assert _smooth_or_l0(0.5, 0.01) == pytest.approx(
             math.log(51.0) / math.log(101.0), rel=1e-12)
-        assert smooth_l0(0.5, 0.01) == pytest.approx(0.851944, abs=5e-6)
+        assert _smooth_or_l0(0.5, 0.01) == pytest.approx(0.851944, abs=5e-6)
 
     @given(st.floats(min_value=0.001, max_value=0.999),
            st.floats(min_value=1e-4, max_value=1.0))
     def test_increasing_and_concave(self, x, theta):
         h = 1e-4 * min(x, 1.0 - x)
-        lo, mid, hi = (smooth_l0(v, theta) for v in (x - h, x, x + h))
+        lo, mid, hi = (_smooth_or_l0(v, theta) for v in (x - h, x, x + h))
         assert lo < mid < hi                 # increasing
         assert mid >= (lo + hi) / 2.0        # midpoint above the chord
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            smooth_l0(1.5, 0.01)
-        with pytest.raises(ValueError):
-            smooth_l0(0.5, 0.0)
 
 
 class TestSumRateScheme1:
@@ -51,8 +51,8 @@ class TestSumRateScheme1:
         f = ctx.content.f_count
         expected = sum(p * (ctx.rates.r_m_bl + h * ctx.rates.r_m_el)
                        for p, h in zip(ctx.profile.p, ctx.profile.g_hdv))
-        assert sum_rate_scheme1([0.0] * f, [0.0] * f, ctx) == pytest.approx(
-            expected, rel=1e-12)
+        assert _rate("fractional", [0.0] * f, [0.0] * f, ctx) == \
+            pytest.approx(expected, rel=1e-12)
 
     def test_cache_everything_extreme(self, ctx):
         f = ctx.content.f_count
@@ -60,8 +60,8 @@ class TestSumRateScheme1:
         r_el = ctx.rates.r_s_el[ctx.net.n2]
         expected = sum(p * (r_bl + h * r_el)
                        for p, h in zip(ctx.profile.p, ctx.profile.g_hdv))
-        assert sum_rate_scheme1([1.0] * f, [1.0] * f, ctx) == pytest.approx(
-            expected, rel=1e-12)
+        assert _rate("fractional", [1.0] * f, [1.0] * f, ctx) == \
+            pytest.approx(expected, rel=1e-12)
 
     def test_affine_in_policy(self, ctx):
         f = ctx.content.f_count
@@ -69,61 +69,68 @@ class TestSumRateScheme1:
         a1, a2 = rng.random(f), rng.random(f)
         b1, b2 = rng.random(f), rng.random(f)
         for lam in (0.25, 0.5, 0.8):
-            blend = sum_rate_scheme1(lam * a1 + (1 - lam) * b1,
+            blend = _rate("fractional", lam * a1 + (1 - lam) * b1,
                                      lam * a2 + (1 - lam) * b2, ctx)
-            direct = (lam * sum_rate_scheme1(a1, a2, ctx)
-                      + (1 - lam) * sum_rate_scheme1(b1, b2, ctx))
+            direct = (lam * _rate("fractional", a1, a2, ctx)
+                      + (1 - lam) * _rate("fractional", b1, b2, ctx))
             assert blend == pytest.approx(direct, rel=1e-9)
 
     def test_uniform_policy_is_convex_combination(self, ctx):
         f = ctx.content.f_count
         u1, u2 = ctx.content.m_b / f, ctx.content.m_e / f
         zeros, ones = [0.0] * f, [1.0] * f
-        mixed = sum_rate_scheme1([u1] * f, [u2] * f, ctx)
+        mixed = _rate("fractional", [u1] * f, [u2] * f, ctx)
         # each layer interpolates independently between its extremes
-        bl_part = (u1 * sum_rate_scheme1(ones, zeros, ctx)
-                   + (1 - u1) * sum_rate_scheme1(zeros, zeros, ctx))
-        el_shift = u2 * (sum_rate_scheme1(zeros, ones, ctx)
-                         - sum_rate_scheme1(zeros, zeros, ctx))
+        bl_part = (u1 * _rate("fractional", ones, zeros, ctx)
+                   + (1 - u1) * _rate("fractional", zeros, zeros, ctx))
+        el_shift = u2 * (_rate("fractional", zeros, ones, ctx)
+                         - _rate("fractional", zeros, zeros, ctx))
         assert mixed == pytest.approx(bl_part + el_shift, rel=1e-9)
 
     def test_length_mismatch(self, ctx):
         with pytest.raises(ValueError):
-            sum_rate_scheme1([0.5], [0.5], ctx)
+            _rate("fractional", [0.5], [0.5], ctx)
 
 
 class TestSumRateScheme2:
     def test_no_caching_matches_scheme1(self, ctx):
         f = ctx.content.f_count
         zeros = [0.0] * f
-        assert sum_rate_scheme2(zeros, zeros, ctx) == pytest.approx(
-            sum_rate_scheme1(zeros, zeros, ctx), rel=1e-12)
+        assert _rate("random", zeros, zeros, ctx) == pytest.approx(
+            _rate("fractional", zeros, zeros, ctx), rel=1e-12)
 
     def test_certain_caching_degenerates(self, ctx):
         f = ctx.content.f_count
         ones = [1.0] * f
-        assert sum_rate_scheme2(ones, ones, ctx) == pytest.approx(
-            sum_rate_scheme1(ones, ones, ctx), rel=1e-12)
+        assert _rate("random", ones, ones, ctx) == pytest.approx(
+            _rate("fractional", ones, ones, ctx), rel=1e-12)
 
     def test_binary_policies_match_scheme1(self, ctx):
         f = ctx.content.f_count
         t1 = [1.0] * 5 + [0.0] * (f - 5)
         t2 = [1.0] * 2 + [0.0] * (f - 2)
-        assert sum_rate_scheme2(t1, t2, ctx) == pytest.approx(
-            sum_rate_scheme1(t1, t2, ctx), rel=1e-12)
+        assert _rate("random", t1, t2, ctx) == pytest.approx(
+            _rate("fractional", t1, t2, ctx), rel=1e-12)
 
-    @given(st.integers(min_value=1, max_value=16),
+    @given(st.integers(min_value=0, max_value=16),
            st.floats(min_value=0.0, max_value=1.0))
     @example(n=4, t=0.0)
     @example(n=4, t=1.0)
+    @example(n=0, t=0.3)
     def test_binomial_partition_of_unity(self, n, t):
-        pmf = _binom_pmf(n, np.array([t]))
-        assert abs(pmf.sum() - 1.0) <= 1e-12
-        if t in (0.0, 1.0):
-            assert np.array_equal(pmf[:, 0], np.eye(n + 1)[int(t) * n])
+        """Both schemes' serving-count distributions sum to one; certain
+        caching, and a cluster of size 0, are exact point masses."""
+        for mode in ("fractional", "random"):
+            pmf = _serving_pmf(mode, n, np.array([t]))
+            assert pmf.shape == (n + 1, 1)
+            assert abs(pmf.sum() - 1.0) <= 1e-12
+            if t in (0.0, 1.0) or n == 0:
+                assert np.array_equal(pmf[:, 0], np.eye(n + 1)[int(t) * n])
+            if mode == "fractional":
+                assert not pmf[1:n].any()        # all SBSs or none
 
     def test_mixture_weights_at_reference_point(self, ctx):
-        pmf = _binom_pmf(4, np.array([0.3]))[:, 0]
+        pmf = _serving_pmf("random", 4, np.array([0.3]))[:, 0]
         assert pmf[0] == pytest.approx(0.7 ** 4, rel=1e-12)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -153,7 +160,7 @@ class TestEeValue:
         from svcache.baselines import mpcp_policy
         from svcache.power import power_scheme1
         pol = mpcp_policy(ctx.content)
-        expected = (sum_rate_scheme1(pol.q1, pol.q2, ctx)
+        expected = (_rate("fractional", pol.q1, pol.q2, ctx)
                     / power_scheme1(pol, ctx.profile, ctx.net, ctx.content,
                                     ctx.coeff).p_total)
         assert ee_value(pol, ctx, exact_l0=True) == pytest.approx(expected,
@@ -181,9 +188,8 @@ class TestEeValue:
         # nor the power, so neither the EE
         no_cache = (0.0,) * f
         q = (pol.q1, no_cache) if empty == "n1" else (no_cache, pol.q2)
-        rate = sum_rate_scheme1 if mode == "fractional" else sum_rate_scheme2
-        assert rate(*q, empty_ctx) == pytest.approx(
-            rate(no_cache, no_cache, empty_ctx), rel=1e-12)
+        assert _rate(mode, *q, empty_ctx) == pytest.approx(
+            _rate(mode, no_cache, no_cache, empty_ctx), rel=1e-12)
         for exact_l0 in (False, True):
             assert ee_value(_policy(mode, *q), empty_ctx, exact_l0) == \
                 pytest.approx(ee_value(_policy(mode, no_cache, no_cache),
