@@ -209,7 +209,8 @@ def cmd_optimize(args) -> int:
                {"x": "file", "y": ["q1", "q2"]})
     ee = ee_value(policy, ctx)
     print(f"scheme {args.scheme}: EE = {ee:.6g} bits/J, "
-          f"termination = {trace.termination}, iterations = {len(trace.rows)}")
+          f"termination = {trace.termination}, iterations = {len(trace.rows)}, "
+          f"residual = {trace.residual:.3g}")
     if policy.mode == "fractional":
         print(f"exact-l0 EE = {ee_value(policy, ctx, exact_l0=True):.6g} bits/J")
     return 0

@@ -4,7 +4,10 @@ Each caching block lives on {x : 0 <= x_f <= 1, sum x_f = budget}.  The
 projection is exact: sorting the 2F kinks of u -> sum_f min([v_f - u]^+, 1)
 gives the linear piece on which that map meets the budget.  The ascent uses
 the diminishing step eps(t) = 1/t with per-block projections, and
-terminates when the relative objective change falls below rel_tol.
+terminates when the relative objective change falls below rel_tol.  Each
+iterate costs one call of the objective's per-file core, which returns
+the EE and its exact gradient together; after the loop one more call
+gives the stationarity residual of the returned iterate.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import numpy as np
 
 from svcache.baselines import mpcp_policy, ucp_policy
 from svcache.config import CachingPolicy, ContentConfig, check_budget
-from svcache.objective import (DEFAULT_THETA, ObjectiveContext, _ee, _ee_gradient,
-                               ee_value)
+from svcache.objective import (DEFAULT_THETA, ObjectiveContext,
+                               _ee_and_gradient, ee_value)
 from svcache.popularity import zipf
 
 INITIAL_KINDS = ("ucp", "mpcp", "popularity-proportional", "random")
@@ -52,6 +55,10 @@ class TraceRow:
 class SolverTrace:
     rows: list = field(default_factory=list)
     termination: str = ""
+    # How far from stationary the returned iterate is: the largest, over
+    # both blocks, of ||Proj(q + g/||g||_inf) - q||_inf (0 at a zero
+    # gradient).
+    residual: float = math.nan
 
     def ee_values(self) -> np.ndarray:
         return np.array([r.ee for r in self.rows])
@@ -111,6 +118,15 @@ def make_initial_policy(kind: str, content: ContentConfig, seed: int = 0,
     return CachingPolicy(mode=mode, q1=tuple(q1), q2=tuple(q2))
 
 
+def _residual(q: np.ndarray, grad: np.ndarray, budget: float) -> float:
+    """||Proj(q + g/||g||_inf) - q||_inf of one block; 0 when g = 0."""
+    scale = np.abs(grad).max()
+    if scale == 0:
+        return 0.0
+    x, _ = _project_with_threshold(q + grad / scale, budget)
+    return float(np.abs(x - q).max())
+
+
 def optimize(initial: CachingPolicy, ctx: ObjectiveContext,
              settings: SolverSettings = SolverSettings()
              ) -> tuple[CachingPolicy, SolverTrace]:
@@ -119,7 +135,8 @@ def optimize(initial: CachingPolicy, ctx: ObjectiveContext,
     Both block gradients are evaluated at the current iterate, then the
     base-layer block is projected onto its budget, followed by the
     enhancement-layer block.  Returns the best-EE iterate visited and a
-    full per-iteration trace.  Scheme I is smoothed with ctx.theta;
+    full per-iteration trace, with the stationarity residual of the
+    returned iterate.  Scheme I is smoothed with ctx.theta;
     settings.theta must equal it.
     """
     try:
@@ -133,28 +150,26 @@ def optimize(initial: CachingPolicy, ctx: ObjectiveContext,
                          f"ctx.theta = {ctx.theta}")
 
     mode = initial.mode
+    m_b, m_e = ctx.content.m_b, ctx.content.m_e
     q1, q2 = np.asarray(initial.q1), np.asarray(initial.q2)
     trace = SolverTrace()
-    ee = float(_ee(mode, q1, q2, ctx))
+    ee, grad1, grad2 = _ee_and_gradient(mode, q1, q2, ctx)
     best_q, best_ee = (q1, q2), ee
+    # The EE gradient carries physical units (bits/joule per caching
+    # fraction), so the diminishing step 1/t is normalized by the initial
+    # gradient's sup-norm; otherwise the first steps saturate the box for
+    # any realistic parameter scale.
+    g0 = max(np.abs(grad1).max(), np.abs(grad2).max())
+    eps0 = 1.0 / g0 if g0 > 0 else 1.0
     termination = "max_iters"
     for t in range(1, settings.max_iters + 1):
-        grad1 = _ee_gradient(mode, q1, q2, ctx, "q1")
-        grad2 = _ee_gradient(mode, q1, q2, ctx, "q2")
-        if t == 1:
-            # The EE gradient carries physical units (bits/joule per
-            # caching fraction), so the diminishing step 1/t is normalized
-            # by the initial gradient's sup-norm; otherwise the first
-            # steps saturate the box for any realistic parameter scale.
-            g0 = max(np.abs(grad1).max(), np.abs(grad2).max())
-            eps0 = 1.0 / g0 if g0 > 0 else 1.0
         step = eps0 / t
-        q1_new, u_thresh = _project_with_threshold(q1 + step * grad1, ctx.content.m_b)
-        q2_new, v_thresh = _project_with_threshold(q2 + step * grad2, ctx.content.m_e)
+        q1_new, u_thresh = _project_with_threshold(q1 + step * grad1, m_b)
+        q2_new, v_thresh = _project_with_threshold(q2 + step * grad2, m_e)
         max_delta = max(np.abs(q1_new - q1).max(), np.abs(q2_new - q2).max())
         q1, q2 = q1_new, q2_new
         check_budget(q1, q2, ctx.content)  # every iterate stays feasible
-        ee_new = float(_ee(mode, q1, q2, ctx))
+        ee_new, grad1, grad2 = _ee_and_gradient(mode, q1, q2, ctx)
         trace.rows.append(TraceRow(t, ee_new, float(step), float(u_thresh),
                                    float(v_thresh), float(max_delta)))
         if ee_new > best_ee:
@@ -165,6 +180,9 @@ def optimize(initial: CachingPolicy, ctx: ObjectiveContext,
         ee = ee_new
 
     trace.termination = termination
+    _, grad1, grad2 = _ee_and_gradient(mode, *best_q, ctx)
+    trace.residual = max(_residual(best_q[0], grad1, m_b),
+                         _residual(best_q[1], grad2, m_e))
     return CachingPolicy(mode=mode, q1=tuple(best_q[0]), q2=tuple(best_q[1])), trace
 
 

@@ -155,11 +155,13 @@ class TestSimulate:
 
 
 class TestOptimize:
-    def test_trace_and_policy_outputs(self, light_cfg, tmp_path):
+    def test_trace_and_policy_outputs(self, light_cfg, tmp_path, capsys):
         rc = cli.main(["--config", light_cfg, "--out-dir", str(tmp_path),
                        "optimize", "--scheme", "2", "--init", "ucp",
                        "--max-iters", "50"])
         assert rc == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert float(line.split("residual = ")[1]) >= 0.0
         header, trace_rows = _read_csv(tmp_path / "trace.csv")
         assert header == ["iteration", "ee", "step", "u_thresh", "v_thresh",
                           "max_delta"]

@@ -1,4 +1,5 @@
-"""Sum rates, l0 smoothing, EE objective and numerical gradients."""
+"""Sum rates, l0 smoothing, EE objective and its closed-form gradient,
+checked against a finite-difference oracle."""
 
 import math
 from dataclasses import replace
@@ -10,10 +11,11 @@ from hypothesis import example, given, strategies as st
 from svcache.analytic import RateTable
 from svcache.config import (CachingPolicy, ContentConfig, NetworkConfig,
                             PowerCoefficients)
-from svcache.objective import (ObjectiveContext, _sum_rate, ee_gradient,
+from svcache.objective import (ObjectiveContext, _ee, _sum_rate, ee_gradient,
                                ee_value)
 from svcache.popularity import PopularityProfile, build_profile
-from svcache.power import _serving_blocks, _serving_pmf, _smooth_or_l0
+from svcache.power import (_serving_blocks, _serving_pmf, _serving_pmf_slope,
+                           _smooth_or_l0)
 
 
 def _policy(mode, q1, q2):
@@ -23,7 +25,42 @@ def _policy(mode, q1, q2):
 def _rate(mode, q1, q2, ctx):
     """Sum rate of the (F,) blocks q1, q2 under the scheme of mode."""
     _, _, d1, d2 = _serving_blocks(mode, q1, q2, ctx.net, ctx.profile.f_count)
-    return _sum_rate(d1, d2, ctx)
+    return _sum_rate(d1, d2, ctx).sum(axis=-1)
+
+
+def _shifted_ee(policy, ctx, which, values):
+    """EE with coordinate f of one block set to values[j][f], for each j
+    and f: row f of the j-th slab of one stacked _ee evaluation."""
+    blocks = [np.asarray(policy.q1, dtype=float),
+              np.asarray(policy.q2, dtype=float)]
+    block = int(which[1]) - 1
+    f_count = len(blocks[block])
+    rows = np.tile(blocks[block], (len(values), f_count, 1))
+    diag = np.arange(f_count)
+    rows[:, diag, diag] = values
+    blocks[block] = rows.reshape(-1, f_count)
+    return _ee(policy.mode, *blocks, ctx).reshape(len(values), f_count)
+
+
+def _fd_gradient(policy, ctx, which, step=1e-6):
+    """Finite-difference oracle of ee_gradient: each coordinate moved up
+    and down by step, clipped to [0, 1] (central in the interior,
+    one-sided at the box boundary)."""
+    base = np.asarray(getattr(policy, which), dtype=float)
+    hi = np.minimum(base + step, 1.0)
+    lo = np.maximum(base - step, 0.0)
+    ee_hi, ee_lo = _shifted_ee(policy, ctx, which, (hi, lo))
+    return (ee_hi - ee_lo) / (hi - lo)
+
+
+def _one_sided_gradient(policy, ctx, which, step=1e-6):
+    """Second-order one-sided difference (-3 f0 + 4 f1 - f2) / (2h) of
+    the EE in each coordinate of one block, stepping into [0, 1]: up from
+    a coordinate below 1/2, down from one above."""
+    base = np.asarray(getattr(policy, which), dtype=float)
+    h = np.where(base < 0.5, step, -step)
+    f1, f2 = _shifted_ee(policy, ctx, which, (base + h, base + 2.0 * h))
+    return (-3.0 * ee_value(policy, ctx) + 4.0 * f1 - f2) / (2.0 * h)
 
 
 class TestSmoothL0:
@@ -119,7 +156,9 @@ class TestSumRateScheme2:
     @example(n=0, t=0.3)
     def test_binomial_partition_of_unity(self, n, t):
         """Both schemes' serving-count distributions sum to one; certain
-        caching, and a cluster of size 0, are exact point masses."""
+        caching, and a cluster of size 0, are exact point masses.  Their
+        derivatives in q sum to zero and match a central difference."""
+        h = 1e-6
         for mode in ("fractional", "random"):
             pmf = _serving_pmf(mode, n, np.array([t]))
             assert pmf.shape == (n + 1, 1)
@@ -128,6 +167,12 @@ class TestSumRateScheme2:
                 assert np.array_equal(pmf[:, 0], np.eye(n + 1)[int(t) * n])
             if mode == "fractional":
                 assert not pmf[1:n].any()        # all SBSs or none
+            slope = _serving_pmf_slope(mode, n, np.array([t]))
+            assert slope.shape == pmf.shape
+            assert abs(slope.sum()) <= 1e-12 * max(n, 1)
+            central = (_serving_pmf(mode, n, np.array([t + h]))
+                       - _serving_pmf(mode, n, np.array([t - h]))) / (2 * h)
+            assert np.abs(slope - central).max() <= 1e-6
 
     def test_mixture_weights_at_reference_point(self, ctx):
         pmf = _serving_pmf("random", 4, np.array([0.3]))[:, 0]
@@ -238,9 +283,9 @@ class TestEeGradient:
         f = ctx.content.f_count
         pol = _policy("random", 0.1 + 0.8 * rng.random(f),
                       0.1 + 0.8 * rng.random(f))
-        g_coarse = ee_gradient(pol, ctx, "q1", step=1e-6)
-        g_fine = ee_gradient(pol, ctx, "q2", step=1e-7)
-        g_coarse2 = ee_gradient(pol, ctx, "q2", step=1e-6)
+        g_coarse = _fd_gradient(pol, ctx, "q1", step=1e-6)
+        g_fine = _fd_gradient(pol, ctx, "q2", step=1e-7)
+        g_coarse2 = _fd_gradient(pol, ctx, "q2", step=1e-6)
         scale = np.abs(g_coarse2).max()
         mask = np.abs(g_coarse2) > 1e-3 * scale
         rel = np.abs(g_fine[mask] - g_coarse2[mask]) / np.abs(g_coarse2[mask])
@@ -257,7 +302,7 @@ class TestEeGradient:
     @pytest.mark.parametrize("mode", ["fractional", "random"])
     @pytest.mark.parametrize("point", ["interior", "bounds"])
     def test_matches_per_coordinate_reference(self, ctx, mode, point):
-        """The stacked evaluation reproduces the per-coordinate central or
+        """The stacked oracle reproduces the per-coordinate central or
         one-sided difference of the public ee_value."""
         f = ctx.content.f_count
         rng = np.random.default_rng(7)
@@ -277,8 +322,49 @@ class TestEeGradient:
                     ends.append(ee_value(replace(pol, **{which: tuple(vec)}),
                                          ctx))
                 want[i] = (ends[0] - ends[1]) / (hi - lo)
-            got = ee_gradient(pol, ctx, which)
+            got = _fd_gradient(pol, ctx, which)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("mode", ["fractional", "random"])
+    def test_closed_form_matches_oracle_inside(self, ctx, mode):
+        f = ctx.content.f_count
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            pol = _policy(mode, 0.1 + 0.8 * rng.random(f),
+                          0.1 + 0.8 * rng.random(f))
+            for which in ("q1", "q2"):
+                got = ee_gradient(pol, ctx, which)
+                want = _fd_gradient(pol, ctx, which)
+                assert np.abs(got - want).max() <= 1e-6 * np.abs(got).max()
+
+    @pytest.mark.parametrize("mode", ["fractional", "random"])
+    def test_closed_form_matches_one_sided_at_bounds(self, ctx, mode):
+        """At 0/1 coordinates the central difference is clipped to a
+        first-order one; the second-order one-sided difference is not."""
+        f = ctx.content.f_count
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            q1, q2 = 0.1 + 0.8 * rng.random(f), 0.1 + 0.8 * rng.random(f)
+            q1[:3], q1[3:6], q2[:2], q2[2:4] = 0.0, 1.0, 1.0, 0.0
+            pol = _policy(mode, q1, q2)
+            for which, bound in (("q1", slice(0, 6)), ("q2", slice(0, 4))):
+                got = ee_gradient(pol, ctx, which)
+                want = _one_sided_gradient(pol, ctx, which)
+                assert np.abs(got[bound] - want[bound]).max() <= \
+                    1e-6 * np.abs(got).max()
+
+    @pytest.mark.parametrize("empty", ["n1", "n2"])
+    @pytest.mark.parametrize("mode", ["fractional", "random"])
+    def test_empty_cluster_block_gradient_is_zero(self, ctx, empty, mode):
+        net = replace(ctx.net, **{empty: 0})
+        empty_ctx = replace(ctx, net=net)
+        f = ctx.content.f_count
+        rng = np.random.default_rng(19)
+        pol = _policy(mode, rng.random(f), rng.random(f))
+        which = "q1" if empty == "n1" else "q2"
+        assert np.all(ee_gradient(pol, empty_ctx, which) == 0.0)
+        other = "q2" if empty == "n1" else "q1"
+        assert np.any(ee_gradient(pol, empty_ctx, other) != 0.0)
 
     def test_invalid_block(self, ctx):
         f = ctx.content.f_count

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from svcache.analytic import RateTable
 from svcache.baselines import mpcp_policy, ucp_policy
 from svcache.config import CachingPolicy
+from svcache.objective import _ee, ee_gradient, ee_value
 from svcache.optimizer import (SolverSettings, make_initial_policy, optimize,
                                project_capped_simplex)
 
@@ -135,7 +137,7 @@ class TestOptimize:
         policy, trace = optimize(initial, flat)
         assert trace.termination == "converged"
         assert len(trace.rows) == 1
-        from svcache.objective import ee_value
+        assert trace.residual == 0.0   # the gradient is exactly zero
         assert ee_value(policy, flat) == pytest.approx(
             ee_value(initial, flat), rel=1e-12)
 
@@ -150,7 +152,6 @@ class TestOptimize:
         assert a_tr.termination == b_tr.termination
 
     def test_improves_over_start_and_stays_feasible(self, ctx):
-        from svcache.objective import ee_value
         initial = ucp_policy(ctx.content, mode="random")
         policy, trace = optimize(initial, ctx, SolverSettings(max_iters=100))
         assert ee_value(policy, ctx) > ee_value(initial, ctx)
@@ -180,3 +181,81 @@ class TestOptimize:
             for value in (-1.0, math.nan, math.inf):
                 with pytest.raises(ValueError, match=f"{field} must be finite"):
                     SolverSettings(**{field: value})
+
+    @pytest.mark.parametrize("mode", ["fractional", "random"])
+    def test_residual_of_returned_iterate(self, ctx, mode):
+        """The residual is the larger block's ||Proj(q + g/||g||_inf) - q||_inf
+        at the returned policy."""
+        policy, trace = optimize(ucp_policy(ctx.content, mode=mode), ctx,
+                                 SolverSettings(max_iters=40))
+        want = 0.0
+        for which, budget in (("q1", ctx.content.m_b), ("q2", ctx.content.m_e)):
+            q = np.asarray(getattr(policy, which))
+            g = ee_gradient(policy, ctx, which)
+            step = project_capped_simplex(q + g / np.abs(g).max(), budget)
+            want = max(want, np.abs(step - q).max())
+        assert trace.residual == want > 0.0
+
+    def test_rate_table_ulp_moves_no_trace_row(self, ctx):
+        """One ulp up on every rate-table entry moves no trace EE by more
+        than 1e-12 relative and no iteration count: the gradient does not
+        amplify rounding the way a finite-difference step would."""
+        r = ctx.rates
+        up = lambda x: float(np.nextafter(x, np.inf))
+        moved = replace(ctx, rates=RateTable(
+            r_m_bl=up(r.r_m_bl), r_m_el=up(r.r_m_el),
+            r_s_bl={n: up(v) for n, v in r.r_s_bl.items()},
+            r_s_el={n: up(v) for n, v in r.r_s_el.items()}))
+        for mode in ("fractional", "random"):
+            initial = ucp_policy(ctx.content, mode=mode)
+            _, base = optimize(initial, ctx)
+            _, other = optimize(initial, moved)
+            assert other.termination == base.termination == "converged"
+            a, b = base.ee_values(), other.ee_values()
+            assert len(a) == len(b)
+            assert np.abs(b - a).max() <= 1e-12 * np.abs(a).max()
+
+
+def _top_or_bottom(weights, budget):
+    """The 0/1 rows that cache the budget files of highest and of lowest
+    weight."""
+    order = np.argsort(-np.asarray(weights), kind="stable")
+    top, bottom = np.zeros(len(order)), np.zeros(len(order))
+    top[order[:budget]] = 1.0
+    bottom[order[len(order) - budget:]] = 1.0
+    return top, bottom
+
+
+class TestSchemeOneVertexOracle:
+    """Scheme 1's exact-l0 EE is maximized at a 0/1 placement that caches
+    the top or the bottom M files of each block, ranked by p_f (BL) and by
+    p_f g_hdv,f (EL): four candidates."""
+
+    @pytest.fixture(scope="class")
+    def best_candidate(self, ctx):
+        p, g_hdv = np.asarray(ctx.profile.p), np.asarray(ctx.profile.g_hdv)
+        bl = _top_or_bottom(p, ctx.content.m_b)
+        el = _top_or_bottom(p * g_hdv, ctx.content.m_e)
+        q1 = np.array([b for b in bl for _ in el])
+        q2 = np.array([e for _ in bl for e in el])
+        return _ee("fractional", q1, q2, ctx, exact_l0=True).max()
+
+    def test_no_sampled_policy_beats_the_best_candidate(self, ctx,
+                                                        best_candidate):
+        f, m_b, m_e = ctx.content.f_count, ctx.content.m_b, ctx.content.m_e
+        rng = np.random.default_rng(23)
+        n = 5000
+        feasible = [np.array([project_capped_simplex(v, m)
+                              for v in rng.random((n, f))])
+                    for m in (m_b, m_e)]
+        ranks = [np.argsort(rng.random((n, f)), axis=1) for _ in (m_b, m_e)]
+        vertices = [(rank < m).astype(float) for rank, m in zip(ranks, (m_b, m_e))]
+        for q1, q2 in (feasible, vertices):
+            sampled = _ee("fractional", q1, q2, ctx, exact_l0=True)
+            assert sampled.max() <= best_candidate
+
+    def test_ascent_stays_at_or_below_the_best_candidate(self, ctx,
+                                                         best_candidate):
+        policy, _ = optimize(ucp_policy(ctx.content), ctx)
+        assert ee_value(policy, ctx, exact_l0=True) <= \
+            best_candidate * (1.0 + 1e-12)
