@@ -1,17 +1,20 @@
 """Sum rate, the energy-efficiency objectives and their exact gradient.
 
 The energy efficiency is the user sum rate divided by the total network
-power.  A layer's rate is r @ D(q): r[0] is the MBS rate, r[k] the rate
-of k cooperating SBSs and D the serving-count distribution of
+power.  Both are sums over files and over the two layer blocks of
+power._layer_blocks, BL and EL, which are the same block with different
+constants: R = sum_{b,f} R_bf(q_bf) and P = sum_{b,f} P_bf(q_bf) + p_fix.
+A block's rate row is w_f r @ D(q_f): r[0] is the MBS rate, r[k] the
+rate of k cooperating SBSs and D the serving-count distribution of
 power._serving_pmf, so both schemes share one sum rate and a cluster of
-size 0 (D = e0) is served by the MBS.  Scheme I optimizes a
-theta-smoothed surrogate of the l0 transmission-power terms.
+size 0 (D = e0) is served by the MBS.  Its power rows come from the
+per-block core power._block_terms.  Scheme I optimizes a theta-smoothed
+surrogate of the l0 transmission-power terms.
 
-Rate and power are separable over files, R = sum_f R_f(q1_f, q2_f) and
-P = sum_f P_f(q1_f, q2_f) + p_fix, so one per-file core (_file_terms)
-gives the rows R_f, P_f of (F,) or (B, F) policy blocks and, on request,
-their derivatives in each file's own q1_f, q2_f (R_f' = p_f r @ D'(q_f)).
-The EE gradient is then (R_f' P - R P_f') / P^2, in closed form.
+_file_terms sums the two blocks into the rows R_f, P_f of (F,) or (B, F)
+policy blocks and, on request, their derivatives in each file's own
+q1_f, q2_f (R' = w_f r @ D'(q_f), and P' from the block core).  The EE
+gradient is then (R_f' - EE P_f') / P, in closed form.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ import numpy as np
 from svcache.analytic import RateTable
 from svcache.config import CachingPolicy, ContentConfig, NetworkConfig, PowerCoefficients
 from svcache.popularity import PopularityProfile
-from svcache.power import (_power_slopes, _power_terms, _serving_blocks,
-                           _serving_pmf_slope)
+from svcache.power import _block_terms, _layer_blocks
 
 DEFAULT_THETA = 0.01
 
@@ -56,35 +58,30 @@ class ObjectiveContext:
             [r.r_m_el] + [r.r_s_el[n] for n in range(1, self.net.n2 + 1)]))
 
 
-def _sum_rate(d1, d2, ctx: ObjectiveContext):
-    """Per-file user sum rate p_f (r_bl @ D1 + g_hdv r_el @ D2) of the
-    serving distributions d1, d2 (_serving_pmf) of the BL and EL blocks."""
-    p, g_hdv = np.asarray(ctx.profile.p), np.asarray(ctx.profile.g_hdv)
-    return p * (ctx._r_bl @ d1 + g_hdv * (ctx._r_el @ d2))
-
-
 def _file_terms(mode: str, q1, q2, ctx: ObjectiveContext,
                 smoothing: float | None, slopes: bool = False):
     """The per-file rate and power rows R_f, P_f of the (F,) or (B, F)
-    blocks q1, q2, and p_fix.  With slopes=True also the derivatives of
-    each row in the file's own q1_f and q2_f: (R, P, p_fix, (R1', R2'),
-    (P1', P2')).  smoothing is the theta of Scheme I's surrogate, or None
-    for the exact l0 norm (which has no derivative)."""
-    q1, q2, d1, d2 = _serving_blocks(mode, q1, q2, ctx.net,
-                                     ctx.profile.f_count)
-    p_tr, p_ca, p_bh, p_fix = _power_terms(
-        mode, q1, q2, d1, d2, ctx.profile, ctx.net, ctx.content, ctx.coeff,
-        smoothing)
-    rate, power = _sum_rate(d1, d2, ctx), p_tr + p_ca + p_bh
+    blocks q1, q2, and p_fix: the sums over the two layer blocks of
+    power._layer_blocks, whose rate row is w_f r @ D(q_f).  With
+    slopes=True also the derivatives of each row in the file's own q1_f
+    and q2_f: (R, P, p_fix, (R1', R2'), (P1', P2')), with R' = w_f r @ D'.
+    smoothing is the theta of Scheme I's surrogate, or None for the exact
+    l0 norm (which has no derivative)."""
+    blocks, p_fix = _layer_blocks(q1, q2, ctx.profile, ctx.net, ctx.content,
+                                  ctx.coeff)
+    rate = power = 0.0
+    rate_slopes, power_slopes = [], []
+    for (q, n, w, bits), r in zip(blocks, (ctx._r_bl, ctx._r_el)):
+        d, tr, ca, bh, *slope = _block_terms(mode, q, n, w, bits, ctx.net,
+                                             ctx.coeff, smoothing, slopes)
+        rate = rate + w * (r @ d)
+        power = power + (tr + ca + bh)
+        if slopes:
+            rate_slopes.append(w * (r @ slope[0]))
+            power_slopes.append(slope[1])
     if not slopes:
         return rate, power, p_fix
-    s1 = _serving_pmf_slope(mode, ctx.net.n1, q1)
-    s2 = _serving_pmf_slope(mode, ctx.net.n2, q2)
-    p, g_hdv = np.asarray(ctx.profile.p), np.asarray(ctx.profile.g_hdv)
-    rate_slopes = (p * (ctx._r_bl @ s1), p * g_hdv * (ctx._r_el @ s2))
-    power_slopes = _power_slopes(mode, q1, q2, s1, s2, ctx.profile, ctx.net,
-                                 ctx.content, ctx.coeff, smoothing)
-    return rate, power, p_fix, rate_slopes, power_slopes
+    return rate, power, p_fix, tuple(rate_slopes), tuple(power_slopes)
 
 
 def _total_power(power, p_fix):

@@ -3,11 +3,12 @@
 Each caching block lives on {x : 0 <= x_f <= 1, sum x_f = budget}.  The
 projection is exact: sorting the 2F kinks of u -> sum_f min([v_f - u]^+, 1)
 gives the linear piece on which that map meets the budget.  The ascent uses
-the diminishing step eps(t) = 1/t with per-block projections, and
-terminates when the relative objective change falls below rel_tol.  Each
-iterate costs one call of the objective's per-file core, which returns
-the EE and its exact gradient together; after the loop one more call
-gives the stationarity residual of the returned iterate.
+the diminishing step eps(t) = eps0/t, eps0 = 1/||g0||_inf for the initial
+gradient g0, with per-block projections, and terminates when the relative
+objective change falls below rel_tol.  Each iterate costs one call of the
+objective's per-file core, which returns the EE and its exact gradient
+together; after the loop one more call gives the stationarity residual of
+the returned iterate.
 """
 
 from __future__ import annotations
@@ -130,7 +131,8 @@ def _residual(q: np.ndarray, grad: np.ndarray, budget: float) -> float:
 def optimize(initial: CachingPolicy, ctx: ObjectiveContext,
              settings: SolverSettings = SolverSettings()
              ) -> tuple[CachingPolicy, SolverTrace]:
-    """Block projected-gradient ascent with step eps(t) = 1/t.
+    """Block projected-gradient ascent with step eps(t) = eps0/t, where
+    eps0 = 1/||g0||_inf is set by the initial gradient g0.
 
     Both block gradients are evaluated at the current iterate, then the
     base-layer block is projected onto its budget, followed by the

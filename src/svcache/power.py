@@ -1,12 +1,21 @@
 """Network power consumption for the two caching schemes.
 
-Total power = transmission + caching + backhaul + fixed.  Scheme I
-(fractional caching) drives transmission power through indicator
-(l0-norm) terms, optionally smoothed; Scheme II (random caching)
-through expected active-station counts.  Both bill the backhaul on the
-cluster miss D0 of the serving-count distribution (_serving_pmf).  The
-power is kept per file until the end (_power_terms), so the objective
-can differentiate each file's row in its own q1_f, q2_f (_power_slopes).
+Total power = transmission + caching + backhaul + fixed.  Like the sum
+rate, it is a sum over files and over the two SVC layers, so the model
+is written once for one layer block (q, n, w, bits) and applied to the
+base layer (q1, n1, p, l_b) and to the enhancement layer
+(q2, n2, p g_hdv, l_e) (_layer_blocks).  The per-block core
+(_block_terms) gives the block's serving-count distribution D
+(_serving_pmf) and its per-file rows:
+
+- transmission w (n P_s zeta_s on(q) + P_m zeta_m on(1 - q)), where on
+  is the (smoothed) l0 indicator in Scheme I and q itself in Scheme II;
+- caching c_ca bits n q;
+- backhaul c_bh bits w D0, the cluster miss.
+
+On request it also gives D' (_serving_pmf_slope) and the derivative of
+the block's per-file power in each q_f, from which the objective builds
+its exact gradient.
 """
 
 from __future__ import annotations
@@ -88,75 +97,57 @@ def _serving_pmf_slope(mode: str, n: int, q: np.ndarray) -> np.ndarray:
     return d
 
 
-def _serving_blocks(mode: str, q1, q2, net: NetworkConfig, f_count: int):
-    """The (F,) or (B, F) policy blocks q1, q2 as float arrays, and their
-    serving distributions d1, d2."""
+def _layer_blocks(q1, q2, profile: PopularityProfile, net: NetworkConfig,
+                  content: ContentConfig, coeff: PowerCoefficients):
+    """The policy blocks q1, q2 ((F,) or (B, F)) as the two layer blocks
+    (q, n, w, bits) of cluster size n, per-file weight w and layer size:
+    (q1, n1, p, l_b) and (q2, n2, p g_hdv, l_e); and the fixed power of
+    the n1 + n2 cluster SBSs and the MBS."""
     q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
-    if q1.shape[-1] != f_count or q2.shape[-1] != f_count:
+    if q1.shape[-1] != profile.f_count or q2.shape[-1] != profile.f_count:
         raise ValueError(f"policy lengths {q1.shape[-1]}, {q2.shape[-1]} != "
-                         f"catalog size {f_count}")
-    return (q1, q2, _serving_pmf(mode, net.n1, q1),
-            _serving_pmf(mode, net.n2, q2))
-
-
-def _power_terms(mode: str, q1, q2, d1, d2, profile: PopularityProfile,
-                 net: NetworkConfig, content: ContentConfig,
-                 coeff: PowerCoefficients,
-                 smoothing: float | None = None) -> tuple:
-    """(p_tr, p_ca, p_bh, p_fix): the per-file transmission, caching and
-    backhaul rows, each of the shape of the (F,) or (B, F) blocks q1, q2
-    with serving distributions d1, d2 (_serving_pmf), and the fixed power;
-    smoothing is as in power_scheme1 (fractional mode only)."""
-    # A cluster of size 0 caches nothing: the sum rate serves its block
-    # from the MBS, and so does the transmission power.
-    if net.n1 == 0:
-        q1 = np.zeros_like(q1, dtype=float)
-    if net.n2 == 0:
-        q2 = np.zeros_like(q2, dtype=float)
+                         f"catalog size {profile.f_count}")
     p = np.asarray(profile.p)
-    g_hdv = np.asarray(profile.g_hdv)
+    blocks = ((q1, net.n1, p, content.l_b),
+              (q2, net.n2, p * np.asarray(profile.g_hdv), content.l_e))
+    return blocks, (net.n1 + net.n2) * coeff.p_s_fix + coeff.p_m_fix
+
+
+def _block_terms(mode: str, q, n: int, w, bits: float, net: NetworkConfig,
+                 coeff: PowerCoefficients, smoothing: float | None = None,
+                 slopes: bool = False) -> tuple:
+    """One layer block (q, n, w, bits) of _layer_blocks: its serving
+    distribution D and its per-file transmission, caching and backhaul
+    rows, (D, tr, ca, bh), each row of the shape of q.  With slopes=True
+    also D' and the derivative of each file's power tr + ca + bh in its
+    own q_f: (D, tr, ca, bh, D', P').  smoothing is the theta of Scheme
+    I's surrogate, or None for the exact l0 norm (which has no slope)."""
+    d = _serving_pmf(mode, n, q)
+    # A cluster of size 0 caches nothing: the MBS serves the block
+    # whatever q says (D = e0), so its power is the power at q = 0 and its
+    # slope is 0.
+    cached = n > 0
+    if not cached:
+        q = np.zeros_like(q)
     # on(x): how much a station serving a fraction (or with probability) x
-    # transmits; the (smoothed) l0 indicator in Scheme I, x itself in II.
+    # transmits, and its slope in x.
     if mode == "fractional":
         on = lambda x: _smooth_or_l0(x, smoothing)
+        on_slope = lambda x: _smooth_slope(x, smoothing)
     else:
-        on = lambda x: x
-
-    p_tr = p * (
-        net.p_s * coeff.zeta_s * (net.n1 * on(q1) + g_hdv * net.n2 * on(q2))
-        + net.p_m * coeff.zeta_m * (on(1.0 - q1) + g_hdv * on(1.0 - q2)))
-    p_ca = coeff.c_ca * (q1 * content.l_b * net.n1 + q2 * content.l_e * net.n2)
-    p_bh = coeff.c_bh * (p * (d1[..., 0, :] * content.l_b
-                              + g_hdv * d2[..., 0, :] * content.l_e))
-    p_fix = (net.n1 + net.n2) * coeff.p_s_fix + coeff.p_m_fix
-    return p_tr, p_ca, p_bh, p_fix
-
-
-def _power_slopes(mode: str, q1, q2, s1, s2, profile: PopularityProfile,
-                  net: NetworkConfig, content: ContentConfig,
-                  coeff: PowerCoefficients, smoothing: float) -> tuple:
-    """Derivatives of each file's power p_tr + p_ca + p_bh (_power_terms)
-    in its own q1_f and q2_f; s1, s2 are the _serving_pmf_slope of the
-    blocks, and smoothing is the theta of Scheme I's surrogate."""
-    p = np.asarray(profile.p)
-    g_hdv = np.asarray(profile.g_hdv)
-
-    def transmit(x, n):
-        # n SBSs transmit on(x) and the MBS on(1 - x); a cluster of size
-        # 0 caches nothing, so its block's transmission is constant.
-        if n == 0:
-            return np.zeros_like(x)
-        if mode == "fractional":
-            return (net.p_s * coeff.zeta_s * n * _smooth_slope(x, smoothing)
-                    - net.p_m * coeff.zeta_m * _smooth_slope(1.0 - x, smoothing))
-        return np.full_like(x, net.p_s * coeff.zeta_s * n
-                            - net.p_m * coeff.zeta_m)
-
-    dp1 = (p * transmit(q1, net.n1) + coeff.c_ca * content.l_b * net.n1
-           + coeff.c_bh * p * s1[..., 0, :] * content.l_b)
-    dp2 = (p * g_hdv * transmit(q2, net.n2) + coeff.c_ca * content.l_e * net.n2
-           + coeff.c_bh * p * g_hdv * s2[..., 0, :] * content.l_e)
-    return dp1, dp2
+        on, on_slope = (lambda x: x), (lambda x: 1.0)
+    sbs, mbs = net.p_s * coeff.zeta_s * n, net.p_m * coeff.zeta_m
+    tr = w * (sbs * on(q) + mbs * on(1.0 - q))
+    ca = coeff.c_ca * bits * n * q
+    bh = coeff.c_bh * bits * w * d[..., 0, :]
+    if not slopes:
+        return d, tr, ca, bh
+    d_slope = _serving_pmf_slope(mode, n, q)
+    if not cached:
+        return d, tr, ca, bh, d_slope, np.zeros_like(q)
+    return d, tr, ca, bh, d_slope, (
+        w * (sbs * on_slope(q) - mbs * on_slope(1.0 - q))
+        + coeff.c_ca * bits * n + coeff.c_bh * bits * w * d_slope[..., 0, :])
 
 
 def _breakdown(mode: str, policy: CachingPolicy, profile: PopularityProfile,
@@ -164,11 +155,12 @@ def _breakdown(mode: str, policy: CachingPolicy, profile: PopularityProfile,
                coeff: PowerCoefficients, smoothing: float | None = None):
     if policy.mode != mode:
         raise ValueError(f"policy mode {policy.mode!r}, expected {mode!r}")
-    blocks = _serving_blocks(mode, policy.q1, policy.q2, net, profile.f_count)
-    p_tr, p_ca, p_bh, p_fix = _power_terms(mode, *blocks, profile, net,
-                                           content, coeff, smoothing)
-    return PowerBreakdown(float(p_tr.sum()), float(p_ca.sum()),
-                          float(p_bh.sum()), float(p_fix))
+    blocks, p_fix = _layer_blocks(policy.q1, policy.q2, profile, net,
+                                  content, coeff)
+    bl, el = (_block_terms(mode, *block, net, coeff, smoothing)[1:]
+              for block in blocks)
+    return PowerBreakdown(*(float((a + b).sum()) for a, b in zip(bl, el)),
+                          float(p_fix))
 
 
 def power_scheme1(policy: CachingPolicy, profile: PopularityProfile,

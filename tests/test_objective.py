@@ -11,11 +11,10 @@ from hypothesis import example, given, strategies as st
 from svcache.analytic import RateTable
 from svcache.config import (CachingPolicy, ContentConfig, NetworkConfig,
                             PowerCoefficients)
-from svcache.objective import (ObjectiveContext, _ee, _sum_rate, ee_gradient,
+from svcache.objective import (ObjectiveContext, _ee, _file_terms, ee_gradient,
                                ee_value)
 from svcache.popularity import PopularityProfile, build_profile
-from svcache.power import (_serving_blocks, _serving_pmf, _serving_pmf_slope,
-                           _smooth_or_l0)
+from svcache.power import _serving_pmf, _serving_pmf_slope, _smooth_or_l0
 
 
 def _policy(mode, q1, q2):
@@ -24,8 +23,7 @@ def _policy(mode, q1, q2):
 
 def _rate(mode, q1, q2, ctx):
     """Sum rate of the (F,) blocks q1, q2 under the scheme of mode."""
-    _, _, d1, d2 = _serving_blocks(mode, q1, q2, ctx.net, ctx.profile.f_count)
-    return _sum_rate(d1, d2, ctx).sum(axis=-1)
+    return _file_terms(mode, q1, q2, ctx, None)[0].sum(axis=-1)
 
 
 def _shifted_ee(policy, ctx, which, values):
@@ -390,3 +388,31 @@ class TestRelabelingInvariance:
         a = ee_value(_policy("fractional", q1, q2), ctx)
         b = ee_value(_policy("fractional", q1[perm], q2[perm]), ctx)
         assert a == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["fractional", "random"])
+    def test_layer_exchange(self, ctx, mode):
+        """With g_hdv = 1 the BL and EL blocks differ only in their
+        constants (n, l, rates), so exchanging those together with q1 and
+        q2 keeps the EE and trades the two gradient blocks."""
+        r, f = ctx.rates, ctx.content.f_count
+        profile = replace(ctx.profile, g_hdv=(1.0,) * f)
+        base = replace(ctx, profile=profile, net=replace(ctx.net, n1=3))
+        swapped = replace(
+            base, net=replace(base.net, n1=base.net.n2, n2=base.net.n1),
+            content=replace(base.content, l_b=base.content.l_e,
+                            l_e=base.content.l_b),
+            rates=RateTable(r_m_bl=r.r_m_el, r_m_el=r.r_m_bl,
+                            r_s_bl=r.r_s_el, r_s_el=r.r_s_bl))
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            q1, q2 = rng.random(f), rng.random(f)
+            pol, exchanged = _policy(mode, q1, q2), _policy(mode, q2, q1)
+            exact = (False, True) if mode == "fractional" else (False,)
+            for exact_l0 in exact:
+                a = ee_value(pol, base, exact_l0)
+                assert abs(ee_value(exchanged, swapped, exact_l0) - a) <= \
+                    1e-14 * a
+            for which, other in (("q1", "q2"), ("q2", "q1")):
+                g = ee_gradient(pol, base, which)
+                assert np.abs(ee_gradient(exchanged, swapped, other) - g
+                              ).max() <= 1e-14 * np.abs(g).max()

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svcache.analytic import RateTable
-from svcache.baselines import mpcp_policy, ucp_policy
+from svcache.baselines import icp_expected_ee, mpcp_policy, ucp_policy
 from svcache.config import CachingPolicy
 from svcache.objective import _ee, ee_gradient, ee_value
 from svcache.optimizer import (SolverSettings, make_initial_policy, optimize,
                                project_capped_simplex)
+from svcache.power import _block_terms, _layer_blocks
 
 
 def _oracle_project(v, budget):
@@ -259,3 +260,66 @@ class TestSchemeOneVertexOracle:
         policy, _ = optimize(ucp_policy(ctx.content), ctx)
         assert ee_value(policy, ctx, exact_l0=True) <= \
             best_candidate * (1.0 + 1e-12)
+
+
+def _block_dual(h, x, budget):
+    """Lagrangian dual min over lam of lam M + sum_f max_k (h[k, f] - lam x_k)
+    of max sum_f h_f(x_f) subject to sum_f x_f = M, for one block sampled
+    at the grid x (Everett, Operations Research 11, 1963).  The dual is
+    convex in lam; bisection on its subgradient M - sum_f x*_f(lam) brackets
+    the minimum, and every lam gives an upper bound."""
+    lo = ((h[-1] - h[:-1]) / (1.0 - x[:-1, None])).min()
+    hi = ((h[1:] - h[0]) / x[1:, None]).max()
+    value = lambda lam: lam * budget + (h - lam * x[:, None]).max(axis=0).sum()
+    for _ in range(60):
+        lam = 0.5 * (lo + hi)
+        if x[np.argmax(h - lam * x[:, None], axis=0)].sum() > budget:
+            lo = lam
+        else:
+            hi = lam
+    return min(value(lo), value(hi))
+
+
+class TestSchemeTwoDualBound:
+    """Dinkelbach: EE* <= t whenever max_q R(q) - t P(q) <= 0.  That inner
+    problem splits by layer block, each with its own budget, and per file
+    within a block; each block's Lagrangian dual bounds its part."""
+
+    @pytest.fixture(scope="class")
+    def bound(self, ctx):
+        """The smallest t, by bisection, at which the summed block duals of
+        h_bf(x) = R_bf(x) - t P_bf(x) on a 2001-point grid, minus t p_fix,
+        are <= 0."""
+        f = ctx.profile.f_count
+        x = np.linspace(0.0, 1.0, 2001)
+        grid = np.repeat(x[:, None], f, axis=1)
+        blocks, p_fix = _layer_blocks(grid, grid, ctx.profile, ctx.net,
+                                      ctx.content, ctx.coeff)
+        rows = []
+        for (q, n, w, bits), r, budget in zip(blocks, (ctx._r_bl, ctx._r_el),
+                                           (ctx.content.m_b, ctx.content.m_e)):
+            d, tr, ca, bh = _block_terms("random", q, n, w, bits, ctx.net,
+                                         ctx.coeff)
+            rows.append((w * (r @ d), tr + ca + bh, budget))
+        excess = lambda t: sum(_block_dual(rate - t * power, x, budget)
+                               for rate, power, budget in rows) - t * p_fix
+        # no policy has a rate above every file's best, or a power below p_fix
+        lo = 0.0
+        hi = sum(rate.max(axis=0).sum() for rate, _, _ in rows) / p_fix
+        assert excess(hi) <= 0.0 < excess(lo)
+        while hi - lo > 1e-10 * hi:
+            t = 0.5 * (lo + hi)
+            lo, hi = (lo, t) if excess(t) <= 0.0 else (t, hi)
+        return hi
+
+    def test_ascent_and_baselines_stay_below(self, ctx, bound):
+        policy, _ = optimize(ucp_policy(ctx.content, mode="random"), ctx)
+        ascent = ee_value(policy, ctx)
+        assert ascent <= bound
+        # the bound is an oracle, not a vacuous ceiling: the ascent stops
+        # 9.1e-4 below it
+        assert bound <= ascent * (1.0 + 2e-3)
+        for baseline in (mpcp_policy(ctx.content, mode="random"),
+                         ucp_policy(ctx.content, mode="random")):
+            assert ee_value(baseline, ctx) <= bound
+        assert icp_expected_ee(ctx, n_realizations=200, seed=0).mean <= bound
