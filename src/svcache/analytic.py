@@ -6,9 +6,13 @@ form otherwise.  Cluster probabilities depend on the serving positions
 only through S = sum r^-alpha and are averaged over S by Monte-Carlo
 position integration with inverse-CDF radius sampling.  One kernel serves
 every alpha: it sorts the draw by S once, keeps S^(-2/alpha) per sample,
-and sums the terms in sorted order.  A sample whose exponent is so large
+and sums the terms in sorted order.  At alpha = 4 a sample costs one
+arctan in either layer: the EL annulus's outer and head terms merge into
+one arctan by the addition formula.  A sample whose exponent is so large
 that exp underflows to exactly 0.0 is not evaluated: its 0.0 is written in
-place, so every average keeps the bits of the kernel run on every sample.
+place (only where the previous call did not already leave one), so every
+average keeps the bits of the kernel run on every sample.  When every
+sample is cut, the average is exactly 0.0 and the kernel does not run.
 The nearest-MBS radial integral is exact when alpha_m = alpha_s and uses
 adaptive quadrature otherwise; the SIR tail of every ergodic rate uses
 21-point Gauss-Kronrod segments on a logarithmic scale, bisected where the
@@ -235,34 +239,49 @@ def _cluster_log_p(cfg: NetworkConfig, layer: str, t: float, sigma, sigma_m,
     sigma_m = S^(-2/alpha_m) of its S = sum r^-alpha_s (used only when
     alpha_m != alpha_s).  With c = t/S, y = t^(2/alpha_s) * sigma is
     c^(2/alpha_s), and the SBSs beyond the layer's silent ring contribute
-    G(outer^2 / y); at alpha = 4 that is arctan(y / outer^2), which does
-    not cancel at large y as pi/2 - arctan(outer^2 / y) would.  SBSs inside
-    the ring add the head integral G(0) - G(inner^2 / y); a ring starting
-    at 0 has none.  work holds two scratch rows of out's length.
+    G(outer^2 / y).  SBSs inside the ring add the head integral
+    G(0) - G(inner^2 / y); a ring starting at 0 has none.  work holds two
+    scratch rows of out's length.
+
+    At alpha_s = 4 the kernel works in u = y / outer^2 and
+    rho = (inner / outer)^2 < 1.  The outer term is arctan(u), which does
+    not cancel at large u as pi/2 - arctan(1/u) would, and the head
+    integral is arctan(rho / u).  Their sum is the one arctan
+    arctan((u + rho/u) / (1 - rho)), exact because u * (rho/u) = rho < 1,
+    and it tends to pi/2 as u -> 0 and as u -> inf.  outer^2 is folded
+    into the constants, so ln p = u * (-pi lambda_s outer^2 arctan(.) +
+    mbs outer^2): five array passes before exp for a BL disk, eight for
+    an EL annulus.
     """
     a_s, a_m = cfg.alpha_s, cfg.alpha_m
     inner, outer = _ring(cfg, layer)
     y, tmp = work
-    np.multiply(sigma, t ** (2.0 / a_s), out=y)
     if a_s == 4.0:
-        # G_4(x) = arctan(1/x), and its head integral is arctan(x)
-        np.divide(y, outer ** 2, out=out)
-        np.arctan(out, out=out)
+        # the y row holds u = c^(1/2) / outer^2
+        scale = outer ** 2
+        np.multiply(sigma, math.sqrt(t) / scale, out=y)
         if inner > 0.0:
-            np.divide(inner ** 2, y, out=tmp)
-            out += np.arctan(tmp, out=tmp)
+            rho = (inner / outer) ** 2
+            np.divide(rho, y, out=tmp)
+            tmp += y
+            tmp *= 1.0 / (1.0 - rho)
+            np.arctan(tmp, out=out)
+        else:
+            np.arctan(y, out=out)
     else:
+        scale = 1.0
+        np.multiply(sigma, t ** (2.0 / a_s), out=y)
         np.divide(outer ** 2, y, out=out)
         out[:] = g_alpha_vec(a_s, out)
         if inner > 0.0:
             np.divide(inner ** 2, y, out=tmp)
             out += g_alpha_zero(a_s) - g_alpha_vec(a_s, tmp)
-    out *= -math.pi * cfg.lambda_s
+    out *= -math.pi * cfg.lambda_s * scale
     # MBS interference: -pi lambda_m (c p_m/p_s)^(2/alpha_m) G_alpha_m(0)
     mbs = (-math.pi * cfg.lambda_m * (cfg.p_m / cfg.p_s) ** (2.0 / a_m)
            * g_alpha_zero(a_m))
     if a_m == a_s:
-        out += mbs
+        out += mbs * scale
         out *= y
     else:
         out *= y
@@ -332,9 +351,11 @@ def _cluster_p(cfg, layer, gamma, n_serving, n_samples, seed):
 
     The samples are sorted by S.  A sample with S <= t / c_max has
     c = t/S >= c_max, so its exponent is >= _UNDERFLOW and its exp is
-    exactly 0.0: that prefix of the buffer is zero-filled, the kernel runs
-    on the rest, and the mean sums the whole buffer, so it gives the bits
-    of the kernel run on every sample.
+    exactly 0.0: that prefix of the buffer is zero, the kernel runs on the
+    rest, and the mean sums the whole buffer, so it gives the bits of the
+    kernel run on every sample.  The buffer remembers how long its zero
+    prefix already is, so a call fills only the samples its cut adds.  When
+    every sample is cut, the mean is exactly 0.0 and nothing is evaluated.
     """
     if n_serving < 1:
         raise ValueError("n_serving must be >= 1")
@@ -343,10 +364,16 @@ def _cluster_p(cfg, layer, gamma, n_serving, n_samples, seed):
     s, sigma, sigma_m = _cluster_state(cfg, layer, n_serving, n_samples, seed)
     c_max = _underflow_c(cfg, layer)
     out, work = np.empty(s.size), np.empty((2, s.size))
+    zeros = 0       # out[:zeros] is known to be 0.0
 
     def p_at(t):
+        nonlocal zeros
         k = int(np.searchsorted(s, t / c_max, side="right"))
-        out[:k] = 0.0
+        if k == s.size:
+            return 0.0
+        if k > zeros:
+            out[zeros:k] = 0.0
+        zeros = k
         kept = out[k:]
         _cluster_log_p(cfg, layer, t, sigma[k:], sigma_m[k:], kept,
                        work[:, k:])

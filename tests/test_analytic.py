@@ -239,6 +239,25 @@ def _log_p_at_c(cfg, layer, c):
                                    np.empty((2, 1)))[0]
 
 
+class TestAlpha4Kernel:
+    """At alpha_s = 4 the kernel merges the EL ring's two arctans into one
+    and folds outer^2 into its constants; point by point it must still be
+    the hypergeometric reference exponent."""
+
+    @pytest.mark.parametrize("alpha_m", [4.0, 3.5])
+    @pytest.mark.parametrize("layer", ["bl", "el"])
+    def test_matches_reference_exponent(self, net, layer, alpha_m):
+        net = replace(net, alpha_m=alpha_m)
+        c_max = analytic._underflow_c(net, layer)
+        # u = sqrt(c) / outer^2 runs from 1e-19 to 1e16 at the two ends,
+        # where the merged arctan tends to pi/2
+        cs = np.concatenate([np.geomspace(1e-9 * c_max, c_max, 201),
+                             [1e-30, 1e-20, 1e30, 1e40]])
+        for c in cs:
+            assert -_log_p_at_c(net, layer, c) == pytest.approx(
+                _reference_exponent(net, layer, c), rel=1e-13, abs=0.0)
+
+
 class TestUnderflowCut:
     """_cluster_p runs the kernel only on the samples whose exp(log p) can
     be nonzero; every value must equal the kernel run on every sample bit
@@ -280,6 +299,35 @@ class TestUnderflowCut:
         p_at = analytic._cluster_p(net, layer, 1.0, n, self.N_SAMPLES, 0)
         for t in self._t_grid(net, layer, n):
             assert p_at(t) == self._full_mean(net, layer, n, t)
+
+    @pytest.mark.parametrize("layer", ["bl", "el"])
+    def test_cut_moves_both_ways(self, net, layer, monkeypatch):
+        """p_at keeps the buffer's zero prefix between calls: the cut moves
+        down, up, past every sample and back, and every value keeps the
+        bits of the kernel run on every sample.  A call that cuts every
+        sample returns 0.0 without running the kernel."""
+        n = 2
+        s = analytic._cluster_state(net, layer, n, self.N_SAMPLES, 0)[0]
+        c_max = analytic._underflow_c(net, layer)
+        p_at = analytic._cluster_p(net, layer, 1.0, n, self.N_SAMPLES, 0)
+        kernel, calls = analytic._cluster_log_p, []
+
+        def counting(*args):
+            calls.append(args[2])
+            return kernel(*args)
+
+        monkeypatch.setattr(analytic, "_cluster_log_p", counting)
+        q = c_max * np.quantile(s, [0.5, 0.01, 0.99, 0.3])
+        every = 2.0 * c_max * s[-1]
+        for t in (q[0], q[1], q[2], every, q[0], every, 1e-2, q[3], q[1]):
+            k = np.searchsorted(s, t / c_max, side="right")
+            del calls[:]
+            value = p_at(t)
+            if k == s.size:
+                assert value == 0.0 and calls == []
+            else:
+                assert calls == [t]
+            assert value == self._full_mean(net, layer, n, t)
 
     @pytest.mark.parametrize("alphas", [(4.0, 4.0), (3.5, 3.5), (3.0, 3.0),
                                         (3.5, 4.0), (4.0, 3.2)])
