@@ -10,9 +10,7 @@ and sums the terms in sorted order.  At alpha = 4 a sample costs one
 arctan in either layer: the EL annulus's outer and head terms merge into
 one arctan by the addition formula.  A sample whose exponent is so large
 that exp underflows to exactly 0.0 is not evaluated: its 0.0 is written in
-place (only where the previous call did not already leave one), so every
-average keeps the bits of the kernel run on every sample.  When every
-sample is cut, the average is exactly 0.0 and the kernel does not run.
+place, so every average keeps the bits of the kernel run on every sample.
 The nearest-MBS radial integral is exact when alpha_m = alpha_s and uses
 adaptive quadrature otherwise; the SIR tail of every ergodic rate uses
 21-point Gauss-Kronrod segments on a logarithmic scale, bisected where the
@@ -351,29 +349,23 @@ def _cluster_p(cfg, layer, gamma, n_serving, n_samples, seed):
 
     The samples are sorted by S.  A sample with S <= t / c_max has
     c = t/S >= c_max, so its exponent is >= _UNDERFLOW and its exp is
-    exactly 0.0: that prefix of the buffer is zero, the kernel runs on the
-    rest, and the mean sums the whole buffer, so it gives the bits of the
-    kernel run on every sample.  The buffer remembers how long its zero
-    prefix already is, so a call fills only the samples its cut adds.  When
-    every sample is cut, the mean is exactly 0.0 and nothing is evaluated.
+    exactly 0.0: that prefix of the buffer is zero-filled, the kernel runs
+    on the rest, and the mean sums the whole buffer, so it gives the bits
+    of the kernel run on every sample.
     """
     if n_serving < 1:
         raise ValueError("n_serving must be >= 1")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
     s, sigma, sigma_m = _cluster_state(cfg, layer, n_serving, n_samples, seed)
     c_max = _underflow_c(cfg, layer)
     out, work = np.empty(s.size), np.empty((2, s.size))
-    zeros = 0       # out[:zeros] is known to be 0.0
 
     def p_at(t):
-        nonlocal zeros
         k = int(np.searchsorted(s, t / c_max, side="right"))
-        if k == s.size:
-            return 0.0
-        if k > zeros:
-            out[zeros:k] = 0.0
-        zeros = k
+        out[:k] = 0.0
         kept = out[k:]
         _cluster_log_p(cfg, layer, t, sigma[k:], sigma_m[k:], kept,
                        work[:, k:])
