@@ -18,7 +18,6 @@ from svcache.popularity import PopularityProfile, zipf, build_profile
 from svcache.analytic import (
     g_alpha,
     p_success_mbs,
-    p_success_mbs_closed,
     p_success_sbs_bl,
     p_success_sbs_el,
     ergodic_rate_mbs,

@@ -4,13 +4,14 @@ The interference tail function G_alpha(x) = int_x^inf dt / (1 + t^(alpha/2))
 underpins every expression: arctan(1/x) at alpha = 4, a hypergeometric
 form otherwise.  Cluster probabilities depend on the serving positions
 only through S = sum r^-alpha and are averaged over S by Monte-Carlo
-position integration with inverse-CDF radius sampling.  One kernel serves
-every alpha: it sorts the draw by S once, keeps S^(-2/alpha) per sample,
-and sums the terms in sorted order.  At alpha = 4 a sample costs one
-arctan in either layer: the EL annulus's outer and head terms merge into
-one arctan by the addition formula.  A sample whose exponent is so large
-that exp underflows to exactly 0.0 is not evaluated: its 0.0 is written in
-place, so every average keeps the bits of the kernel run on every sample.
+position integration with inverse-CDF radius sampling, POSITION_SAMPLES
+positions per seed.  One kernel serves every alpha: it sorts the draw by S
+once, keeps S^(-2/alpha) per sample, and sums the terms in sorted order.
+At alpha = 4 a sample costs one arctan in either layer: the EL annulus's
+outer and head terms merge into one arctan by the addition formula.  A
+sample whose exponent is so large that exp underflows to exactly 0.0 is
+not evaluated: its 0.0 is written in place, so every average keeps the
+bits of the kernel run on every sample.
 The nearest-MBS radial integral is exact when alpha_m = alpha_s and uses
 adaptive quadrature otherwise; the SIR tail of every ergodic rate uses
 21-point Gauss-Kronrod segments on a logarithmic scale, bisected where the
@@ -33,8 +34,8 @@ import numpy as np
 
 from svcache.config import NetworkConfig
 
-# Position samples used for the cluster-averaged quantities.
-DEFAULT_POSITION_SAMPLES = 200_000
+# Position samples behind every cluster-averaged quantity.
+POSITION_SAMPLES = 200_000
 
 # Relative tail threshold for truncating the SIR integral over t.
 _TAIL_REL = 1e-8
@@ -183,19 +184,6 @@ def p_success_mbs(cfg: NetworkConfig, gamma: float) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def p_success_mbs_closed(cfg: NetworkConfig, gamma: float) -> float:
-    """Closed form of P(SIR_M >= gamma) for alpha_m = alpha_s = 4."""
-    if cfg.alpha_m != 4.0 or cfg.alpha_s != 4.0:
-        raise ValueError("closed form requires alpha_m = alpha_s = 4")
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
-    arccot = math.pi / 2.0 - math.atan(gamma ** -0.5)
-    penalty = (math.sqrt(gamma) / cfg.lambda_m
-               * (math.pi / 2.0 * cfg.lambda_s * math.sqrt(cfg.p_s / cfg.p_m)
-                  + cfg.lambda_m * arccot))
-    return 1.0 / (1.0 + penalty)
-
-
 # ---------------------------------------------------------------------------
 # Serving via cooperative SBS clusters
 # ---------------------------------------------------------------------------
@@ -320,20 +308,20 @@ def _underflow_c(cfg: NetworkConfig, layer: str) -> float:
 _STATES: dict = {}
 
 
-def _cluster_state(cfg: NetworkConfig, layer: str, n: int, n_samples: int,
-                   seed: int) -> tuple:
-    """(S, sigma, sigma_m) of one serving draw, read-only.
+def _cluster_state(cfg: NetworkConfig, layer: str, n: int, seed: int) -> tuple:
+    """(S, sigma, sigma_m) of one serving draw of POSITION_SAMPLES
+    positions, read-only.
 
     S is the _serving_scale draw sorted ascending, sigma = S^(-2/alpha_s)
     and sigma_m = S^(-2/alpha_m) (sigma itself when alpha_m = alpha_s).
     The state of the last draw of each layer is kept, so repeated calls at
-    one (cfg, n, n_samples, seed) draw and sort once.
+    one (cfg, n, seed) draw and sort once.
     """
-    key = (cfg, n, n_samples, seed)
+    key = (cfg, n, seed)
     if layer in _STATES and _STATES[layer][0] == key:
         return _STATES[layer][1]
     _STATES.pop(layer, None)    # free the old state before the new one
-    s = _serving_scale(cfg, layer, n, n_samples, seed)
+    s = _serving_scale(cfg, layer, n, POSITION_SAMPLES, seed)
     s.sort()
     sigma = s ** (-2.0 / cfg.alpha_s)
     sigma_m = (sigma if cfg.alpha_m == cfg.alpha_s
@@ -344,7 +332,7 @@ def _cluster_state(cfg: NetworkConfig, layer: str, n: int, n_samples: int,
     return s, sigma, sigma_m
 
 
-def _cluster_p(cfg, layer, gamma, n_serving, n_samples, seed):
+def _cluster_p(cfg, layer, gamma, n_serving, seed):
     """P(SIR_S >= t) averaged over serving positions, as a function of t.
 
     The samples are sorted by S.  A sample with S <= t / c_max has
@@ -355,11 +343,9 @@ def _cluster_p(cfg, layer, gamma, n_serving, n_samples, seed):
     """
     if n_serving < 1:
         raise ValueError("n_serving must be >= 1")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    s, sigma, sigma_m = _cluster_state(cfg, layer, n_serving, n_samples, seed)
+    s, sigma, sigma_m = _cluster_state(cfg, layer, n_serving, seed)
     c_max = _underflow_c(cfg, layer)
     out, work = np.empty(s.size), np.empty((2, s.size))
 
@@ -376,19 +362,15 @@ def _cluster_p(cfg, layer, gamma, n_serving, n_samples, seed):
 
 
 def p_success_sbs_bl(cfg: NetworkConfig, gamma_bl: float, n1_serving: int,
-                     n_samples: int = DEFAULT_POSITION_SAMPLES,
                      seed: int = 0) -> float:
     """P(SIR_S,BL >= gamma_bl) with n1_serving cooperative SBSs in the disk."""
-    return _cluster_p(cfg, "bl", gamma_bl, n1_serving, n_samples,
-                      seed)(gamma_bl)
+    return _cluster_p(cfg, "bl", gamma_bl, n1_serving, seed)(gamma_bl)
 
 
 def p_success_sbs_el(cfg: NetworkConfig, gamma_el: float, n2_serving: int,
-                     n_samples: int = DEFAULT_POSITION_SAMPLES,
                      seed: int = 0) -> float:
     """P(SIR_S,EL >= gamma_el) with n2_serving cooperative SBSs in the annulus."""
-    return _cluster_p(cfg, "el", gamma_el, n2_serving, n_samples,
-                      seed)(gamma_el)
+    return _cluster_p(cfg, "el", gamma_el, n2_serving, seed)(gamma_el)
 
 
 # ---------------------------------------------------------------------------
@@ -465,25 +447,21 @@ def ergodic_rate_mbs(cfg: NetworkConfig, gamma: float) -> float:
     return _tail_rate(cfg, gamma, lambda t: p_success_mbs(cfg, t))
 
 
-def _ergodic_rate_cluster(cfg, layer, gamma, n_serving, n_samples, seed):
+def _ergodic_rate_cluster(cfg, layer, gamma, n_serving, seed):
     return _tail_rate(cfg, gamma, _cluster_p(cfg, layer, gamma, n_serving,
-                                             n_samples, seed))
+                                             seed))
 
 
 def ergodic_rate_sbs_bl(cfg: NetworkConfig, gamma_bl: float, n1_serving: int,
-                        n_samples: int = DEFAULT_POSITION_SAMPLES,
                         seed: int = 0) -> float:
     """Ergodic cooperative-SBS rate for base-layer delivery."""
-    return _ergodic_rate_cluster(cfg, "bl", gamma_bl, n1_serving, n_samples,
-                                 seed)
+    return _ergodic_rate_cluster(cfg, "bl", gamma_bl, n1_serving, seed)
 
 
 def ergodic_rate_sbs_el(cfg: NetworkConfig, gamma_el: float, n2_serving: int,
-                        n_samples: int = DEFAULT_POSITION_SAMPLES,
                         seed: int = 0) -> float:
     """Ergodic cooperative-SBS rate for enhancement-layer delivery."""
-    return _ergodic_rate_cluster(cfg, "el", gamma_el, n2_serving, n_samples,
-                                 seed)
+    return _ergodic_rate_cluster(cfg, "el", gamma_el, n2_serving, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -500,18 +478,16 @@ class RateTable:
     r_s_el: dict = field(hash=False)   # n2 -> cooperative EL rate
     provenance: str = "Analytic"
     seed: int = 0
-    n_samples: int = DEFAULT_POSITION_SAMPLES
+    n_samples: int = POSITION_SAMPLES
 
 
-def build_rate_table(cfg: NetworkConfig,
-                     n_samples: int = DEFAULT_POSITION_SAMPLES,
-                     seed: int = 0) -> RateTable:
+def build_rate_table(cfg: NetworkConfig, seed: int = 0) -> RateTable:
     """Evaluate all rates needed by the sum-rate expressions: the
     nearest-MBS rate at both thresholds and the cluster rates for every
     n in 1..n1 (BL) and 1..n2 (EL)."""
-    r_s_bl = {n: ergodic_rate_sbs_bl(cfg, cfg.gamma_bl, n, n_samples, seed)
+    r_s_bl = {n: ergodic_rate_sbs_bl(cfg, cfg.gamma_bl, n, seed)
               for n in range(1, cfg.n1 + 1)}
-    r_s_el = {n: ergodic_rate_sbs_el(cfg, cfg.gamma_el, n, n_samples, seed)
+    r_s_el = {n: ergodic_rate_sbs_el(cfg, cfg.gamma_el, n, seed)
               for n in range(1, cfg.n2 + 1)}
     return RateTable(
         r_m_bl=ergodic_rate_mbs(cfg, cfg.gamma_bl),
@@ -520,5 +496,5 @@ def build_rate_table(cfg: NetworkConfig,
         r_s_el=r_s_el,
         provenance="Analytic",
         seed=seed,
-        n_samples=n_samples,
+        n_samples=POSITION_SAMPLES,
     )

@@ -11,9 +11,10 @@ Subcommands:
 --drops is read by validate and simulate, --theta by optimize and
 compare.  Every CSV, trace.csv included, is written with a JSON "plot
 manifest" describing its column roles.  Exit codes: 0 success, 1
-validation failure, bad input (non-finite numbers included) or usage
-error, 2 numeric non-convergence, or a floating-point overflow, division by
-zero or invalid value.
+validation failure, bad input (non-finite numbers, a negative seed and
+arrays too large to allocate included) or usage error, 2 numeric
+non-convergence, or a floating-point overflow, division by zero or invalid
+value.
 """
 
 from __future__ import annotations
@@ -264,10 +265,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="svcache", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="scenario file (key = value lines)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--out-dir", default=".")
     parser.add_argument("--drops", type=int, default=20_000,
                         help="Monte-Carlo drops per quantity (validate, simulate)")
@@ -313,7 +321,9 @@ def main(argv=None) -> int:
         print(f"numeric range error ({type(exc).__name__}): {exc}",
               file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
+        # MemoryError: numpy refuses an array too large to allocate (a huge
+        # cluster size, say) before it allocates anything.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -127,7 +127,9 @@ def _run_batches(worker, n_drops: int, seed: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=64)
+# Each sampler keeps its last draw only: one run asks each sampler for one
+# (cfg, n_serving, n_drops, seed), and an older draw would stay in memory.
+@functools.lru_cache(maxsize=1)
 def sir_samples_mbs(cfg: NetworkConfig, n_drops: int, seed: int = 0) -> np.ndarray:
     """SIR samples for nearest-MBS service (one value per drop)."""
     a2 = _window2(cfg)
@@ -185,7 +187,7 @@ def _sir_samples_cluster(cfg, n_cluster, ring2, n_serving, n_drops, seed):
     return _run_batches(worker, n_drops, seed)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=1)
 def sir_samples_sbs_bl(cfg: NetworkConfig, n_serving: int, n_drops: int,
                        seed: int = 0) -> np.ndarray:
     """SIR samples for cooperative base-layer delivery."""
@@ -193,7 +195,7 @@ def sir_samples_sbs_bl(cfg: NetworkConfig, n_serving: int, n_drops: int,
                                 n_drops, seed)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=1)
 def sir_samples_sbs_el(cfg: NetworkConfig, n_serving: int, n_drops: int,
                        seed: int = 0) -> np.ndarray:
     """SIR samples for cooperative enhancement-layer delivery."""

@@ -15,7 +15,9 @@ base layer (q1, n1, p, l_b) and to the enhancement layer
 
 On request it also gives D' (_serving_pmf_slope) and the derivative of
 the block's per-file power in each q_f, from which the objective builds
-its exact gradient.
+its exact gradient.  power_scheme1 and power_scheme2 report the physical
+power, with the exact l0 indicator in Scheme I; only the objective uses
+the smoothed surrogate.
 """
 
 from __future__ import annotations
@@ -152,12 +154,14 @@ def _block_terms(mode: str, q, n: int, w, bits: float, net: NetworkConfig,
 
 def _breakdown(mode: str, policy: CachingPolicy, profile: PopularityProfile,
                net: NetworkConfig, content: ContentConfig,
-               coeff: PowerCoefficients, smoothing: float | None = None):
+               coeff: PowerCoefficients) -> PowerBreakdown:
+    """The physical power of a policy: the block rows of _block_terms
+    summed over files and layers, with the exact l0 norm in Scheme I."""
     if policy.mode != mode:
         raise ValueError(f"policy mode {policy.mode!r}, expected {mode!r}")
     blocks, p_fix = _layer_blocks(policy.q1, policy.q2, profile, net,
                                   content, coeff)
-    bl, el = (_block_terms(mode, *block, net, coeff, smoothing)[1:]
+    bl, el = (_block_terms(mode, *block, net, coeff)[1:]
               for block in blocks)
     return PowerBreakdown(*(float((a + b).sum()) for a, b in zip(bl, el)),
                           float(p_fix))
@@ -165,16 +169,10 @@ def _breakdown(mode: str, policy: CachingPolicy, profile: PopularityProfile,
 
 def power_scheme1(policy: CachingPolicy, profile: PopularityProfile,
                   net: NetworkConfig, content: ContentConfig,
-                  coeff: PowerCoefficients,
-                  smoothing: float | None = None) -> PowerBreakdown:
-    """Power consumption under fractional caching.
-
-    With smoothing=None the transmission term uses the exact l0 norm of
-    each caching fraction; otherwise each indicator is replaced by the
-    logarithmic surrogate with parameter theta=smoothing.
-    """
-    return _breakdown("fractional", policy, profile, net, content, coeff,
-                      smoothing)
+                  coeff: PowerCoefficients) -> PowerBreakdown:
+    """Power consumption under fractional caching; the transmission term
+    uses the exact l0 norm of each caching fraction."""
+    return _breakdown("fractional", policy, profile, net, content, coeff)
 
 
 def power_scheme2(policy: CachingPolicy, profile: PopularityProfile,

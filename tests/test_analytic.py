@@ -106,10 +106,10 @@ class TestSuccessMbs:
         assert analytic.p_success_mbs(net, 1e-9) == pytest.approx(1.0,
                                                                   abs=1e-4)
 
-    def test_matches_closed_form(self, net):
+    def test_matches_closed_form(self, net, p_success_mbs_closed):
         for gamma in GAMMA_GRID:
             general = analytic.p_success_mbs(net, gamma)
-            closed = analytic.p_success_mbs_closed(net, gamma)
+            closed = p_success_mbs_closed(net, gamma)
             assert general == pytest.approx(closed, rel=1e-4)
 
     @pytest.mark.parametrize("alpha", [3.0, 3.5, 4.0, 5.0])
@@ -150,61 +150,57 @@ class TestSuccessMbs:
 
 
 class TestSuccessMbsClosed:
-    def test_single_tier_reference(self):
+    """The paper's alpha = 4 closed form, the oracle of
+    TestSuccessMbs.test_matches_closed_form, at its known limits."""
+
+    def test_single_tier_reference(self, p_success_mbs_closed):
         # negligible small-cell tier: only the arccot(1) = pi/4 penalty
         cfg = NetworkConfig(lambda_s=1e-30)
         expected = 1.0 / (1.0 + math.pi / 4)
-        assert analytic.p_success_mbs_closed(cfg, 1.0) == pytest.approx(
+        assert p_success_mbs_closed(cfg, 1.0) == pytest.approx(
             expected, rel=1e-9)
 
-    def test_vanishing_threshold(self, net):
-        assert analytic.p_success_mbs_closed(net, 1e-18) == pytest.approx(
+    def test_vanishing_threshold(self, net, p_success_mbs_closed):
+        assert p_success_mbs_closed(net, 1e-18) == pytest.approx(
             1.0, abs=1e-8)
-
-    def test_exponent_mismatch_rejected(self, net):
-        with pytest.raises(ValueError):
-            analytic.p_success_mbs_closed(replace(net, alpha_m=3.5), 1.0)
 
 
 class TestSuccessSbs:
-    N_SAMPLES = 50_000
+    @pytest.fixture(autouse=True)
+    def _draw(self, position_samples):
+        position_samples(50_000)
 
     def test_vanishing_threshold(self, net):
-        assert analytic.p_success_sbs_bl(
-            net, 1e-9, 2, n_samples=self.N_SAMPLES) == pytest.approx(1.0,
-                                                                     abs=1e-3)
-        assert analytic.p_success_sbs_el(
-            net, 1e-9, 2, n_samples=self.N_SAMPLES) == pytest.approx(1.0,
-                                                                     abs=1e-3)
+        assert analytic.p_success_sbs_bl(net, 1e-9, 2) == pytest.approx(
+            1.0, abs=1e-3)
+        assert analytic.p_success_sbs_el(net, 1e-9, 2) == pytest.approx(
+            1.0, abs=1e-3)
 
     def test_more_cooperating_stations_help(self, net):
-        bl = [analytic.p_success_sbs_bl(net, net.gamma_bl, n,
-                                        n_samples=self.N_SAMPLES)
+        bl = [analytic.p_success_sbs_bl(net, net.gamma_bl, n)
               for n in (1, 2, 4)]
-        el = [analytic.p_success_sbs_el(net, net.gamma_el, n,
-                                        n_samples=self.N_SAMPLES)
+        el = [analytic.p_success_sbs_el(net, net.gamma_el, n)
               for n in (1, 2, 4)]
         assert bl[0] < bl[1] < bl[2]
         assert el[0] < el[1] < el[2]
 
     def test_monotone_in_threshold(self, net):
-        bl = [analytic.p_success_sbs_bl(net, g, 2, n_samples=self.N_SAMPLES)
-              for g in GAMMA_GRID]
+        bl = [analytic.p_success_sbs_bl(net, g, 2) for g in GAMMA_GRID]
         assert all(a >= b for a, b in zip(bl, bl[1:]))
 
     def test_closed_form_agreement(self, net, arccot_cluster_p):
         for gamma in GAMMA_GRID:
             for layer in ("bl", "el"):
                 fn = getattr(analytic, f"p_success_sbs_{layer}")
-                general = fn(net, gamma, 2, n_samples=self.N_SAMPLES)
-                special = arccot_cluster_p(net, layer, gamma, 2,
-                                           self.N_SAMPLES, 0)
+                general = fn(net, gamma, 2)
+                special = arccot_cluster_p(net, layer, gamma, 2, 0)
                 assert general == pytest.approx(special, rel=1e-3)
 
-    def test_deterministic_given_seed(self, net):
-        a = analytic.p_success_sbs_bl(net, 10.0, 3, n_samples=10_000, seed=5)
-        b = analytic.p_success_sbs_bl(net, 10.0, 3, n_samples=10_000, seed=5)
-        c = analytic.p_success_sbs_bl(net, 10.0, 3, n_samples=10_000, seed=6)
+    def test_deterministic_given_seed(self, net, position_samples):
+        position_samples(10_000)
+        a = analytic.p_success_sbs_bl(net, 10.0, 3, seed=5)
+        b = analytic.p_success_sbs_bl(net, 10.0, 3, seed=5)
+        c = analytic.p_success_sbs_bl(net, 10.0, 3, seed=6)
         assert a == b
         assert a != c
 
@@ -213,10 +209,6 @@ class TestSuccessSbs:
             analytic.p_success_sbs_bl(net, 10.0, 0)
         with pytest.raises(ValueError):
             analytic.p_success_sbs_el(net, 0.0, 1)
-        with pytest.raises(ValueError):
-            analytic.p_success_sbs_bl(net, 10.0, 1, n_samples=0)
-        with pytest.raises(ValueError):
-            analytic.p_success_sbs_el(net, 10.0, 1, n_samples=0)
 
 
 def _reference_exponent(cfg, layer, c):
@@ -270,11 +262,14 @@ class TestUnderflowCut:
 
     N_SAMPLES = 20_000
 
+    @pytest.fixture(autouse=True)
+    def _draw(self, position_samples):
+        position_samples(self.N_SAMPLES)
+
     @staticmethod
     def _full_mean(net, layer, n, t):
         """The kernel on every sample of the sorted draw, with no cut."""
-        s, sigma, sigma_m = analytic._cluster_state(
-            net, layer, n, TestUnderflowCut.N_SAMPLES, 0)
+        s, sigma, sigma_m = analytic._cluster_state(net, layer, n, 0)
         terms = np.exp(analytic._cluster_log_p(
             net, layer, t, sigma, sigma_m, np.empty(s.size),
             np.empty((2, s.size))))
@@ -300,7 +295,7 @@ class TestUnderflowCut:
     @pytest.mark.parametrize("n", [1, 4])
     def test_cut_is_exact(self, net, alpha, layer, n):
         net = replace(net, alpha_m=alpha, alpha_s=alpha)
-        p_at = analytic._cluster_p(net, layer, 1.0, n, self.N_SAMPLES, 0)
+        p_at = analytic._cluster_p(net, layer, 1.0, n, 0)
         for t in self._t_grid(net, layer, n):
             assert p_at(t) == self._full_mean(net, layer, n, t)
 
@@ -313,7 +308,7 @@ class TestUnderflowCut:
         agreement is to 1e-12, not bit for bit."""
         net = replace(net, alpha_m=alphas[0], alpha_s=alphas[1])
         scale = analytic._serving_scale(net, layer, n, self.N_SAMPLES, 0)
-        p_at = analytic._cluster_p(net, layer, 1.0, n, self.N_SAMPLES, 0)
+        p_at = analytic._cluster_p(net, layer, 1.0, n, 0)
         for t in self._t_grid(net, layer, n):
             ref = float(np.exp(-_reference_exponent(net, layer,
                                                     t / scale)).mean())
@@ -341,7 +336,7 @@ class TestUnderflowCut:
     def test_overflowing_bound_cuts_nothing(self, net, layer):
         net = replace(net, lambda_m=1e-300)
         assert analytic._underflow_c(net, layer) == math.inf
-        p_at = analytic._cluster_p(net, layer, 1.0, 2, self.N_SAMPLES, 0)
+        p_at = analytic._cluster_p(net, layer, 1.0, 2, 0)
         for t in (1e-2, 1.0, 1e6, 1e30):
             assert p_at(t) == self._full_mean(net, layer, 2, t)
 
@@ -369,11 +364,11 @@ class TestErgodicRates:
         tiny = analytic.ergodic_rate_mbs(replace(net, w=1e-300), 10.0)
         assert tiny < 1e-290
 
-    def test_cluster_rate_floor_and_monotone_direct(self, net):
-        r1 = analytic.ergodic_rate_sbs_el(net, net.gamma_el, 1,
-                                          n_samples=20_000)
-        r2 = analytic.ergodic_rate_sbs_el(net, net.gamma_el, 2,
-                                          n_samples=20_000)
+    def test_cluster_rate_floor_and_monotone_direct(self, net,
+                                                    position_samples):
+        position_samples(20_000)
+        r1 = analytic.ergodic_rate_sbs_el(net, net.gamma_el, 1)
+        r2 = analytic.ergodic_rate_sbs_el(net, net.gamma_el, 2)
         floor = net.w * math.log2(1.0 + net.gamma_el)
         assert floor <= r1 <= r2
 
@@ -391,9 +386,10 @@ class TestRateTable:
         # 2 nearest-MBS entries + n1 + n2 cooperative entries
         assert 2 + len(rates.r_s_bl) + len(rates.r_s_el) == 10
 
-    def test_deterministic(self, net):
-        a = analytic.build_rate_table(net, n_samples=5_000, seed=3)
-        b = analytic.build_rate_table(net, n_samples=5_000, seed=3)
+    def test_deterministic(self, net, position_samples):
+        position_samples(5_000)
+        a = analytic.build_rate_table(net, seed=3)
+        b = analytic.build_rate_table(net, seed=3)
         assert a.r_m_bl == b.r_m_bl and a.r_m_el == b.r_m_el
         assert a.r_s_bl == b.r_s_bl and a.r_s_el == b.r_s_el
 
@@ -420,16 +416,17 @@ class TestTailIntegralOracle:
             expected, rel=1e-6)
 
     @pytest.mark.parametrize("layer", ["bl", "el"])
-    def test_cluster_rate_against_direct_quadrature(self, net, layer):
+    def test_cluster_rate_against_direct_quadrature(self, net, layer,
+                                                    position_samples):
         """The rate's log-substituted Gauss-Legendre segments against
         scipy quadrature of the same p_success over the same positions."""
+        position_samples(2_000)
         gamma = getattr(net, f"gamma_{layer}")
         p_success = getattr(analytic, f"p_success_sbs_{layer}")
         rate = getattr(analytic, f"ergodic_rate_sbs_{layer}")
-        kw = {"n_samples": 2_000, "seed": 1}
         expected = _direct_rate(net, gamma,
-                                lambda t: p_success(net, t, 2, **kw))
-        assert rate(net, gamma, 2, **kw) == pytest.approx(expected, rel=1e-6)
+                                lambda t: p_success(net, t, 2, seed=1))
+        assert rate(net, gamma, 2, seed=1) == pytest.approx(expected, rel=1e-6)
 
 
 def _legendre_tail_rate(cfg, gamma, p_at):
@@ -482,7 +479,8 @@ class TestTailRule:
 
     @pytest.mark.parametrize("layer", ["mbs", "bl", "el"])
     @pytest.mark.parametrize("scenario", list(_TAIL_SCENARIOS))
-    def test_matches_160_node_legendre_oracle(self, scenario, layer):
+    def test_matches_160_node_legendre_oracle(self, scenario, layer,
+                                              position_samples):
         """Same segments, same truncation, same p_at: the rates differ only
         by quadrature error.  The EL tails at alpha = 2.2 and at 45 dB need
         bisection; a fixed 40-node Gauss-Legendre rule per segment is
@@ -492,7 +490,8 @@ class TestTailRule:
         if layer == "mbs":
             p_at = functools.partial(analytic.p_success_mbs, cfg)
         else:
-            p_at = analytic._cluster_p(cfg, layer, gamma, 1, 2_000, 0)
+            position_samples(2_000)
+            p_at = analytic._cluster_p(cfg, layer, gamma, 1, 0)
         assert analytic._tail_rate(cfg, gamma, p_at) == pytest.approx(
             _legendre_tail_rate(cfg, gamma, p_at), rel=1e-13)
 

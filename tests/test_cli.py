@@ -105,22 +105,17 @@ class TestServingDraws:
     p_success calls reuse the draw a rate call at the same n leaves."""
 
     @pytest.fixture
-    def draws(self, monkeypatch, tmp_path):
+    def draws(self, monkeypatch, position_samples, tmp_path):
         calls = []
         draw = analytic._serving_scale
 
-        def counting(cfg, layer, n, n_samples, seed):
+        def counting(cfg, layer, n, size, seed):
             calls.append((layer, n))
-            return draw(cfg, layer, n, n_samples, seed)
+            return draw(cfg, layer, n, size, seed)
 
         monkeypatch.setattr(analytic, "_serving_scale", counting)
-        monkeypatch.setattr(analytic, "_STATES", {})
         # a small draw; the draw size decides no reuse
-        for fn in (analytic.p_success_sbs_bl, analytic.p_success_sbs_el,
-                   analytic.ergodic_rate_sbs_bl, analytic.ergodic_rate_sbs_el,
-                   analytic.build_rate_table):
-            monkeypatch.setattr(fn, "__defaults__",
-                                (2_000,) + fn.__defaults__[1:])
+        position_samples(2_000)
         cfg = tmp_path / "n2n3.cfg"
         cfg.write_text(LIGHT_SCENARIO.replace("n1 = 1", "n1 = 2")
                        .replace("n2 = 1", "n2 = 3"))
@@ -136,6 +131,45 @@ class TestServingDraws:
         calls, base = draws
         assert cli.main(base + ["--drops", "200", "validate"]) in (0, 1)
         assert sorted(calls) == [("bl", 2), ("el", 3)]
+
+
+class TestSamplerDraws:
+    """A run draws each Monte-Carlo sampler once, and each sampler keeps
+    only its last draw."""
+
+    SAMPLERS = (montecarlo.sir_samples_mbs, montecarlo.sir_samples_sbs_bl,
+                montecarlo.sir_samples_sbs_el)
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """The seed of each _run_batches call, from empty sampler caches."""
+        seeds = []
+        run = montecarlo._run_batches
+
+        def counting(worker, n_drops, seed):
+            seeds.append(seed)
+            return run(worker, n_drops, seed)
+
+        monkeypatch.setattr(montecarlo, "_run_batches", counting)
+        for sampler in self.SAMPLERS:
+            sampler.cache_clear()
+        return seeds
+
+    @pytest.mark.parametrize("argv", [["validate"], ["simulate", "--dump"]],
+                             ids=["validate", "simulate-dump"])
+    def test_one_draw_per_sampler(self, batches, argv, light_cfg, tmp_path):
+        rc = cli.main(["--config", light_cfg, "--out-dir", str(tmp_path),
+                       "--seed", "3", "--drops", "300"] + argv)
+        assert rc == 0
+        assert batches == [3, 3, 3]
+        assert [s.cache_info().misses for s in self.SAMPLERS] == [1, 1, 1]
+
+    def test_second_seed_evicts_first(self, batches, net):
+        for seed in (1, 2):
+            for sampler, serving in zip(self.SAMPLERS, ((), (1,), (1,))):
+                sampler(net, *serving, 64, seed)
+        assert batches == [1, 1, 1, 2, 2, 2]
+        assert [s.cache_info().currsize for s in self.SAMPLERS] == [1, 1, 1]
 
 
 class TestSimulate:
@@ -424,6 +458,29 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "lambda_m = 1e-12" in err and "lambda_s = " in err
 
+    def test_unallocatable_draw_exits_1_with_one_line(self, tmp_path, capsys):
+        """Drops in a cluster of 1e12 SBSs ask numpy for a 728 TiB array,
+        more than a 47-bit address space holds; numpy refuses before it
+        allocates anything."""
+        cfg = tmp_path / "crowded.cfg"
+        cfg.write_text(LIGHT_SCENARIO.replace("n1 = 1", "n1 = 1000000000000"))
+        rc = cli.main(["--config", str(cfg), "--out-dir", str(tmp_path),
+                       "--drops", "100", "simulate"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_exits_1_naming_the_flag(self, seed, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--seed", seed, "--out-dir", str(tmp_path), "analyze"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == ("svcache: error: argument --seed: "
+                                        "expected a non-negative integer, "
+                                        f"got {seed!r}")
+
     @pytest.mark.parametrize("argv", [
         ["optimize", "--max-iters", "3"],
         ["compare", "--sweep", "cache_size", "--grid", "3e8",
@@ -480,17 +537,16 @@ class TestExitCodes:
 
 # Runs each argv of the JSON list argv[1] through cli.main in this fresh
 # interpreter and prints the scipy modules it has loaded.  A non-zero
-# argv[2] shrinks the position draw of the cluster functions the CLI calls:
-# the draw size decides no import, and a small draw keeps the alpha != 4
-# runs, whose hyp2f1 kernel is slow, to a fraction of a second.
+# argv[2] shrinks the position draw of the cluster functions
+# (analytic.POSITION_SAMPLES): the draw size decides no import, and a small
+# draw keeps the alpha != 4 runs, whose hyp2f1 kernel is slow, to a
+# fraction of a second.
 _FRESH_RUN = """\
 import json, sys
 from svcache import analytic, cli
 runs, samples = json.loads(sys.argv[1]), int(sys.argv[2])
 if samples:
-    for fn in (analytic.p_success_sbs_bl, analytic.p_success_sbs_el,
-               analytic.build_rate_table):
-        fn.__defaults__ = (samples,) + fn.__defaults__[1:]
+    analytic.POSITION_SAMPLES = samples
 for argv in runs:
     assert cli.main(argv) == 0, argv
 print(json.dumps(sorted(m for m in sys.modules

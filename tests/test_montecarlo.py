@@ -123,10 +123,13 @@ class TestServingScale:
                               _allocating_serving_scale(cfg, layer, n, 5_000,
                                                         23))
 
-    def test_last_draw_of_each_layer_is_kept_read_only(self, net):
+    def test_last_draw_of_each_layer_is_kept_read_only(self, net,
+                                                       position_samples):
         """The cluster kernel keeps the sorted draw of each layer."""
+        position_samples(1_000)
+
         def draw(layer, n):
-            return analytic._cluster_state(net, layer, n, 1_000, 31)[0]
+            return analytic._cluster_state(net, layer, n, 31)[0]
 
         bl = draw("bl", 2)
         assert not bl.flags.writeable

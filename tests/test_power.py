@@ -41,7 +41,7 @@ class TestScheme1:
 
     def test_fixed_power(self, profile, net, content, coeff):
         pb = power_scheme1(_all("fractional", content.f_count, 0.3),
-                           profile, net, content, coeff, smoothing=0.01)
+                           profile, net, content, coeff)
         assert pb.p_fix == (net.n1 + net.n2) * coeff.p_s_fix + coeff.p_m_fix
 
     def test_ucp_hand_computed(self, profile, net, content, coeff):
@@ -49,7 +49,7 @@ class TestScheme1:
         f = content.f_count
         q1, q2 = content.m_b / f, content.m_e / f
         pb = power_scheme1(_policy("fractional", [q1] * f, [q2] * f),
-                           profile, net, content, coeff)  # exact l0
+                           profile, net, content, coeff)
         # every fraction is strictly inside (0,1): all indicators are 1
         p_tr = sum(p * (net.p_s * coeff.zeta_s * (net.n1 + h * net.n2)
                         + net.p_m * coeff.zeta_m * (1.0 + h))
@@ -63,16 +63,6 @@ class TestScheme1:
         assert pb.p_ca == pytest.approx(p_ca, rel=1e-12)
         assert pb.p_bh == pytest.approx(p_bh, rel=1e-12)
         assert pb.p_total == pb.p_tr + pb.p_ca + pb.p_bh + pb.p_fix
-
-    def test_smoothed_matches_l0_on_binary_policy(self, profile, net, content,
-                                                  coeff):
-        f = content.f_count
-        binary = _policy("fractional", [1.0] * 5 + [0.0] * (f - 5),
-                         [1.0] * 2 + [0.0] * (f - 2))
-        exact = power_scheme1(binary, profile, net, content, coeff)
-        smooth = power_scheme1(binary, profile, net, content, coeff,
-                               smoothing=1e-8)
-        assert smooth.p_tr == pytest.approx(exact.p_tr, abs=1e-6 * exact.p_tr)
 
     def test_mode_mismatch(self, profile, net, content, coeff):
         with pytest.raises(ValueError, match="mode"):
@@ -127,7 +117,7 @@ class TestScheme2:
         q1 = [1.0] * 5 + [0.0] * (f - 5)
         q2 = [1.0] * 2 + [0.0] * (f - 2)
         s1 = power_scheme1(_policy("fractional", q1, q2), profile, net,
-                           content, coeff)  # exact l0
+                           content, coeff)
         s2 = power_scheme2(_policy("random", q1, q2), profile, net, content,
                            coeff)
         for field in ("p_tr", "p_ca", "p_bh", "p_fix"):
