@@ -341,8 +341,8 @@ def _cluster_p(cfg, layer, gamma, n_serving, seed):
     on the rest, and the mean sums the whole buffer, so it gives the bits
     of the kernel run on every sample.
     """
-    if n_serving < 1:
-        raise ValueError("n_serving must be >= 1")
+    if not 1 <= n_serving <= (cfg.n1 if layer == "bl" else cfg.n2):
+        raise ValueError("n_serving must lie in 1..cluster size")
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
     s, sigma, sigma_m = _cluster_state(cfg, layer, n_serving, seed)

@@ -1,14 +1,14 @@
 """Projected gradient ascent over the capped-simplex feasible sets.
 
-Each caching block lives on {x : 0 <= x_f <= 1, sum x_f = budget}.  The
-projection is exact: sorting the 2F kinks of u -> sum_f min([v_f - u]^+, 1)
-gives the linear piece on which that map meets the budget.  The ascent uses
-the diminishing step eps(t) = eps0/t, eps0 = 1/||g0||_inf for the initial
-gradient g0, with per-block projections, and terminates when the relative
-objective change falls below rel_tol.  Each iterate costs one call of the
-objective's per-file core, which returns the EE and its exact gradient
-together; after the loop one more call gives the stationarity residual of
-the returned iterate.
+The blocks (q1, M_B) and (q2, M_E) each live on {x : 0 <= x_f <= 1,
+sum x_f = budget}, and one loop steps and projects both.  The projection
+is exact: sorting the 2F kinks of u -> sum_f min([v_f - u]^+, 1) gives the
+linear piece on which that map meets the budget.  The ascent uses the
+diminishing step eps(t) = eps0/t, eps0 = 1/||g0||_inf for the initial
+gradient g0, and terminates when the relative objective change falls
+below rel_tol.  Each iterate costs one call of the objective's per-file
+core, which returns the EE and its exact gradient together; after the loop
+one more call gives the stationarity residual of the returned iterate.
 """
 
 from __future__ import annotations
@@ -44,21 +44,25 @@ class SolverSettings:
 
 @dataclass
 class TraceRow:
+    """One ascent iteration, a row of trace.csv: the iteration t, the EE
+    of the new iterate, the step eps0/t and max_delta, the largest change
+    of any caching fraction in either block."""
+
     iteration: int
     ee: float
     step: float
-    u_thresh: float
-    v_thresh: float
     max_delta: float
 
 
 @dataclass
 class SolverTrace:
+    """The ascent's TraceRow per iteration, why it stopped ("converged" or
+    "max_iters") and how far from stationary the returned iterate is: the
+    largest, over both blocks, of ||Proj(q + g/||g||_inf) - q||_inf (0 at
+    a zero gradient)."""
+
     rows: list = field(default_factory=list)
     termination: str = ""
-    # How far from stationary the returned iterate is: the largest, over
-    # both blocks, of ||Proj(q + g/||g||_inf) - q||_inf (0 at a zero
-    # gradient).
     residual: float = math.nan
 
     def ee_values(self) -> np.ndarray:
@@ -66,23 +70,19 @@ class SolverTrace:
 
 
 def project_capped_simplex(v, budget: float) -> np.ndarray:
-    """Euclidean projection of v onto {x in [0,1]^F : sum x = budget}."""
-    v = np.asarray(v, dtype=float)
-    if not 0 <= budget <= len(v):
-        raise ValueError(f"budget {budget} outside [0, {len(v)}]")
-    u, _ = _project_with_threshold(v, budget)
-    return u
-
-
-def _project_with_threshold(v: np.ndarray, budget: float):
-    """Exact projection x = clip(v - u, 0, 1) and its threshold u.
+    """Euclidean projection x = clip(v - u, 0, 1) of v onto
+    {x in [0,1]^F : sum x = budget}.
 
     m(u) = sum_f clip(v_f - u, 0, 1) is non-increasing and piecewise
     linear, with kinks at v_f - 1 (x_f leaves 1) and v_f (x_f reaches 0).
     On the piece after the last sorted kink where m >= budget, solve
-    m(u) = n_ones + sum_free - n_free * u = budget.
+    m(u) = n_ones + sum_free - n_free * u = budget.  On a flat piece
+    (n_free = 0) every u in it gives the same x, so its kink is taken.
     """
+    v = np.asarray(v, dtype=float)
     f_count = len(v)
+    if not 0 <= budget <= f_count:
+        raise ValueError(f"budget {budget} outside [0, {f_count}]")
     kinks = np.concatenate((v - 1.0, v))
     order = np.argsort(kinks, kind="stable")
     kinks = kinks[order]
@@ -94,7 +94,7 @@ def _project_with_threshold(v: np.ndarray, budget: float):
     hits = np.flatnonzero(n_ones + sum_free - n_free * kinks >= budget)
     j = hits[-1] if hits.size else 0
     u = (n_ones[j] + sum_free[j] - budget) / n_free[j] if n_free[j] else kinks[j]
-    return np.minimum(np.maximum(v - u, 0.0), 1.0), u
+    return np.minimum(np.maximum(v - u, 0.0), 1.0)
 
 
 def make_initial_policy(kind: str, content: ContentConfig, seed: int = 0,
@@ -124,7 +124,7 @@ def _residual(q: np.ndarray, grad: np.ndarray, budget: float) -> float:
     scale = np.abs(grad).max()
     if scale == 0:
         return 0.0
-    x, _ = _project_with_threshold(q + grad / scale, budget)
+    x = project_capped_simplex(q + grad / scale, budget)
     return float(np.abs(x - q).max())
 
 
@@ -152,39 +152,38 @@ def optimize(initial: CachingPolicy, ctx: ObjectiveContext,
                          f"ctx.theta = {ctx.theta}")
 
     mode = initial.mode
-    m_b, m_e = ctx.content.m_b, ctx.content.m_e
-    q1, q2 = np.asarray(initial.q1), np.asarray(initial.q2)
+    budgets = (ctx.content.m_b, ctx.content.m_e)
+    q = (np.asarray(initial.q1), np.asarray(initial.q2))
     trace = SolverTrace()
-    ee, grad1, grad2 = _ee_and_gradient(mode, q1, q2, ctx)
-    best_q, best_ee = (q1, q2), ee
+    ee, *grad = _ee_and_gradient(mode, *q, ctx)
+    best_q, best_ee = q, ee
     # The EE gradient carries physical units (bits/joule per caching
     # fraction), so the diminishing step 1/t is normalized by the initial
     # gradient's sup-norm; otherwise the first steps saturate the box for
     # any realistic parameter scale.
-    g0 = max(np.abs(grad1).max(), np.abs(grad2).max())
+    g0 = max(np.abs(g).max() for g in grad)
     eps0 = 1.0 / g0 if g0 > 0 else 1.0
     termination = "max_iters"
     for t in range(1, settings.max_iters + 1):
         step = eps0 / t
-        q1_new, u_thresh = _project_with_threshold(q1 + step * grad1, m_b)
-        q2_new, v_thresh = _project_with_threshold(q2 + step * grad2, m_e)
-        max_delta = max(np.abs(q1_new - q1).max(), np.abs(q2_new - q2).max())
-        q1, q2 = q1_new, q2_new
-        check_budget(q1, q2, ctx.content)  # every iterate stays feasible
-        ee_new, grad1, grad2 = _ee_and_gradient(mode, q1, q2, ctx)
-        trace.rows.append(TraceRow(t, ee_new, float(step), float(u_thresh),
-                                   float(v_thresh), float(max_delta)))
+        q_new = tuple(project_capped_simplex(x + step * g, m)
+                      for x, g, m in zip(q, grad, budgets))
+        max_delta = max(np.abs(a - b).max() for a, b in zip(q_new, q))
+        q = q_new
+        check_budget(*q, ctx.content)  # every iterate stays feasible
+        ee_new, *grad = _ee_and_gradient(mode, *q, ctx)
+        trace.rows.append(TraceRow(t, ee_new, float(step), float(max_delta)))
         if ee_new > best_ee:
-            best_q, best_ee = (q1, q2), ee_new
+            best_q, best_ee = q, ee_new
         if abs(ee_new - ee) <= settings.rel_tol * max(abs(ee), 1e-300):
             termination = "converged"
             break
         ee = ee_new
 
     trace.termination = termination
-    _, grad1, grad2 = _ee_and_gradient(mode, *best_q, ctx)
-    trace.residual = max(_residual(best_q[0], grad1, m_b),
-                         _residual(best_q[1], grad2, m_e))
+    _, *grad = _ee_and_gradient(mode, *best_q, ctx)
+    trace.residual = max(_residual(x, g, m)
+                         for x, g, m in zip(best_q, grad, budgets))
     return CachingPolicy(mode=mode, q1=tuple(best_q[0]), q2=tuple(best_q[1])), trace
 
 

@@ -209,6 +209,11 @@ class TestSuccessSbs:
             analytic.p_success_sbs_bl(net, 10.0, 0)
         with pytest.raises(ValueError):
             analytic.p_success_sbs_el(net, 0.0, 1)
+        # no more serving SBSs than the cluster holds, as in montecarlo
+        for fn, n in ((analytic.p_success_sbs_bl, net.n1),
+                      (analytic.p_success_sbs_el, net.n2)):
+            with pytest.raises(ValueError, match="1..cluster size"):
+                fn(net, 10.0, n + 1)
 
 
 def _reference_exponent(cfg, layer, c):
@@ -377,6 +382,10 @@ class TestErgodicRates:
             analytic.ergodic_rate_mbs(net, 0.0)
         with pytest.raises(ValueError):
             analytic.ergodic_rate_sbs_bl(net, 10.0, 0)
+        for fn, n in ((analytic.ergodic_rate_sbs_bl, net.n1),
+                      (analytic.ergodic_rate_sbs_el, net.n2)):
+            with pytest.raises(ValueError, match="1..cluster size"):
+                fn(net, 10.0, n + 1)
 
 
 class TestRateTable:

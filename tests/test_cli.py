@@ -197,8 +197,7 @@ class TestOptimize:
         line = capsys.readouterr().out.splitlines()[0]
         assert float(line.split("residual = ")[1]) >= 0.0
         header, trace_rows = _read_csv(tmp_path / "trace.csv")
-        assert header == ["iteration", "ee", "step", "u_thresh", "v_thresh",
-                          "max_delta"]
+        assert header == ["iteration", "ee", "step", "max_delta"]
         assert 1 <= len(trace_rows) <= 50
         # every cell is a plain number, not a numpy scalar's repr
         numbers = [[float(x) for x in r] for r in trace_rows]

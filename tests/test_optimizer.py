@@ -1,7 +1,7 @@
 """Capped-simplex projection and the projected-gradient EE maximizer."""
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -61,11 +61,15 @@ class TestProjection:
             project_capped_simplex([0.5, 0.5], -0.1)
 
     def test_against_enumeration_oracle(self):
+        """1,000 real budgets, then 3,000 integer budgets 0..F: only the
+        integer ones reach a flat piece of the budget map (no free entry)
+        and the all-zero and all-one ends."""
         rng = np.random.default_rng(0)
-        for _ in range(1000):
+        for draw in range(4000):
             f_count = int(rng.integers(2, 7))
             v = rng.normal(0.0, 2.0, f_count)
-            budget = float(rng.uniform(0.0, f_count))
+            budget = float(rng.uniform(0.0, f_count) if draw < 1000
+                           else rng.integers(0, f_count + 1))
             got = project_capped_simplex(v, budget)
             want = _oracle_project(v, budget)
             assert got == pytest.approx(want, abs=1e-6)
@@ -199,8 +203,10 @@ class TestOptimize:
 
     def test_rate_table_ulp_moves_no_trace_row(self, ctx):
         """One ulp up on every rate-table entry moves no trace EE by more
-        than 1e-12 relative and no iteration count: the gradient does not
-        amplify rounding the way a finite-difference step would."""
+        than 1e-12 relative, no step, no max_delta by more than 1e-12 and
+        no iteration count: the gradient does not amplify rounding the way
+        a finite-difference step would, and no trace column reads a value
+        the iterate does not fix."""
         r = ctx.rates
         up = lambda x: float(np.nextafter(x, np.inf))
         moved = replace(ctx, rates=RateTable(
@@ -212,9 +218,14 @@ class TestOptimize:
             _, base = optimize(initial, ctx)
             _, other = optimize(initial, moved)
             assert other.termination == base.termination == "converged"
-            a, b = base.ee_values(), other.ee_values()
-            assert len(a) == len(b)
-            assert np.abs(b - a).max() <= 1e-12 * np.abs(a).max()
+            assert len(base.rows) == len(other.rows)
+            a, b = (np.array([astuple(r) for r in tr.rows])
+                    for tr in (base, other))
+            assert np.array_equal(b[:, 0], a[:, 0])    # iteration
+            assert (np.abs(b[:, 1] - a[:, 1]).max()
+                    <= 1e-12 * np.abs(a[:, 1]).max())  # ee
+            assert np.array_equal(b[:, 2], a[:, 2])    # step
+            assert np.abs(b[:, 3] - a[:, 3]).max() <= 1e-12  # max_delta
 
 
 def _top_or_bottom(weights, budget):
