@@ -44,9 +44,8 @@ class SolverSettings:
 
 @dataclass
 class TraceRow:
-    """One ascent iteration, a row of trace.csv: the iteration t, the EE
-    of the new iterate, the step eps0/t and max_delta, the largest change
-    of any caching fraction in either block."""
+    """A row of trace.csv: iteration t, the new iterate's EE, the step
+    eps0/t and max_delta, the largest change of any caching fraction."""
 
     iteration: int
     ee: float
@@ -56,10 +55,9 @@ class TraceRow:
 
 @dataclass
 class SolverTrace:
-    """The ascent's TraceRow per iteration, why it stopped ("converged" or
-    "max_iters") and how far from stationary the returned iterate is: the
-    largest, over both blocks, of ||Proj(q + g/||g||_inf) - q||_inf (0 at
-    a zero gradient)."""
+    """A TraceRow per iteration, why the ascent stopped ("converged" or
+    "max_iters") and the residual ||Proj(q + g/||g||_inf) - q||_inf of the
+    returned iterate, largest over both blocks (0 at a zero gradient)."""
 
     rows: list = field(default_factory=list)
     termination: str = ""
@@ -166,9 +164,10 @@ def optimize(initial: CachingPolicy, ctx: ObjectiveContext,
     termination = "max_iters"
     for t in range(1, settings.max_iters + 1):
         step = eps0 / t
-        q_new = tuple(project_capped_simplex(x + step * g, m)
-                      for x, g, m in zip(q, grad, budgets))
-        max_delta = max(np.abs(a - b).max() for a, b in zip(q_new, q))
+        q_new, max_delta = [], 0.0
+        for x, g, m in zip(q, grad, budgets):
+            q_new.append(project_capped_simplex(x + step * g, m))
+            max_delta = max(max_delta, np.abs(q_new[-1] - x).max())
         q = q_new
         check_budget(*q, ctx.content)  # every iterate stays feasible
         ee_new, *grad = _ee_and_gradient(mode, *q, ctx)
