@@ -6,17 +6,29 @@ form otherwise.  Cluster probabilities depend on the serving positions
 only through S = sum r^-alpha and are averaged over S by Monte-Carlo
 position integration with inverse-CDF radius sampling, POSITION_SAMPLES
 positions per seed.  One kernel serves every alpha: it sorts the draw by S
-once, keeps S^(-2/alpha) per sample, and sums the terms in sorted order.
-At alpha = 4 a sample costs one arctan in either layer: the EL annulus's
-outer and head terms merge into one arctan by the addition formula.  A
-sample whose exponent is so large that exp underflows to exactly 0.0 is
-not evaluated: its 0.0 is written in place, so every average keeps the
-bits of the kernel run on every sample.
+once, keeps sigma = S^(-2/alpha) per sample, and sums the terms in sorted
+order.  At alpha = 4 a sample costs one arctan in either layer: the EL
+annulus's outer and head terms merge into one arctan by the addition
+formula.
 The nearest-MBS radial integral is exact when alpha_m = alpha_s and uses
-adaptive quadrature otherwise; the SIR tail of every ergodic rate uses
-21-point Gauss-Kronrod segments on a logarithmic scale, bisected where the
-embedded 10-point Gauss rule disagrees and extended until they stop
-contributing.
+adaptive quadrature otherwise.  Every ergodic rate is a success-conditioned
+SIR tail integral, taken by one routine over a node axis: 21-point
+Gauss-Kronrod segments on a logarithmic scale, bisected where the embedded
+10-point Gauss rule disagrees and extended until they stop contributing,
+each rule applied node by node.  The MBS rate is one node.  A cluster rate
+swaps the tail integral and the position average (Fubini):
+
+    R = W log2(1+gamma)
+        + (W/ln2) E[phi(gamma, sigma) Psi(sigma)] / E[phi(gamma, sigma)],
+    Psi(sigma) = int_gamma^inf phi(t, sigma) / phi(gamma, sigma) dt/(1+t),
+
+with phi the kernel's P(SIR_S >= t) at one position sample.  Psi is the
+tail at one sample conditioned on its success, so it varies slowly in
+ln sigma even where phi(gamma, sigma) falls by hundreds of orders of
+magnitude.  It depends on the layer and gamma but not on the serving
+count, so it is tabulated once, as a piecewise Chebyshev interpolant in
+ln sigma whose nodes are tail integrals; a rate is then one kernel pass
+at gamma and one interpolant pass over its draw.
 
 scipy is imported inside the branches that call it: scipy.special for
 hyp2f1 at alpha != 4, scipy.integrate for the radial quadrature at
@@ -26,7 +38,6 @@ alpha_m = alpha_s = 4 this module runs on numpy alone.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,9 +50,6 @@ POSITION_SAMPLES = 200_000
 
 # Relative tail threshold for truncating the SIR integral over t.
 _TAIL_REL = 1e-8
-
-# exp(-x) rounds to exactly 0.0 for every x above 745.14.
-_UNDERFLOW = 746.0
 
 # QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (qk21; Piessens et al.,
 # 1983): the non-negative abscissae, largest first, and their Kronrod
@@ -70,6 +78,23 @@ _GK_WG = np.array([
 # integral so far; at most _MAX_BISECTIONS times per width-4 segment.
 _TAIL_PIECE_REL = 1e-10
 _MAX_BISECTIONS = 50
+
+# The Psi table's pieces: each spans _PSI_WIDTH in ln sigma, counted down
+# from ln(outer^2), and interpolates on the _PSI_NODES Chebyshev points
+# u_i = cos(pi (i + 1/2) / _PSI_NODES) of [-1, 1].  _PSI_DCT maps a piece's
+# node values to its Chebyshev coefficients.  Pieces of width 1 are 4e-13
+# off the tail integrals in the top piece at alpha_s = 6; width 0.5 is
+# within 7e-14 on the tested scenarios wherever |ln phi(gamma)| < 100.
+_PSI_WIDTH = 0.5
+_PSI_NODES = 16
+_PSI_U = np.array([math.cos(math.pi * (i + 0.5) / _PSI_NODES)
+                   for i in range(_PSI_NODES)])
+_PSI_DCT = np.array([[(1.0 if k else 0.5) * 2.0 / _PSI_NODES
+                      * math.cos(math.pi * k * (i + 0.5) / _PSI_NODES)
+                      for i in range(_PSI_NODES)] for k in range(_PSI_NODES)])
+# Samples per block of the interpolant's evaluation, so that its
+# temporaries stay small whatever the draw's size.
+_PSI_BLOCK = 8192
 
 
 class QuadratureError(RuntimeError):
@@ -145,6 +170,13 @@ def g_alpha_vec(alpha: float, x) -> np.ndarray:
     return out
 
 
+def _check_gamma(gamma: float) -> None:
+    """Reject an SIR threshold that is not finite and > 0; every public
+    p_success_* and ergodic_rate_* checks its threshold here."""
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and > 0, got {gamma!r}")
+
+
 # ---------------------------------------------------------------------------
 # Serving via the nearest MBS
 # ---------------------------------------------------------------------------
@@ -156,8 +188,7 @@ def p_success_mbs(cfg: NetworkConfig, gamma: float) -> float:
     z = pi*lambda_m*x^2 so the position density becomes exp(-z).  It is
     exact when alpha_m = alpha_s and adaptive quadrature otherwise.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
+    _check_gamma(gamma)
     # The exponent is c1*z + c2*z^kappa: MBS interference gives the linear
     # part, SBS interference the power.  Rescaling by 1 + c1 keeps the
     # integrand O(1) wide even for huge gamma, where the mass would
@@ -223,11 +254,12 @@ def _cluster_log_p(cfg: NetworkConfig, layer: str, t: float, sigma, sigma_m,
 
     One entry per position sample, given sigma = S^(-2/alpha_s) and
     sigma_m = S^(-2/alpha_m) of its S = sum r^-alpha_s (used only when
-    alpha_m != alpha_s).  With c = t/S, y = t^(2/alpha_s) * sigma is
-    c^(2/alpha_s), and the SBSs beyond the layer's silent ring contribute
-    G(outer^2 / y).  SBSs inside the ring add the head integral
-    G(0) - G(inner^2 / y); a ring starting at 0 has none.  work holds two
-    scratch rows of out's length.
+    alpha_m != alpha_s).  t is a scalar, or a column of thresholds that
+    broadcasts against sigma to out's shape.  With c = t/S,
+    y = t^(2/alpha_s) * sigma is c^(2/alpha_s), and the SBSs beyond the
+    layer's silent ring contribute G(outer^2 / y).  SBSs inside the ring
+    add the head integral G(0) - G(inner^2 / y); a ring starting at 0 has
+    none.  work holds two scratch arrays of out's shape.
 
     At alpha_s = 4 the kernel works in u = y / outer^2 and
     rho = (inner / outer)^2 < 1.  The outer term is arctan(u), which does
@@ -245,7 +277,7 @@ def _cluster_log_p(cfg: NetworkConfig, layer: str, t: float, sigma, sigma_m,
     if a_s == 4.0:
         # the y row holds u = c^(1/2) / outer^2
         scale = outer ** 2
-        np.multiply(sigma, math.sqrt(t) / scale, out=y)
+        np.multiply(sigma, np.sqrt(t) / scale, out=y)
         if inner > 0.0:
             rho = (inner / outer) ** 2
             np.divide(rho, y, out=tmp)
@@ -275,34 +307,6 @@ def _cluster_log_p(cfg: NetworkConfig, layer: str, t: float, sigma, sigma_m,
     return out
 
 
-@functools.lru_cache(maxsize=4)
-def _underflow_c(cfg: NetworkConfig, layer: str) -> float:
-    """A c at or above which _cluster_log_p is <= -_UNDERFLOW, or inf.
-
-    The exponent is a Laplace exponent, increasing in c, so bisection finds
-    where it crosses _UNDERFLOW; it evaluates _cluster_log_p itself at t = c
-    and S = 1.  The exponent's MBS term alone reaches _UNDERFLOW at a
-    closed-form c; the SBS term is >= 0, so that c brackets the crossing.
-    When that bound overflows, nothing is cut.
-    """
-    with np.errstate(over="ignore"):
-        hi = float(cfg.p_s / cfg.p_m * np.float64(
-            _UNDERFLOW / (math.pi * cfg.lambda_m * g_alpha_zero(cfg.alpha_m)))
-            ** (cfg.alpha_m / 2.0))
-    if not math.isfinite(hi):
-        return math.inf
-    one, out, work = np.ones(1), np.empty(1), np.empty((2, 1))
-    lo = 0.0
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        _cluster_log_p(cfg, layer, mid, one, one, out, work)
-        if out[0] <= -_UNDERFLOW:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 # The kernel state of the last serving draw of each layer, keyed on the
 # arguments that made it.  One draw per layer bounds the memory it holds.
 _STATES: dict = {}
@@ -313,9 +317,10 @@ def _cluster_state(cfg: NetworkConfig, layer: str, n: int, seed: int) -> tuple:
     positions, read-only.
 
     S is the _serving_scale draw sorted ascending, sigma = S^(-2/alpha_s)
-    and sigma_m = S^(-2/alpha_m) (sigma itself when alpha_m = alpha_s).
-    The state of the last draw of each layer is kept, so repeated calls at
-    one (cfg, n, seed) draw and sort once.
+    (so descending, and at most outer^2 because S >= outer^-alpha_s) and
+    sigma_m = S^(-2/alpha_m) (sigma itself when alpha_m = alpha_s).  The
+    state of the last draw of each layer is kept, so repeated calls at one
+    (cfg, n, seed) draw and sort once.
     """
     key = (cfg, n, seed)
     if layer in _STATES and _STATES[layer][0] == key:
@@ -332,124 +337,256 @@ def _cluster_state(cfg: NetworkConfig, layer: str, n: int, seed: int) -> tuple:
     return s, sigma, sigma_m
 
 
-def _cluster_p(cfg, layer, gamma, n_serving, seed):
-    """P(SIR_S >= t) averaged over serving positions, as a function of t.
-
-    The samples are sorted by S.  A sample with S <= t / c_max has
-    c = t/S >= c_max, so its exponent is >= _UNDERFLOW and its exp is
-    exactly 0.0: that prefix of the buffer is zero-filled, the kernel runs
-    on the rest, and the mean sums the whole buffer, so it gives the bits
-    of the kernel run on every sample.
-    """
+def _cluster_draw(cfg, layer, gamma, n_serving, seed) -> tuple:
+    """The checked arguments' _cluster_state."""
     if not 1 <= n_serving <= (cfg.n1 if layer == "bl" else cfg.n2):
         raise ValueError("n_serving must lie in 1..cluster size")
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
-    s, sigma, sigma_m = _cluster_state(cfg, layer, n_serving, seed)
-    c_max = _underflow_c(cfg, layer)
-    out, work = np.empty(s.size), np.empty((2, s.size))
+    _check_gamma(gamma)
+    return _cluster_state(cfg, layer, n_serving, seed)
 
-    def p_at(t):
-        k = int(np.searchsorted(s, t / c_max, side="right"))
-        out[:k] = 0.0
-        kept = out[k:]
-        _cluster_log_p(cfg, layer, t, sigma[k:], sigma_m[k:], kept,
-                       work[:, k:])
-        np.exp(kept, out=kept)
-        return float(out.sum()) / s.size
 
-    return p_at
+def _cluster_terms(cfg, layer, gamma, sigma, sigma_m) -> np.ndarray:
+    """P(SIR_S >= gamma) at each sample of a draw: exp of the kernel."""
+    out = np.empty(sigma.size)
+    _cluster_log_p(cfg, layer, gamma, sigma, sigma_m, out,
+                   np.empty((2, sigma.size)))
+    return np.exp(out, out=out)
+
+
+def _cluster_p(cfg, layer, gamma, n_serving, seed) -> float:
+    """P(SIR_S >= gamma) averaged over the sorted draw: the kernel on every
+    sample, summed in sorted order."""
+    _, sigma, sigma_m = _cluster_draw(cfg, layer, gamma, n_serving, seed)
+    terms = _cluster_terms(cfg, layer, gamma, sigma, sigma_m)
+    return float(terms.sum()) / sigma.size
 
 
 def p_success_sbs_bl(cfg: NetworkConfig, gamma_bl: float, n1_serving: int,
                      seed: int = 0) -> float:
     """P(SIR_S,BL >= gamma_bl) with n1_serving cooperative SBSs in the disk."""
-    return _cluster_p(cfg, "bl", gamma_bl, n1_serving, seed)(gamma_bl)
+    return _cluster_p(cfg, "bl", gamma_bl, n1_serving, seed)
 
 
 def p_success_sbs_el(cfg: NetworkConfig, gamma_el: float, n2_serving: int,
                      seed: int = 0) -> float:
     """P(SIR_S,EL >= gamma_el) with n2_serving cooperative SBSs in the annulus."""
-    return _cluster_p(cfg, "el", gamma_el, n2_serving, seed)(gamma_el)
+    return _cluster_p(cfg, "el", gamma_el, n2_serving, seed)
 
 
 # ---------------------------------------------------------------------------
 # Ergodic service rates
 # ---------------------------------------------------------------------------
 
-def _tail_rate(cfg: NetworkConfig, gamma: float, p_at) -> float:
-    """Ergodic rate conditioned on SIR >= gamma, given t -> P(SIR >= t).
+def _weighted_sum(weights, rows) -> np.ndarray:
+    """sum_i weights[i] * rows[i], accumulated in index order, so that each
+    column's value does not depend on the other columns: weights @ rows
+    gave other bits in about one column in ten when the column count
+    changed (numpy 2.4 with its bundled BLAS)."""
+    acc = weights[0] * rows[0]
+    for w, row in zip(weights[1:], rows[1:]):
+        acc += w * row
+    return acc
 
-    Conditioning is on the overall success event, so the SIR tail
-    probability is averaged over serving positions in the numerator and
-    denominator separately:
 
-        R = W log2(1+gamma) + (W/ln2) int_gamma^inf P(SIR>=t)
-                                       / ((1+t) P(SIR>=gamma)) dt.
+def _tail_integral(gamma: float, p_at, size: int) -> np.ndarray:
+    """int_gamma^inf p(t) / (1 + t) dt for each of size nodes.
 
-    The tail integral is log-substituted (t = gamma*e^s) and summed over
-    segments of width 4 in s until the last segment contributes
-    < _TAIL_REL of the total (the default scenario's BL rates take 9
-    segments, to s = 36).  Each segment is integrated with the 21-point
+    p_at(t, idx) gives p at the thresholds t (a 1-D array) for the nodes
+    idx, as a (t.size, idx.size) array.  The integral is log-substituted
+    (t = gamma*e^s) and summed over segments of width 4 in s until a
+    node's last segment contributes < _TAIL_REL of its total (on the
+    default scenario the BL Psi table takes 9 segments, to s = 36, and an
+    MBS rate 11).  Each segment is integrated with the 21-point
     Gauss-Kronrod rule; a piece whose |K21 - G10| exceeds _TAIL_PIECE_REL
-    of the total so far (this piece included) is bisected, left half
-    first.  The default scenario bisects nothing, so a rate there costs 21
-    p_at calls per segment.
+    of the node's total so far (this piece included) is bisected for that
+    node, left half first.  Both rules act node by node and every step is
+    elementwise, so a node's value does not depend on which other nodes
+    share the call.
     """
 
-    def piece(lo, hi):
+    def piece(lo, hi, idx):
         # K21 and |K21 - G10| over [lo, hi]; the centre node is unpaired
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         x = half * _GK_X
         t = gamma * np.exp(np.concatenate((mid - x, mid + x[:-1])))
-        f = np.array([p_at(tk) for tk in t]) * (t / (1.0 + t))
+        f = p_at(t, idx) * (t / (1.0 + t))[:, None]
         pairs = f[:11]
         pairs[:-1] += f[11:]
-        k21 = half * float(_GK_WK @ pairs)
-        if not math.isfinite(k21):
+        k21 = half * _weighted_sum(_GK_WK, pairs)
+        if not np.isfinite(k21).all():
             raise QuadratureError("SIR tail integrand is not finite")
-        return k21, abs(k21 - half * float(_GK_WG @ pairs[1::2]))
+        return k21, np.abs(k21 - half * _weighted_sum(_GK_WG, pairs[1::2]))
 
-    p_gamma = p_at(gamma)
+    total = np.zeros(size)
+    live = np.arange(size)
+    for k in range(40):
+        seg, bisections = np.zeros(size), np.zeros(size, dtype=int)
+        todo = [(4.0 * k, 4.0 * k + 4.0, live)]
+        while todo:
+            lo, hi, idx = todo.pop()
+            k21, err = piece(lo, hi, idx)
+            ok = err <= _TAIL_PIECE_REL * (total[idx] + seg[idx] + k21)
+            seg[idx[ok]] += k21[ok]
+            idx = idx[~ok]
+            if idx.size == 0:
+                continue
+            bisections[idx] += 1
+            if bisections[idx].max() > _MAX_BISECTIONS:
+                raise QuadratureError(
+                    f"SIR tail integral needs more than {_MAX_BISECTIONS} "
+                    f"bisections on s in [{4 * k}, {4 * k + 4}]")
+            todo += [(0.5 * (lo + hi), hi, idx), (lo, 0.5 * (lo + hi), idx)]
+        total[live] += seg[live]
+        live = live[seg[live] >= _TAIL_REL * np.maximum(total[live], 1e-300)]
+        if live.size == 0:
+            return total
+    raise QuadratureError("SIR tail integral did not truncate")
+
+
+def _conditioned_rate(cfg: NetworkConfig, gamma: float, p_gamma: float,
+                      tail) -> float:
+    """W log2(1+gamma) + (W/ln2) tail() / P(SIR >= gamma): the ergodic rate
+    conditioned on the success event.  tail() gives the tail integral and
+    is called only when P(SIR >= gamma) = p_gamma is not 0."""
     if p_gamma == 0.0:
         raise ZeroDivisionError(
             f"P(SIR >= gamma) is 0 at gamma = {gamma:g}, so the rate "
             "conditioned on SIR >= gamma is undefined")
-    total = 0.0
-    for k in range(40):
-        seg, bisections = 0.0, 0
-        todo = [(4.0 * k, 4.0 * k + 4.0)]
-        while todo:
-            lo, hi = todo.pop()
-            k21, err = piece(lo, hi)
-            if err <= _TAIL_PIECE_REL * (total + seg + k21):
-                seg += k21
-                continue
-            bisections += 1
-            if bisections > _MAX_BISECTIONS:
-                raise QuadratureError(
-                    f"SIR tail integral needs more than {_MAX_BISECTIONS} "
-                    f"bisections on s in [{4 * k}, {4 * k + 4}]")
-            todo += [(0.5 * (lo + hi), hi), (lo, 0.5 * (lo + hi))]
-        total += seg
-        if seg < _TAIL_REL * max(total, 1e-300):
-            break
-    else:
-        raise QuadratureError("SIR tail integral did not truncate")
     return (cfg.w * math.log2(1.0 + gamma)
-            + cfg.w / math.log(2.0) * total / p_gamma)
+            + cfg.w / math.log(2.0) * tail() / p_gamma)
 
 
 def ergodic_rate_mbs(cfg: NetworkConfig, gamma: float) -> float:
-    """Ergodic nearest-MBS service rate conditioned on SIR >= gamma."""
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
-    return _tail_rate(cfg, gamma, lambda t: p_success_mbs(cfg, t))
+    """Ergodic nearest-MBS service rate conditioned on SIR >= gamma: the
+    tail integral of p_success_mbs, one node."""
+
+    def p_at(t, idx):
+        return np.array([[p_success_mbs(cfg, tk)] for tk in t])
+
+    return _conditioned_rate(
+        cfg, gamma, p_success_mbs(cfg, gamma),
+        lambda: float(_tail_integral(gamma, p_at, 1)[0]))
+
+
+def _psi_at(cfg: NetworkConfig, layer: str, gamma: float,
+            x: np.ndarray) -> np.ndarray:
+    """Psi(sigma) = int_gamma^inf phi(t, sigma) / phi(gamma, sigma) dt/(1+t)
+    at each ln sigma in x, one tail-integral node each.
+
+    phi is exp of the kernel, with sigma_m = sigma^(alpha_s/alpha_m); the
+    integrand is exp(ln phi(t) - ln phi(gamma)), so it starts at 1 however
+    small phi(gamma, sigma) is, and carries about |ln phi(gamma, sigma)|
+    ulp.
+    """
+    sigma = np.exp(x)
+    sigma_m = (sigma if cfg.alpha_m == cfg.alpha_s
+               else np.exp(x * (cfg.alpha_s / cfg.alpha_m)))
+    log_p_gamma = _cluster_log_p(cfg, layer, gamma, sigma, sigma_m,
+                                 np.empty(x.size), np.empty((2, x.size)))
+
+    def phi(t, idx):
+        out = np.empty((t.size, idx.size))
+        _cluster_log_p(cfg, layer, t[:, None], sigma[idx], sigma_m[idx], out,
+                       np.empty((2,) + out.shape))
+        out -= log_p_gamma[idx]
+        return np.exp(out, out=out)
+
+    return _tail_integral(gamma, phi, x.size)
+
+
+def _psi_top(cfg: NetworkConfig, layer: str) -> float:
+    """ln(outer^2), the top edge of the Psi table: sigma <= outer^2."""
+    return 2.0 * math.log(_ring(cfg, layer)[1])
+
+
+# The Psi table of the last (cfg, gamma, seed) of each layer: its key and
+# the Chebyshev coefficients of each piece built so far, top piece first.
+# Keyed on the seed of the draws it serves, like _STATES, so a new seed
+# pays the build again.
+_PSI: dict = {}
+
+
+def _psi_table(cfg: NetworkConfig, layer: str, gamma: float, seed: int,
+               pieces: int) -> list:
+    """The Chebyshev coefficients of Psi on the first `pieces` pieces.
+
+    With w = _PSI_WIDTH and top = ln(outer^2), piece j spans ln sigma in
+    [top - (j+1) w, top - j w]; its nodes are the tail integrals _psi_at
+    at top - (j + 1/2) w + u_i w/2, and _PSI_DCT turns them into
+    coefficients.  Missing pieces are built in one _psi_at call and added
+    to the layer's cached table.  A piece depends only on (cfg, layer,
+    gamma, j), so the table does not depend on the order of the calls
+    that grew it.
+    """
+    key = (cfg, gamma, seed)
+    if layer not in _PSI or _PSI[layer][0] != key:
+        _PSI[layer] = (key, [])
+    table = _PSI[layer][1]
+    if len(table) < pieces:
+        j = np.arange(len(table), pieces)
+        x = ((_psi_top(cfg, layer) - (j + 0.5) * _PSI_WIDTH)[:, None]
+             + 0.5 * _PSI_WIDTH * _PSI_U)
+        psi = _psi_at(cfg, layer, gamma, x.ravel()).reshape(x.shape)
+        table += [_PSI_DCT @ row for row in psi]
+    return table
+
+
+def _clenshaw(coef, u: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] T_k(u), by Clenshaw's recurrence."""
+    u2 = 2.0 * u
+    b1, b2 = np.full_like(u, coef[-1]), np.zeros_like(u)
+    for c in coef[-2:0:-1]:
+        b1, b2 = u2 * b1 - b2 + c, b1
+    return u * b1 - b2 + coef[0]
+
+
+def _psi_runs(top: float, s: np.ndarray, alpha_s: float, pieces: int):
+    """(j, start, stop) of each piece j of the Psi table and the run of a
+    sorted draw it holds: the samples with ln sigma in
+    (top - (j+1) w, top - j w], found on S = sigma^(-alpha_s/2)."""
+    stop = 0
+    for j in range(pieces):
+        start, stop = stop, int(np.searchsorted(s, math.exp(
+            0.5 * alpha_s * ((j + 1) * _PSI_WIDTH - top))))
+        yield j, start, stop
+
+
+def _psi_mean(table: list, top: float, s: np.ndarray, sigma: np.ndarray,
+              alpha_s: float, weights: np.ndarray) -> float:
+    """sum_i weights_i Psi(sigma_i) / N over a sorted draw of N samples,
+    the Psi interpolant evaluated run by run in blocks of _PSI_BLOCK
+    samples."""
+    total = 0.0
+    for j, start, stop in _psi_runs(top, s, alpha_s, len(table)):
+        mid = top - (j + 0.5) * _PSI_WIDTH
+        for lo in range(start, stop, _PSI_BLOCK):
+            u = np.log(sigma[lo:min(lo + _PSI_BLOCK, stop)])
+            u -= mid
+            u *= 2.0 / _PSI_WIDTH
+            total += float(_clenshaw(table[j], u) @ weights[lo:lo + u.size])
+    return total / sigma.size
+
+
+def _psi_pieces(top: float, sigma: np.ndarray) -> int:
+    """Pieces of the Psi table that cover a draw: down past its smallest
+    sigma (its last sample)."""
+    return math.floor((top - math.log(sigma[-1])) / _PSI_WIDTH) + 1
 
 
 def _ergodic_rate_cluster(cfg, layer, gamma, n_serving, seed):
-    return _tail_rate(cfg, gamma, _cluster_p(cfg, layer, gamma, n_serving,
-                                             seed))
+    """The rate from E[phi(gamma) Psi] / E[phi(gamma)] over the draw: one
+    kernel pass at gamma, whose terms weight one pass of the Psi
+    interpolant."""
+    s, sigma, sigma_m = _cluster_draw(cfg, layer, gamma, n_serving, seed)
+    terms = _cluster_terms(cfg, layer, gamma, sigma, sigma_m)
+    top = _psi_top(cfg, layer)
+
+    def tail():
+        table = _psi_table(cfg, layer, gamma, seed, _psi_pieces(top, sigma))
+        return _psi_mean(table, top, s, sigma, cfg.alpha_s, terms)
+
+    return _conditioned_rate(cfg, gamma, float(terms.sum()) / sigma.size,
+                             tail)
 
 
 def ergodic_rate_sbs_bl(cfg: NetworkConfig, gamma_bl: float, n1_serving: int,

@@ -49,11 +49,13 @@ def ctx(rates, profile, net, content, coeff):
 @pytest.fixture
 def position_samples(monkeypatch):
     """position_samples(n) sets analytic.POSITION_SAMPLES to n for the test
-    and gives the cluster functions a fresh _STATES, so that no draw of
-    another size is reused; both are restored after the test."""
+    and gives the cluster functions a fresh _STATES and _PSI, so that no
+    draw of another size or table of another test is reused; all are
+    restored after the test."""
     def use(n):
         monkeypatch.setattr(analytic, "POSITION_SAMPLES", n)
         monkeypatch.setattr(analytic, "_STATES", {})
+        monkeypatch.setattr(analytic, "_PSI", {})
     return use
 
 
@@ -98,3 +100,72 @@ def _arccot_cluster_p(cfg, layer, gamma, n_serving, seed):
 @pytest.fixture(scope="session")
 def arccot_cluster_p():
     return _arccot_cluster_p
+
+
+def _kernel_mean_p(cfg, layer, n_serving, seed):
+    """t -> P(SIR_S >= t): exp of the library's kernel averaged over its
+    sorted serving draw, every sample evaluated."""
+    _, sigma, sigma_m = analytic._cluster_state(cfg, layer, n_serving, seed)
+    out, work = np.empty(sigma.size), np.empty((2, sigma.size))
+
+    def p_at(t):
+        analytic._cluster_log_p(cfg, layer, t, sigma, sigma_m, out, work)
+        return float(np.exp(out).sum()) / sigma.size
+
+    return p_at
+
+
+def _gk_tail_rate(cfg, gamma, p_at):
+    """The success-conditioned ergodic rate by a scalar tail integral of
+    p_at: t -> P(SIR >= t), on the library's width-4 log-scaled segments
+    under its 21-point Gauss-Kronrod rule, bisection rule and truncation
+    rule (one node at a time)."""
+    x_k, w_k, w_g = analytic._GK_X, analytic._GK_WK, analytic._GK_WG
+
+    def piece(lo, hi):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        t = gamma * np.exp(np.concatenate((mid - half * x_k,
+                                           mid + half * x_k[:-1])))
+        f = np.array([p_at(tk) for tk in t]) * (t / (1.0 + t))
+        pairs = f[:11]
+        pairs[:-1] += f[11:]
+        k21 = half * float(w_k @ pairs)
+        return k21, abs(k21 - half * float(w_g @ pairs[1::2]))
+
+    total = 0.0
+    for k in range(40):
+        seg = 0.0
+        todo = [(4.0 * k, 4.0 * k + 4.0)]
+        while todo:
+            lo, hi = todo.pop()
+            k21, err = piece(lo, hi)
+            if err <= analytic._TAIL_PIECE_REL * (total + seg + k21):
+                seg += k21
+            else:
+                todo += [(0.5 * (lo + hi), hi), (lo, 0.5 * (lo + hi))]
+        total += seg
+        if seg < analytic._TAIL_REL * max(total, 1e-300):
+            break
+    else:
+        raise AssertionError("oracle did not truncate")
+    return (cfg.w * math.log2(1.0 + gamma)
+            + cfg.w / math.log(2.0) * total / p_at(gamma))
+
+
+def _averaged_cluster_rate(cfg, layer, gamma, n_serving, seed):
+    """The cluster rate with the position average inside the tail
+    integral: the scalar tail rule over t -> E_sigma[phi(t, sigma)], 190
+    (BL) or 64 (EL) kernel passes over the draw on the default
+    scenario."""
+    return _gk_tail_rate(cfg, gamma,
+                         _kernel_mean_p(cfg, layer, n_serving, seed))
+
+
+@pytest.fixture(scope="session")
+def kernel_mean_p():
+    return _kernel_mean_p
+
+
+@pytest.fixture(scope="session")
+def averaged_cluster_rate():
+    return _averaged_cluster_rate

@@ -1,6 +1,7 @@
 """Closed-form success probabilities and ergodic service rates."""
 
 import functools
+import itertools
 import math
 from dataclasses import replace
 
@@ -233,11 +234,24 @@ def _reference_exponent(cfg, layer, c):
 
 
 def _log_p_at_c(cfg, layer, c):
-    """The kernel's ln P(SIR_S >= t) at t = c and S = 1, as _underflow_c
-    evaluates it."""
+    """The kernel's ln P(SIR_S >= t) at t = c and S = 1."""
     one = np.ones(1)
     return analytic._cluster_log_p(cfg, layer, c, one, one, np.empty(1),
                                    np.empty((2, 1)))[0]
+
+
+def _underflow_c(cfg, layer):
+    """The c = t/S at which _reference_exponent crosses 746, where
+    exp(-x) rounds to exactly 0.0, by geometric bisection: the exponent
+    is a Laplace exponent, increasing in c."""
+    lo, hi = 1e-30, 1e60
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if _reference_exponent(cfg, layer, mid) >= 746.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 class TestAlpha4Kernel:
@@ -245,25 +259,27 @@ class TestAlpha4Kernel:
     and folds outer^2 into its constants; point by point it must still be
     the hypergeometric reference exponent."""
 
+    # c from the exponent's underflow point (about 3.3e12 at alpha_m = 4,
+    # 8.1e10 at alpha_m = 3.5) down by 1e9 and more, and c where
+    # u = sqrt(c) / outer^2 runs from 1e-19 to 1e16, where the merged
+    # arctan tends to pi/2
+    C_GRID = np.concatenate([np.geomspace(1e1, 1e13, 241),
+                             [1e-30, 1e-20, 1e30, 1e40]])
+
     @pytest.mark.parametrize("alpha_m", [4.0, 3.5])
     @pytest.mark.parametrize("layer", ["bl", "el"])
     def test_matches_reference_exponent(self, net, layer, alpha_m):
         net = replace(net, alpha_m=alpha_m)
-        c_max = analytic._underflow_c(net, layer)
-        # u = sqrt(c) / outer^2 runs from 1e-19 to 1e16 at the two ends,
-        # where the merged arctan tends to pi/2
-        cs = np.concatenate([np.geomspace(1e-9 * c_max, c_max, 201),
-                             [1e-30, 1e-20, 1e30, 1e40]])
-        for c in cs:
+        for c in self.C_GRID:
             assert -_log_p_at_c(net, layer, c) == pytest.approx(
                 _reference_exponent(net, layer, c), rel=1e-13, abs=0.0)
 
 
 class TestUnderflowCut:
-    """_cluster_p runs the kernel only on the samples whose exp(log p) can
-    be nonzero; every value must equal the kernel run on every sample bit
-    for bit, and the mean of _reference_exponent over the unsorted draw to
-    1e-12."""
+    """p_success_sbs_* on thresholds where the exponent of some, all or
+    none of the samples passes 746, so that their exp underflows to 0.0:
+    the kernel's mean over the sorted draw must match the mean of
+    _reference_exponent over the unsorted draw to 1e-12."""
 
     N_SAMPLES = 20_000
 
@@ -271,38 +287,17 @@ class TestUnderflowCut:
     def _draw(self, position_samples):
         position_samples(self.N_SAMPLES)
 
-    @staticmethod
-    def _full_mean(net, layer, n, t):
-        """The kernel on every sample of the sorted draw, with no cut."""
-        s, sigma, sigma_m = analytic._cluster_state(net, layer, n, 0)
-        terms = np.exp(analytic._cluster_log_p(
-            net, layer, t, sigma, sigma_m, np.empty(s.size),
-            np.empty((2, s.size))))
-        cut = np.searchsorted(s, t / analytic._underflow_c(net, layer),
-                              side="right")
-        assert (terms[:cut] == 0.0).all()
-        return float(terms.sum()) / s.size
-
     def _t_grid(self, net, layer, n):
-        """t from 1e-2 to 1e60, plus t where the cut falls among the
-        samples."""
+        """t from 1e-2 to 1e60, plus t where the underflow point falls
+        among the samples."""
         scale = analytic._serving_scale(net, layer, n, self.N_SAMPLES, 0)
-        c_max = analytic._underflow_c(net, layer)
+        c_max = _underflow_c(net, layer)
         band = c_max * np.quantile(scale, [0.0, 0.01, 0.5, 0.99, 1.0])
         ts = np.concatenate([np.geomspace(1e-2, 1e60, 25), band, 0.999 * band])
         kept = [(scale > t / c_max).sum() for t in ts]
         assert min(kept) == 0 and max(kept) == scale.size
         assert any(0 < k < scale.size for k in kept)
         return ts
-
-    @pytest.mark.parametrize("alpha", [4.0, 3.5])
-    @pytest.mark.parametrize("layer", ["bl", "el"])
-    @pytest.mark.parametrize("n", [1, 4])
-    def test_cut_is_exact(self, net, alpha, layer, n):
-        net = replace(net, alpha_m=alpha, alpha_s=alpha)
-        p_at = analytic._cluster_p(net, layer, 1.0, n, 0)
-        for t in self._t_grid(net, layer, n):
-            assert p_at(t) == self._full_mean(net, layer, n, t)
 
     @pytest.mark.parametrize("alphas", [(4.0, 4.0), (3.5, 3.5), (3.0, 3.0),
                                         (3.5, 4.0), (4.0, 3.2)])
@@ -313,37 +308,58 @@ class TestUnderflowCut:
         agreement is to 1e-12, not bit for bit."""
         net = replace(net, alpha_m=alphas[0], alpha_s=alphas[1])
         scale = analytic._serving_scale(net, layer, n, self.N_SAMPLES, 0)
-        p_at = analytic._cluster_p(net, layer, 1.0, n, 0)
+        p_success = getattr(analytic, f"p_success_sbs_{layer}")
         for t in self._t_grid(net, layer, n):
             ref = float(np.exp(-_reference_exponent(net, layer,
                                                     t / scale)).mean())
-            assert p_at(t) == pytest.approx(ref, rel=1e-12, abs=0.0)
+            assert p_success(net, t, n, seed=0) == pytest.approx(
+                ref, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("mixed", [True, False])
     @pytest.mark.parametrize("layer", ["bl", "el"])
     def test_threshold(self, net, layer, mixed):
-        """At alpha_m = alpha_s = 4, and at alpha_m = 3.5 != alpha_s = 4
-        (mixed), where the MBS term has its own power of S."""
+        """The kernel's exp is exactly 0.0 from _underflow_c up, where
+        _t_grid places its band, and not yet at half of it: at
+        alpha_m = alpha_s = 4, and at alpha_m = 3.5 != alpha_s = 4 (mixed),
+        where the MBS term has its own power of S."""
         if mixed:
             net = replace(net, alpha_m=3.5)
-        c_max = analytic._underflow_c(net, layer)
+        c_max = _underflow_c(net, layer)
         for c in c_max * np.array([1.0, 1.5, 10.0, 1e6]):
             assert math.exp(_log_p_at_c(net, layer, c)) == 0.0
-        # the bisection converged below its MBS-only bracket
+        # the SBS term moved the crossing below the MBS term's own
         mbs_only = net.p_s / net.p_m * (
-            analytic._UNDERFLOW / (math.pi * net.lambda_m
-                                   * analytic.g_alpha_zero(net.alpha_m))
+            746.0 / (math.pi * net.lambda_m
+                     * analytic.g_alpha_zero(net.alpha_m))
         ) ** (net.alpha_m / 2.0)
         assert c_max <= mbs_only
-        assert -_log_p_at_c(net, layer, 0.5 * c_max) < analytic._UNDERFLOW
+        assert -_log_p_at_c(net, layer, 0.5 * c_max) < 746.0
 
     @pytest.mark.parametrize("layer", ["bl", "el"])
     def test_overflowing_bound_cuts_nothing(self, net, layer):
+        """With an MBS term so small that its own underflow point
+        overflows, every sample still goes through the kernel: the rate is
+        the kernel's mean over the whole sorted draw, bit for bit, and the
+        reference mean to 1e-12."""
         net = replace(net, lambda_m=1e-300)
-        assert analytic._underflow_c(net, layer) == math.inf
-        p_at = analytic._cluster_p(net, layer, 1.0, 2, 0)
+        with np.errstate(over="ignore"):
+            mbs_only = net.p_s / net.p_m * np.float64(
+                746.0 / (math.pi * net.lambda_m
+                         * analytic.g_alpha_zero(net.alpha_m))
+            ) ** (net.alpha_m / 2.0)
+        assert not math.isfinite(mbs_only)
+        s, sigma, sigma_m = analytic._cluster_state(net, layer, 2, 0)
+        scale = analytic._serving_scale(net, layer, 2, self.N_SAMPLES, 0)
+        p_success = getattr(analytic, f"p_success_sbs_{layer}")
         for t in (1e-2, 1.0, 1e6, 1e30):
-            assert p_at(t) == self._full_mean(net, layer, 2, t)
+            full = np.exp(analytic._cluster_log_p(
+                net, layer, t, sigma, sigma_m, np.empty(s.size),
+                np.empty((2, s.size))))
+            assert p_success(net, t, 2, seed=0) == float(full.sum()) / s.size
+            ref = float(np.exp(-_reference_exponent(net, layer,
+                                                    t / scale)).mean())
+            assert p_success(net, t, 2, seed=0) == pytest.approx(
+                ref, rel=1e-12, abs=0.0)
 
 
 class TestErgodicRates:
@@ -464,9 +480,15 @@ _TAIL_SCENARIOS = {
 }
 
 
+def _one_node(p_at):
+    """A scalar t -> P(SIR >= t) as the tail routine's integrand of one
+    node."""
+    return lambda t, idx: np.array([[p_at(tk)] for tk in t])
+
+
 class TestTailRule:
     """The 21-point Gauss-Kronrod rule and its embedded 10-point Gauss rule
-    behind _tail_rate."""
+    behind _tail_integral."""
 
     def test_embedded_gauss_rule_is_leggauss_10(self):
         x, w = np.polynomial.legendre.leggauss(10)
@@ -489,7 +511,7 @@ class TestTailRule:
     @pytest.mark.parametrize("layer", ["mbs", "bl", "el"])
     @pytest.mark.parametrize("scenario", list(_TAIL_SCENARIOS))
     def test_matches_160_node_legendre_oracle(self, scenario, layer,
-                                              position_samples):
+                                              position_samples, kernel_mean_p):
         """Same segments, same truncation, same p_at: the rates differ only
         by quadrature error.  The EL tails at alpha = 2.2 and at 45 dB need
         bisection; a fixed 40-node Gauss-Legendre rule per segment is
@@ -500,31 +522,152 @@ class TestTailRule:
             p_at = functools.partial(analytic.p_success_mbs, cfg)
         else:
             position_samples(2_000)
-            p_at = analytic._cluster_p(cfg, layer, gamma, 1, 0)
-        assert analytic._tail_rate(cfg, gamma, p_at) == pytest.approx(
-            _legendre_tail_rate(cfg, gamma, p_at), rel=1e-13)
+            p_at = kernel_mean_p(cfg, layer, 1, 0)
+        tail = analytic._tail_integral(gamma, _one_node(p_at), 1)
+        assert tail.shape == (1,)
+        assert analytic._conditioned_rate(
+            cfg, gamma, p_at(gamma), lambda: tail[0]) == pytest.approx(
+                _legendre_tail_rate(cfg, gamma, p_at), rel=1e-13)
 
     def test_nan_integrand_raises_at_once(self, net):
+        """A NaN at one of three nodes ends the integral in the first
+        piece."""
         calls = []
 
-        def p_at(t):
-            calls.append(t)
-            return math.nan
+        def p_at(t, idx):
+            calls.extend(t)
+            p = np.ones((t.size, idx.size))
+            p[3, idx == 1] = math.nan
+            return p
 
         with pytest.raises(analytic.QuadratureError, match="not finite"):
-            analytic._tail_rate(net, net.gamma_bl, p_at)
-        assert len(calls) == 1 + 21      # P(SIR >= gamma), then one piece
+            analytic._tail_integral(net.gamma_bl, p_at, 3)
+        assert len(calls) == 21          # one piece
 
     def test_bisection_cap_raises(self, net):
         """A noisy integrand never meets the piece tolerance: the segment
-        stops after _MAX_BISECTIONS bisections."""
+        stops after _MAX_BISECTIONS bisections of each node."""
         rng = np.random.default_rng(0)
         calls = []
 
-        def p_at(t):
-            calls.append(t)
-            return rng.random()
+        def p_at(t, idx):
+            calls.extend(t)
+            return rng.random((t.size, idx.size))
 
         with pytest.raises(analytic.QuadratureError, match="bisections"):
-            analytic._tail_rate(net, net.gamma_bl, p_at)
-        assert len(calls) == 1 + 21 * (analytic._MAX_BISECTIONS + 1)
+            analytic._tail_integral(net.gamma_bl, p_at, 2)
+        assert len(calls) == 21 * (analytic._MAX_BISECTIONS + 1)
+
+
+_SWAP_SCENARIOS = {
+    **_TAIL_SCENARIOS,
+    "alpha-3.5": (NetworkConfig(alpha_m=3.5, alpha_s=3.5), None),
+    "alpha-3.5-4": (NetworkConfig(alpha_m=3.5), None),
+}
+
+
+def _threshold(scenario, layer):
+    cfg, gamma = _SWAP_SCENARIOS[scenario]
+    return cfg, gamma or (cfg.gamma_el if layer == "el" else cfg.gamma_bl)
+
+
+class TestSwappedRate:
+    """A cluster rate is E[phi(gamma) Psi] / E[phi(gamma)] over the draw,
+    Psi interpolated from a table of tail integrals; the position average
+    inside the tail integral is its oracle."""
+
+    @pytest.fixture(autouse=True)
+    def _draw(self, position_samples):
+        position_samples(2_000)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("layer", ["bl", "el"])
+    @pytest.mark.parametrize("scenario", list(_SWAP_SCENARIOS))
+    def test_matches_averaged_rate(self, scenario, layer, n,
+                                   averaged_cluster_rate):
+        cfg, gamma = _threshold(scenario, layer)
+        rate = getattr(analytic, f"ergodic_rate_sbs_{layer}")
+        assert rate(cfg, gamma, n, seed=0) == pytest.approx(
+            averaged_cluster_rate(cfg, layer, gamma, n, 0), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("layer", ["bl", "el"])
+    @pytest.mark.parametrize("scenario", list(_SWAP_SCENARIOS))
+    def test_interpolant_matches_nodewise_tail(self, scenario, layer):
+        """At each piece's midpoint and edges, and at the smallest and
+        largest sigma of the draws at n = 1 and 4.  A node's integrand
+        exp(ln phi(t) - ln phi(gamma)) carries about |ln phi(gamma)| ulp,
+        so the tolerance grows past |ln phi(gamma)| = 100 (at 45 dB the
+        EL table reaches 726)."""
+        cfg, gamma = _threshold(scenario, layer)
+        top, width = analytic._psi_top(cfg, layer), analytic._PSI_WIDTH
+        extremes = np.log([analytic._cluster_state(cfg, layer, n, 0)[1][i]
+                           for n in (1, 4) for i in (0, -1)])
+        table = analytic._psi_table(cfg, layer, gamma, 0,
+                                    analytic._psi_pieces(top, np.exp(
+                                        [extremes.min()])))
+        j = np.arange(len(table))
+        x = np.concatenate([top - (j[:, None] + np.array([0.0, 0.5, 1.0]))
+                            * width, extremes[:, None]], axis=None)
+        piece = np.minimum(((top - x) // width).astype(int), j[-1])
+        u = 2.0 * (x - (top - (piece + 0.5) * width)) / width
+        assert np.all(np.abs(u) <= 1.0 + 1e-12)
+        got = np.array([analytic._clenshaw(table[k], np.array([uk]))[0]
+                        for k, uk in zip(piece, u)])
+        want = analytic._psi_at(cfg, layer, gamma, x)
+        log_p_gamma = analytic._cluster_log_p(
+            cfg, layer, gamma, np.exp(x), np.exp(x * cfg.alpha_s / cfg.alpha_m),
+            np.empty(x.size), np.empty((2, x.size)))
+        assert np.all(np.abs(got - want) <= 1e-13 * want
+                      * np.maximum(1.0, -log_p_gamma / 100.0))
+
+    def test_piece_does_not_depend_on_its_batch(self, net):
+        """Pieces built one call at a time, or grown from a shorter table,
+        equal those of one call bit for bit."""
+        def table(*counts):
+            analytic._PSI.clear()
+            for pieces in counts:
+                got = analytic._psi_table(net, "bl", net.gamma_bl, 0, pieces)
+            return np.array(got)
+
+        whole = table(12)
+        assert np.array_equal(table(3, 4, 12), whole)
+        assert np.array_equal(table(*range(1, 13)), whole)
+
+    def test_table_does_not_depend_on_history(self, net, position_samples):
+        """A rate table at seed 3 built after one at seed 0 equals a table
+        at seed 3 built in a fresh process state."""
+        position_samples(5_000)
+        analytic.build_rate_table(net, seed=0)
+        after = analytic.build_rate_table(net, seed=3)
+        position_samples(5_000)     # fresh draw and Psi caches
+        assert after == analytic.build_rate_table(net, seed=3)
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_full_draws_lie_inside_psi_table(net, seed):
+    """Every sample of the POSITION_SAMPLES draws at n = 1..4 falls in a
+    piece of the Psi table, inside its interval: nothing is
+    extrapolated."""
+    for layer, n in itertools.product(("bl", "el"), range(1, 5)):
+        s, sigma, _ = analytic._cluster_state(net, layer, n, seed)
+        assert s.size == analytic.POSITION_SAMPLES == 200_000
+        top = analytic._psi_top(net, layer)
+        runs = list(analytic._psi_runs(top, s, net.alpha_s,
+                                       analytic._psi_pieces(top, sigma)))
+        assert runs[0][1] == 0 and runs[-1][2] == s.size
+        for j, start, stop in runs:
+            x = np.log(sigma[start:stop])
+            assert np.all(x <= top - j * analytic._PSI_WIDTH + 1e-12)
+            assert np.all(x >= top - (j + 1) * analytic._PSI_WIDTH - 1e-12)
+
+
+_PUBLIC = ("p_success_mbs", "ergodic_rate_mbs", "p_success_sbs_bl",
+           "p_success_sbs_el", "ergodic_rate_sbs_bl", "ergodic_rate_sbs_el")
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", _PUBLIC)
+def test_threshold_must_be_finite_and_positive(net, name, gamma):
+    args = () if name.endswith("mbs") else (1,)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        getattr(analytic, name)(net, gamma, *args)

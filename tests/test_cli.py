@@ -535,25 +535,18 @@ class TestExitCodes:
 
 
 # Runs each argv of the JSON list argv[1] through cli.main in this fresh
-# interpreter and prints the scipy modules it has loaded.  A non-zero
-# argv[2] shrinks the position draw of the cluster functions
-# (analytic.POSITION_SAMPLES): the draw size decides no import, and a small
-# draw keeps the alpha != 4 runs, whose hyp2f1 kernel is slow, to a
-# fraction of a second.
+# interpreter and prints the scipy modules it has loaded.
 _FRESH_RUN = """\
 import json, sys
-from svcache import analytic, cli
-runs, samples = json.loads(sys.argv[1]), int(sys.argv[2])
-if samples:
-    analytic.POSITION_SAMPLES = samples
-for argv in runs:
+from svcache import cli
+for argv in json.loads(sys.argv[1]):
     assert cli.main(argv) == 0, argv
 print(json.dumps(sorted(m for m in sys.modules
                         if m.partition(".")[0] == "scipy")))
 """
 
 
-def _scipy_after(scenario, runs, tmp_path, samples=0):
+def _scipy_after(scenario, runs, tmp_path):
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(scenario)
     base = ["--config", str(cfg), "--out-dir", str(tmp_path)]
@@ -562,7 +555,7 @@ def _scipy_after(scenario, runs, tmp_path, samples=0):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", _FRESH_RUN,
-         json.dumps([base + argv for argv in runs]), str(samples)],
+         json.dumps([base + argv for argv in runs])],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
@@ -579,11 +572,11 @@ class TestLazyScipy:
 
     def test_general_alpha_imports_hyp2f1_only(self, tmp_path):
         scenario = LIGHT_SCENARIO + "alpha_m = 3.5\nalpha_s = 3.5\n"
-        loaded = _scipy_after(scenario, [["analyze"]], tmp_path, samples=2000)
+        loaded = _scipy_after(scenario, [["analyze"]], tmp_path)
         assert "scipy.special" in loaded
         assert "scipy.integrate" not in loaded
 
     def test_mixed_alpha_imports_quadrature(self, tmp_path):
         scenario = LIGHT_SCENARIO + "alpha_m = 3.5\nalpha_s = 4\n"
-        loaded = _scipy_after(scenario, [["analyze"]], tmp_path, samples=2000)
+        loaded = _scipy_after(scenario, [["analyze"]], tmp_path)
         assert "scipy.integrate" in loaded
