@@ -38,7 +38,9 @@ alpha_m = alpha_s = 4 this module runs on numpy alone.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -313,13 +315,14 @@ _STATES: dict = {}
 
 
 def _cluster_state(cfg: NetworkConfig, layer: str, n: int, seed: int) -> tuple:
-    """(S, sigma, sigma_m) of one serving draw of POSITION_SAMPLES
+    """(sigma, sigma_m) of one serving draw of POSITION_SAMPLES
     positions, read-only.
 
-    S is the _serving_scale draw sorted ascending, sigma = S^(-2/alpha_s)
+    With S the _serving_scale draw sorted ascending, sigma = S^(-2/alpha_s)
     (so descending, and at most outer^2 because S >= outer^-alpha_s) and
-    sigma_m = S^(-2/alpha_m) (sigma itself when alpha_m = alpha_s).  The
-    state of the last draw of each layer is kept, so repeated calls at one
+    sigma_m = S^(-2/alpha_m) (sigma itself when alpha_m = alpha_s).  sigma
+    is computed in the draw's own array, so S is not kept.  The state of
+    the last draw of each layer is kept, so repeated calls at one
     (cfg, n, seed) draw and sort once.
     """
     key = (cfg, n, seed)
@@ -328,13 +331,15 @@ def _cluster_state(cfg: NetworkConfig, layer: str, n: int, seed: int) -> tuple:
     _STATES.pop(layer, None)    # free the old state before the new one
     s = _serving_scale(cfg, layer, n, POSITION_SAMPLES, seed)
     s.sort()
-    sigma = s ** (-2.0 / cfg.alpha_s)
-    sigma_m = (sigma if cfg.alpha_m == cfg.alpha_s
+    sigma_m = (None if cfg.alpha_m == cfg.alpha_s
                else s ** (-2.0 / cfg.alpha_m))
-    for a in (s, sigma, sigma_m):
+    sigma = np.power(s, -2.0 / cfg.alpha_s, out=s)
+    if sigma_m is None:
+        sigma_m = sigma
+    for a in (sigma, sigma_m):
         a.setflags(write=False)
-    _STATES[layer] = (key, (s, sigma, sigma_m))
-    return s, sigma, sigma_m
+    _STATES[layer] = (key, (sigma, sigma_m))
+    return sigma, sigma_m
 
 
 def _cluster_draw(cfg, layer, gamma, n_serving, seed) -> tuple:
@@ -356,7 +361,7 @@ def _cluster_terms(cfg, layer, gamma, sigma, sigma_m) -> np.ndarray:
 def _cluster_p(cfg, layer, gamma, n_serving, seed) -> float:
     """P(SIR_S >= gamma) averaged over the sorted draw: the kernel on every
     sample, summed in sorted order."""
-    _, sigma, sigma_m = _cluster_draw(cfg, layer, gamma, n_serving, seed)
+    sigma, sigma_m = _cluster_draw(cfg, layer, gamma, n_serving, seed)
     terms = _cluster_terms(cfg, layer, gamma, sigma, sigma_m)
     return float(terms.sum()) / sigma.size
 
@@ -540,24 +545,26 @@ def _clenshaw(coef, u: np.ndarray) -> np.ndarray:
     return u * b1 - b2 + coef[0]
 
 
-def _psi_runs(top: float, s: np.ndarray, alpha_s: float, pieces: int):
+def _psi_runs(top: float, sigma: np.ndarray, pieces: int):
     """(j, start, stop) of each piece j of the Psi table and the run of a
     sorted draw it holds: the samples with ln sigma in
-    (top - (j+1) w, top - j w], found on S = sigma^(-alpha_s/2)."""
+    (top - (j+1) w, top - j w].  The descending sigma is bisected in
+    place (np.searchsorted would copy the reversed view)."""
     stop = 0
     for j in range(pieces):
-        start, stop = stop, int(np.searchsorted(s, math.exp(
-            0.5 * alpha_s * ((j + 1) * _PSI_WIDTH - top))))
+        start, stop = stop, bisect.bisect_left(
+            sigma, -math.exp(top - (j + 1) * _PSI_WIDTH), lo=stop,
+            key=operator.neg)
         yield j, start, stop
 
 
-def _psi_mean(table: list, top: float, s: np.ndarray, sigma: np.ndarray,
-              alpha_s: float, weights: np.ndarray) -> float:
+def _psi_mean(table: list, top: float, sigma: np.ndarray,
+              weights: np.ndarray) -> float:
     """sum_i weights_i Psi(sigma_i) / N over a sorted draw of N samples,
     the Psi interpolant evaluated run by run in blocks of _PSI_BLOCK
     samples."""
     total = 0.0
-    for j, start, stop in _psi_runs(top, s, alpha_s, len(table)):
+    for j, start, stop in _psi_runs(top, sigma, len(table)):
         mid = top - (j + 0.5) * _PSI_WIDTH
         for lo in range(start, stop, _PSI_BLOCK):
             u = np.log(sigma[lo:min(lo + _PSI_BLOCK, stop)])
@@ -577,13 +584,13 @@ def _ergodic_rate_cluster(cfg, layer, gamma, n_serving, seed):
     """The rate from E[phi(gamma) Psi] / E[phi(gamma)] over the draw: one
     kernel pass at gamma, whose terms weight one pass of the Psi
     interpolant."""
-    s, sigma, sigma_m = _cluster_draw(cfg, layer, gamma, n_serving, seed)
+    sigma, sigma_m = _cluster_draw(cfg, layer, gamma, n_serving, seed)
     terms = _cluster_terms(cfg, layer, gamma, sigma, sigma_m)
     top = _psi_top(cfg, layer)
 
     def tail():
         table = _psi_table(cfg, layer, gamma, seed, _psi_pieces(top, sigma))
-        return _psi_mean(table, top, s, sigma, cfg.alpha_s, terms)
+        return _psi_mean(table, top, sigma, terms)
 
     return _conditioned_rate(cfg, gamma, float(terms.sum()) / sigma.size,
                              tail)

@@ -148,13 +148,15 @@ _BUDGET_TOL = 1e-9
 
 
 def check_budget(q1, q2, content: ContentConfig) -> None:
-    """Check sum(q1)=M_B and sum(q2)=M_E for raw length-F sequences."""
+    """Check sum(q1)=M_B and sum(q2)=M_E for raw length-F sequences; the
+    sums are exactly rounded (math.fsum)."""
     _require(len(q1) == content.f_count, "q1",
              f"length {len(q1)} != catalog size {content.f_count}")
-    if abs(sum(q1) - content.m_b) > _BUDGET_TOL:
-        raise ValueError(f"q1: sum {sum(q1)} != BL budget {content.m_b}")
-    if abs(sum(q2) - content.m_e) > _BUDGET_TOL:
-        raise ValueError(f"q2: sum {sum(q2)} != EL budget {content.m_e}")
+    for name, q, budget, layer in (("q1", q1, content.m_b, "BL"),
+                                   ("q2", q2, content.m_e, "EL")):
+        total = math.fsum(q)
+        if abs(total - budget) > _BUDGET_TOL:
+            raise ValueError(f"{name}: sum {total} != {layer} budget {budget}")
 
 
 def _require(cond: bool, key: str, msg: str) -> None:

@@ -5,11 +5,13 @@ power.  Both are sums over files and over the two layer blocks of
 power._layer_blocks, BL and EL, which are the same block with different
 constants: R = sum_{b,f} R_bf(q_bf) and P = sum_{b,f} P_bf(q_bf) + p_fix.
 A block's rate row is w_f r @ D(q_f): r[0] is the MBS rate, r[k] the
-rate of k cooperating SBSs and D the serving-count distribution of
-power._serving_pmf, so both schemes share one sum rate and a cluster of
-size 0 (D = e0) is served by the MBS.  Its power rows come from the
-per-block core power._block_terms.  Scheme I optimizes a theta-smoothed
-surrogate of the l0 transmission-power terms.
+rate of k cooperating SBSs and D the serving-count distribution, so both
+schemes share one sum rate and a cluster of size 0 (D = e0) is served
+by the MBS.  ObjectiveContext builds both blocks' constants (rate rows,
+weights, power coefficients, binomial rows) and Scheme I's
+theta-smoothed surrogate of the l0 transmission-power terms once; each
+evaluation is then one call of the per-block core power._block_terms
+per block.
 
 _file_terms sums the two blocks into the rows R_f, P_f of (F,) or (B, F)
 policy blocks and, on request, their derivatives in each file's own
@@ -19,7 +21,6 @@ gradient is then (R_f' - EE P_f') / P, in closed form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from svcache.analytic import RateTable
 from svcache.config import CachingPolicy, ContentConfig, NetworkConfig, PowerCoefficients
 from svcache.popularity import PopularityProfile
-from svcache.power import _block_terms, _layer_blocks
+from svcache.power import _block_terms, _layer_blocks, _policy_rows, _surrogate
 
 DEFAULT_THETA = 0.01
 
@@ -42,51 +43,47 @@ class ObjectiveContext:
     content: ContentConfig
     coeff: PowerCoefficients
     theta: float = DEFAULT_THETA
-    # (r_M, r_S[1], ..., r_S[n]) for each layer: the rate with k serving SBSs
-    _r_bl: np.ndarray = field(init=False, repr=False, compare=False)
-    _r_el: np.ndarray = field(init=False, repr=False, compare=False)
+    # Built from the fields above: the (theta, normaliser) pair of Scheme
+    # I's surrogate, the BL and EL power._Block constants, whose rate rows
+    # are (r_M, r_S[1], ..., r_S[n]), and the fixed power.
+    _smoothing: tuple = field(init=False, repr=False, compare=False)
+    _blocks: tuple = field(init=False, repr=False, compare=False)
+    _p_fix: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 < self.theta < math.inf:
-            raise ValueError(f"theta must be finite and > 0, got {self.theta}")
+        object.__setattr__(self, "_smoothing", _surrogate(self.theta))
         if len(self.rates.r_s_bl) < self.net.n1 or len(self.rates.r_s_el) < self.net.n2:
             raise ValueError("rate table incomplete for the cluster sizes")
         r = self.rates
-        object.__setattr__(self, "_r_bl", np.array(
-            [r.r_m_bl] + [r.r_s_bl[n] for n in range(1, self.net.n1 + 1)]))
-        object.__setattr__(self, "_r_el", np.array(
-            [r.r_m_el] + [r.r_s_el[n] for n in range(1, self.net.n2 + 1)]))
+        rows = ([r.r_m_bl] + [r.r_s_bl[n] for n in range(1, self.net.n1 + 1)],
+                [r.r_m_el] + [r.r_s_el[n] for n in range(1, self.net.n2 + 1)])
+        blocks, p_fix = _layer_blocks(self.profile, self.net, self.content,
+                                      self.coeff, rows)
+        object.__setattr__(self, "_blocks", blocks)
+        object.__setattr__(self, "_p_fix", p_fix)
 
 
-def _file_terms(mode: str, q1, q2, ctx: ObjectiveContext,
-                smoothing: float | None, slopes: bool = False):
+def _file_terms(mode: str, q1, q2, ctx: ObjectiveContext, smoothing,
+                slopes: bool = False):
     """The per-file rate and power rows R_f, P_f of the (F,) or (B, F)
     blocks q1, q2, and p_fix: the sums over the two layer blocks of
-    power._layer_blocks, whose rate row is w_f r @ D(q_f).  With
-    slopes=True also the derivatives of each row in the file's own q1_f
-    and q2_f: (R, P, p_fix, (R1', R2'), (P1', P2')), with R' = w_f r @ D'.
-    smoothing is the theta of Scheme I's surrogate, or None for the exact
-    l0 norm (which has no derivative)."""
-    blocks, p_fix = _layer_blocks(q1, q2, ctx.profile, ctx.net, ctx.content,
-                                  ctx.coeff)
-    rate = power = 0.0
-    rate_slopes, power_slopes = [], []
-    for (q, n, w, bits), r in zip(blocks, (ctx._r_bl, ctx._r_el)):
-        d, tr, ca, bh, *slope = _block_terms(mode, q, n, w, bits, ctx.net,
-                                             ctx.coeff, smoothing, slopes)
-        rate = rate + w * (r @ d)
-        power = power + (tr + ca + bh)
-        if slopes:
-            rate_slopes.append(w * (r @ slope[0]))
-            power_slopes.append(slope[1])
+    ctx._blocks.  With slopes=True also the derivatives of each row in the
+    file's own q1_f and q2_f: (R, P, p_fix, (R1', R2'), (P1', P2')).
+    smoothing is ctx._smoothing for Scheme I's surrogate, or None for the
+    exact l0 norm (which has no derivative)."""
+    q1, q2 = _policy_rows(q1, q2, ctx.profile.f_count)
+    bl = _block_terms(mode, q1, ctx._blocks[0], smoothing, slopes)
+    el = _block_terms(mode, q2, ctx._blocks[1], smoothing, slopes)
+    rate = bl[0] + el[0]
+    power = (bl[1] + bl[2] + bl[3]) + (el[1] + el[2] + el[3])
     if not slopes:
-        return rate, power, p_fix
-    return rate, power, p_fix, tuple(rate_slopes), tuple(power_slopes)
+        return rate, power, ctx._p_fix
+    return rate, power, ctx._p_fix, (bl[4], el[4]), (bl[5], el[5])
 
 
 def _total_power(power, p_fix):
-    total = np.sum(power, axis=-1) + p_fix
-    if np.any(total <= 0):
+    total = power.sum(axis=-1) + p_fix
+    if (total <= 0).any():
         raise ValueError("total power is zero; no valid EE")
     return total
 
@@ -94,17 +91,17 @@ def _total_power(power, p_fix):
 def _ee(mode: str, q1, q2, ctx: ObjectiveContext, exact_l0: bool = False):
     """Energy efficiency of each row of the (F,) or (B, F) blocks q1, q2."""
     rate, power, p_fix = _file_terms(mode, q1, q2, ctx,
-                                     None if exact_l0 else ctx.theta)
-    return np.sum(rate, axis=-1) / _total_power(power, p_fix)
+                                     None if exact_l0 else ctx._smoothing)
+    return rate.sum(axis=-1) / _total_power(power, p_fix)
 
 
 def _ee_and_gradient(mode: str, q1, q2, ctx: ObjectiveContext):
     """The smoothed EE of the (F,) blocks q1, q2 and its gradients in q1
     and q2: dEE/dq_f = (R_f' - EE P_f') / P, from one core call."""
     rate, power, p_fix, (r1, r2), (p1, p2) = _file_terms(
-        mode, q1, q2, ctx, ctx.theta, slopes=True)
+        mode, q1, q2, ctx, ctx._smoothing, slopes=True)
     total = _total_power(power, p_fix)
-    ee = np.sum(rate, axis=-1) / total
+    ee = rate.sum(axis=-1) / total
     return float(ee), (r1 - ee * p1) / total, (r2 - ee * p2) / total
 
 

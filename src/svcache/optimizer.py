@@ -82,14 +82,14 @@ def project_capped_simplex(v, budget: float) -> np.ndarray:
     if not 0 <= budget <= f_count:
         raise ValueError(f"budget {budget} outside [0, {f_count}]")
     kinks = np.concatenate((v - 1.0, v))
-    order = np.argsort(kinks, kind="stable")
+    order = kinks.argsort(kind="stable")
     kinks = kinks[order]
     leaves_one = order < f_count
     sign = np.where(leaves_one, 1.0, -1.0)
-    n_ones = f_count - np.cumsum(leaves_one)
-    n_free = np.cumsum(sign)
-    sum_free = np.cumsum(sign * v[order % f_count])
-    hits = np.flatnonzero(n_ones + sum_free - n_free * kinks >= budget)
+    n_ones = f_count - leaves_one.cumsum()
+    n_free = sign.cumsum()
+    sum_free = (sign * v[order % f_count]).cumsum()
+    hits = (n_ones + sum_free - n_free * kinks >= budget).nonzero()[0]
     j = hits[-1] if hits.size else 0
     u = (n_ones[j] + sum_free[j] - budget) / n_free[j] if n_free[j] else kinks[j]
     return np.minimum(np.maximum(v - u, 0.0), 1.0)
@@ -159,19 +159,18 @@ def optimize(initial: CachingPolicy, ctx: ObjectiveContext,
     # fraction), so the diminishing step 1/t is normalized by the initial
     # gradient's sup-norm; otherwise the first steps saturate the box for
     # any realistic parameter scale.
-    g0 = max(np.abs(g).max() for g in grad)
+    g0 = float(max(np.abs(g).max() for g in grad))
     eps0 = 1.0 / g0 if g0 > 0 else 1.0
     termination = "max_iters"
     for t in range(1, settings.max_iters + 1):
         step = eps0 / t
-        q_new, max_delta = [], 0.0
-        for x, g, m in zip(q, grad, budgets):
-            q_new.append(project_capped_simplex(x + step * g, m))
-            max_delta = max(max_delta, np.abs(q_new[-1] - x).max())
+        q_new = [project_capped_simplex(x + step * g, m)
+                 for x, g, m in zip(q, grad, budgets)]
+        max_delta = float(max(np.abs(a - x).max() for a, x in zip(q_new, q)))
         q = q_new
         check_budget(*q, ctx.content)  # every iterate stays feasible
         ee_new, *grad = _ee_and_gradient(mode, *q, ctx)
-        trace.rows.append(TraceRow(t, ee_new, float(step), float(max_delta)))
+        trace.rows.append(TraceRow(t, ee_new, step, max_delta))
         if ee_new > best_ee:
             best_q, best_ee = q, ee_new
         if abs(ee_new - ee) <= settings.rel_tol * max(abs(ee), 1e-300):

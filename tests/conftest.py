@@ -1,6 +1,6 @@
 """Shared fixtures: default scenario, a session-wide rate table, the
-position-sample count of the cluster functions and the paper's alpha = 4
-formulas."""
+position-sample count of the cluster functions, the paper's alpha = 4
+formulas and the dense formulation of the objective's per-file rows."""
 
 import math
 
@@ -105,7 +105,7 @@ def arccot_cluster_p():
 def _kernel_mean_p(cfg, layer, n_serving, seed):
     """t -> P(SIR_S >= t): exp of the library's kernel averaged over its
     sorted serving draw, every sample evaluated."""
-    _, sigma, sigma_m = analytic._cluster_state(cfg, layer, n_serving, seed)
+    sigma, sigma_m = analytic._cluster_state(cfg, layer, n_serving, seed)
     out, work = np.empty(sigma.size), np.empty((2, sigma.size))
 
     def p_at(t):
@@ -169,3 +169,110 @@ def kernel_mean_p():
 @pytest.fixture(scope="session")
 def averaged_cluster_rate():
     return _averaged_cluster_rate
+
+
+def _serving_pmf(mode, n, q):
+    """The serving-count distribution D as a dense matrix: shape (n+1, F)
+    for an (F,) block q, (B, n+1, F) for a (B, F) block.  Fractional
+    caching: 1 - q at k = 0 and q at k = n; random caching:
+    Binomial(n, q), with its coefficient row rebuilt on every call.  A
+    cluster of size 0 is e0."""
+    if mode == "random":
+        k = np.arange(n + 1)[:, None]
+        comb = np.array([math.comb(n, i) for i in range(n + 1)],
+                        dtype=float)[:, None]
+        t = q[..., None, :]
+        return comb * t ** k * (1.0 - t) ** (n - k)
+    d = np.zeros(q.shape[:-1] + (n + 1, q.shape[-1]))
+    d[..., n, :] = q
+    d[..., 0, :] = 1.0 - q if n else 1.0
+    return d
+
+
+def _serving_pmf_slope(mode, n, q):
+    """dD/dq of _serving_pmf as a dense matrix of the same shape:
+    -1 at k = 0 and +1 at k = n (fractional), n (B_{n-1}(k-1) - B_{n-1}(k))
+    (random); 0 for a cluster of size 0."""
+    d = np.zeros(q.shape[:-1] + (n + 1, q.shape[-1]))
+    if n == 0:
+        return d
+    if mode == "random":
+        b = n * _serving_pmf("random", n - 1, q)
+        d[..., 1:, :] = b
+        d[..., :-1, :] -= b
+    else:
+        d[..., 0, :] = -1.0
+        d[..., n, :] = 1.0
+    return d
+
+
+def _block_terms(mode, q, n, w, bits, net, coeff, theta=None, slopes=False):
+    """One layer block (q, n, w, bits) from the dense D and D', with the
+    surrogate log(x/theta + 1) / log(1/theta + 1) (theta None: the exact
+    l0 norm): (D, tr, ca, bh) and, with slopes=True, (D', P')."""
+    d = _serving_pmf(mode, n, q)
+    cached = n > 0
+    if not cached:
+        q = np.zeros_like(q)
+    if mode == "fractional" and theta is None:
+        on = lambda x: (np.abs(x) > 1e-12).astype(float)
+    elif mode == "fractional":
+        on = lambda x: np.log(x / theta + 1.0) / np.log(1.0 / theta + 1.0)
+        on_slope = lambda x: 1.0 / ((x + theta) * np.log(1.0 / theta + 1.0))
+    else:
+        on, on_slope = (lambda x: x), (lambda x: 1.0)
+    sbs, mbs = net.p_s * coeff.zeta_s * n, net.p_m * coeff.zeta_m
+    tr = w * (sbs * on(q) + mbs * on(1.0 - q))
+    ca = coeff.c_ca * bits * n * q
+    bh = coeff.c_bh * bits * w * d[..., 0, :]
+    if not slopes:
+        return d, tr, ca, bh
+    d_slope = _serving_pmf_slope(mode, n, q)
+    if not cached:
+        return d, tr, ca, bh, d_slope, np.zeros_like(q)
+    return d, tr, ca, bh, d_slope, (
+        w * (sbs * on_slope(q) - mbs * on_slope(1.0 - q))
+        + coeff.c_ca * bits * n + coeff.c_bh * bits * w * d_slope[..., 0, :])
+
+
+def _dense_file_terms(mode, q1, q2, ctx, theta=None, slopes=False):
+    """The objective's per-file rows (R, P) and, with slopes=True, their
+    slopes ((R1', R2'), (P1', P2')) from the dense _block_terms, with
+    every weight, rate row and constant rebuilt from ctx on each call:
+    R = sum_b w r @ D, R' = w r @ D'."""
+    p = np.asarray(ctx.profile.p)
+    r = ctx.rates
+    blocks = ((np.asarray(q1, dtype=float), ctx.net.n1, p, ctx.content.l_b,
+               [r.r_m_bl] + [r.r_s_bl[n] for n in range(1, ctx.net.n1 + 1)]),
+              (np.asarray(q2, dtype=float), ctx.net.n2,
+               p * np.asarray(ctx.profile.g_hdv), ctx.content.l_e,
+               [r.r_m_el] + [r.r_s_el[n] for n in range(1, ctx.net.n2 + 1)]))
+    rate = power = 0.0
+    rate_slopes, power_slopes = [], []
+    for q, n, w, bits, rates in blocks:
+        rates = np.array(rates)
+        d, tr, ca, bh, *slope = _block_terms(mode, q, n, w, bits, ctx.net,
+                                             ctx.coeff, theta, slopes)
+        rate = rate + w * (rates @ d)
+        power = power + (tr + ca + bh)
+        if slopes:
+            rate_slopes.append(w * (rates @ slope[0]))
+            power_slopes.append(slope[1])
+    if not slopes:
+        return rate, power
+    return rate, power, tuple(rate_slopes), tuple(power_slopes)
+
+
+@pytest.fixture(scope="session")
+def serving_pmf():
+    return _serving_pmf
+
+
+@pytest.fixture(scope="session")
+def serving_pmf_slope():
+    return _serving_pmf_slope
+
+
+@pytest.fixture(scope="session")
+def dense_file_terms():
+    return _dense_file_terms

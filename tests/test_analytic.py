@@ -348,14 +348,15 @@ class TestUnderflowCut:
                          * analytic.g_alpha_zero(net.alpha_m))
             ) ** (net.alpha_m / 2.0)
         assert not math.isfinite(mbs_only)
-        s, sigma, sigma_m = analytic._cluster_state(net, layer, 2, 0)
+        sigma, sigma_m = analytic._cluster_state(net, layer, 2, 0)
         scale = analytic._serving_scale(net, layer, 2, self.N_SAMPLES, 0)
         p_success = getattr(analytic, f"p_success_sbs_{layer}")
         for t in (1e-2, 1.0, 1e6, 1e30):
             full = np.exp(analytic._cluster_log_p(
-                net, layer, t, sigma, sigma_m, np.empty(s.size),
-                np.empty((2, s.size))))
-            assert p_success(net, t, 2, seed=0) == float(full.sum()) / s.size
+                net, layer, t, sigma, sigma_m, np.empty(sigma.size),
+                np.empty((2, sigma.size))))
+            assert p_success(net, t, 2, seed=0) == \
+                float(full.sum()) / sigma.size
             ref = float(np.exp(-_reference_exponent(net, layer,
                                                     t / scale)).mean())
             assert p_success(net, t, 2, seed=0) == pytest.approx(
@@ -600,7 +601,7 @@ class TestSwappedRate:
         EL table reaches 726)."""
         cfg, gamma = _threshold(scenario, layer)
         top, width = analytic._psi_top(cfg, layer), analytic._PSI_WIDTH
-        extremes = np.log([analytic._cluster_state(cfg, layer, n, 0)[1][i]
+        extremes = np.log([analytic._cluster_state(cfg, layer, n, 0)[0][i]
                            for n in (1, 4) for i in (0, -1)])
         table = analytic._psi_table(cfg, layer, gamma, 0,
                                     analytic._psi_pieces(top, np.exp(
@@ -649,16 +650,33 @@ def test_full_draws_lie_inside_psi_table(net, seed):
     piece of the Psi table, inside its interval: nothing is
     extrapolated."""
     for layer, n in itertools.product(("bl", "el"), range(1, 5)):
-        s, sigma, _ = analytic._cluster_state(net, layer, n, seed)
-        assert s.size == analytic.POSITION_SAMPLES == 200_000
+        sigma, _ = analytic._cluster_state(net, layer, n, seed)
+        assert sigma.size == analytic.POSITION_SAMPLES == 200_000
         top = analytic._psi_top(net, layer)
-        runs = list(analytic._psi_runs(top, s, net.alpha_s,
+        runs = list(analytic._psi_runs(top, sigma,
                                        analytic._psi_pieces(top, sigma)))
-        assert runs[0][1] == 0 and runs[-1][2] == s.size
+        assert runs[0][1] == 0 and runs[-1][2] == sigma.size
         for j, start, stop in runs:
             x = np.log(sigma[start:stop])
             assert np.all(x <= top - j * analytic._PSI_WIDTH + 1e-12)
             assert np.all(x >= top - (j + 1) * analytic._PSI_WIDTH - 1e-12)
+
+
+def test_psi_runs_match_the_scale_search(net, position_samples):
+    """The runs bisected on the descending sigma are those that the
+    ascending draw S = sigma^(-alpha_s/2) gives by np.searchsorted at
+    exp(alpha_s/2 ((j+1) w - top)), at seeds 0 and 11, for every n."""
+    position_samples(20_000)
+    for layer, n, seed in itertools.product(("bl", "el"), range(1, 5),
+                                            (0, 11)):
+        sigma, _ = analytic._cluster_state(net, layer, n, seed)
+        s = np.sort(analytic._serving_scale(net, layer, n, 20_000, seed))
+        top = analytic._psi_top(net, layer)
+        pieces = analytic._psi_pieces(top, sigma)
+        stops = np.searchsorted(s, np.exp(0.5 * net.alpha_s * (
+            (np.arange(pieces) + 1) * analytic._PSI_WIDTH - top)))
+        runs = list(analytic._psi_runs(top, sigma, pieces))
+        assert [stop for _, _, stop in runs] == stops.tolist()
 
 
 _PUBLIC = ("p_success_mbs", "ergodic_rate_mbs", "p_success_sbs_bl",

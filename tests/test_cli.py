@@ -401,6 +401,18 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "must be finite" in err
 
+    @pytest.mark.parametrize("theta", ["1e300", "1e-320"])
+    def test_theta_without_smoothing_exits_1(self, theta, light_cfg, tmp_path,
+                                             capsys):
+        """A theta whose log(1/theta + 1) rounds to 0, or whose 1/theta
+        overflows, is an input error, not a numeric range error."""
+        rc = cli.main(["--config", light_cfg, "--out-dir", str(tmp_path),
+                       "--theta", theta, "optimize", "--scheme", "1",
+                       "--max-iters", "3"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: theta ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("line", ["lambda_s = 1e300", "alpha_m = 2.2",
                                       "b = 1e300"])
     def test_numeric_range_error_exits_2(self, line, tmp_path, capsys):

@@ -125,7 +125,8 @@ class TestServingScale:
 
     def test_last_draw_of_each_layer_is_kept_read_only(self, net,
                                                        position_samples):
-        """The cluster kernel keeps the sorted draw of each layer."""
+        """The cluster kernel keeps sigma of the sorted draw of each
+        layer."""
         position_samples(1_000)
 
         def draw(layer, n):
@@ -134,7 +135,8 @@ class TestServingScale:
         bl = draw("bl", 2)
         assert not bl.flags.writeable
         assert np.array_equal(
-            bl, np.sort(analytic._serving_scale(net, "bl", 2, 1_000, 31)))
+            bl, np.sort(analytic._serving_scale(net, "bl", 2, 1_000, 31))
+            ** (-2.0 / net.alpha_s))
         assert draw("el", 2) is not bl
         assert draw("bl", 2) is bl
         draw("bl", 3)

@@ -14,7 +14,7 @@ from svcache.config import (CachingPolicy, ContentConfig, NetworkConfig,
 from svcache.objective import (ObjectiveContext, _ee, _file_terms, ee_gradient,
                                ee_value)
 from svcache.popularity import PopularityProfile, build_profile
-from svcache.power import _serving_pmf, _serving_pmf_slope, _smooth_or_l0
+from svcache.power import _smooth_or_l0, _surrogate
 
 
 def _policy(mode, q1, q2):
@@ -64,19 +64,22 @@ def _one_sided_gradient(policy, ctx, which, step=1e-6):
 class TestSmoothL0:
     def test_endpoints(self):
         for theta in (1e-4, 0.01, 0.5):
-            assert _smooth_or_l0(0.0, theta) == 0.0
-            assert _smooth_or_l0(1.0, theta) == pytest.approx(1.0, rel=1e-15)
+            assert _smooth_or_l0(0.0, _surrogate(theta)) == 0.0
+            assert _smooth_or_l0(1.0, _surrogate(theta)) == pytest.approx(
+                1.0, rel=1e-15)
 
     def test_reference_value(self):
-        assert _smooth_or_l0(0.5, 0.01) == pytest.approx(
+        assert _smooth_or_l0(0.5, _surrogate(0.01)) == pytest.approx(
             math.log(51.0) / math.log(101.0), rel=1e-12)
-        assert _smooth_or_l0(0.5, 0.01) == pytest.approx(0.851944, abs=5e-6)
+        assert _smooth_or_l0(0.5, _surrogate(0.01)) == pytest.approx(
+            0.851944, abs=5e-6)
 
     @given(st.floats(min_value=0.001, max_value=0.999),
            st.floats(min_value=1e-4, max_value=1.0))
     def test_increasing_and_concave(self, x, theta):
         h = 1e-4 * min(x, 1.0 - x)
-        lo, mid, hi = (_smooth_or_l0(v, theta) for v in (x - h, x, x + h))
+        lo, mid, hi = (_smooth_or_l0(v, _surrogate(theta))
+                       for v in (x - h, x, x + h))
         assert lo < mid < hi                 # increasing
         assert mid >= (lo + hi) / 2.0        # midpoint above the chord
 
@@ -152,28 +155,31 @@ class TestSumRateScheme2:
     @example(n=4, t=0.0)
     @example(n=4, t=1.0)
     @example(n=0, t=0.3)
-    def test_binomial_partition_of_unity(self, n, t):
+    def test_binomial_partition_of_unity(self, serving_pmf, serving_pmf_slope,
+                                         n, t):
         """Both schemes' serving-count distributions sum to one; certain
         caching, and a cluster of size 0, are exact point masses.  Their
-        derivatives in q sum to zero and match a central difference."""
+        derivatives in q sum to zero and match a central difference.  The
+        dense formulation of conftest is the oracle that
+        TestBlockCore checks the block core against."""
         h = 1e-6
         for mode in ("fractional", "random"):
-            pmf = _serving_pmf(mode, n, np.array([t]))
+            pmf = serving_pmf(mode, n, np.array([t]))
             assert pmf.shape == (n + 1, 1)
             assert abs(pmf.sum() - 1.0) <= 1e-12
             if t in (0.0, 1.0) or n == 0:
                 assert np.array_equal(pmf[:, 0], np.eye(n + 1)[int(t) * n])
             if mode == "fractional":
                 assert not pmf[1:n].any()        # all SBSs or none
-            slope = _serving_pmf_slope(mode, n, np.array([t]))
+            slope = serving_pmf_slope(mode, n, np.array([t]))
             assert slope.shape == pmf.shape
             assert abs(slope.sum()) <= 1e-12 * max(n, 1)
-            central = (_serving_pmf(mode, n, np.array([t + h]))
-                       - _serving_pmf(mode, n, np.array([t - h]))) / (2 * h)
+            central = (serving_pmf(mode, n, np.array([t + h]))
+                       - serving_pmf(mode, n, np.array([t - h]))) / (2 * h)
             assert np.abs(slope - central).max() <= 1e-6
 
-    def test_mixture_weights_at_reference_point(self, ctx):
-        pmf = _serving_pmf("random", 4, np.array([0.3]))[:, 0]
+    def test_mixture_weights_at_reference_point(self, serving_pmf):
+        pmf = serving_pmf("random", 4, np.array([0.3]))[:, 0]
         assert pmf[0] == pytest.approx(0.7 ** 4, rel=1e-12)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -239,7 +245,8 @@ class TestEeValue:
                                        empty_ctx, exact_l0), rel=1e-12)
 
     def test_theta_validation(self, ctx):
-        for theta in (0.0, math.nan, math.inf):
+        # 1e300: log(1/theta + 1) rounds to 0; 1e-320: 1/theta overflows
+        for theta in (0.0, math.nan, math.inf, 1e300, 1e-320):
             with pytest.raises(ValueError, match="theta must be finite"):
                 replace(ctx, theta=theta)
 
@@ -369,6 +376,45 @@ class TestEeGradient:
         pol = _policy("random", (0.5,) * f, (0.5,) * f)
         with pytest.raises(ValueError):
             ee_gradient(pol, ctx, "q3")
+
+
+class TestBlockCore:
+    """The block core, with its constants built once per context, against
+    conftest's dense formulation (full D and D' matrices, every constant
+    rebuilt per call): the power rows and slopes bit for bit, the rate
+    rows and slopes to 1e-14 of their largest entry."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 4])
+    @pytest.mark.parametrize("mode", ["fractional", "random"])
+    @pytest.mark.parametrize("batch", [None, 3], ids=["row", "stack"])
+    def test_matches_dense_formulation(self, ctx, dense_file_terms, n, mode,
+                                       batch):
+        # n1 = n and n2 = 4 - n (2 at n = 0): both blocks take every size
+        net = replace(ctx.net, n1=n, n2=4 - n if n else 2)
+        sized = replace(ctx, net=net)
+        f = ctx.content.f_count
+        rng = np.random.default_rng(n)
+        shape = (f,) if batch is None else (batch, f)
+        q1, q2 = rng.random(shape), rng.random(shape)
+        q1[..., :2], q2[..., 2:4] = 0.0, 1.0
+        for exact_l0 in (False, True):
+            theta = None if exact_l0 else ctx.theta
+            slopes = not exact_l0
+            got = _file_terms(mode, q1, q2, sized,
+                              None if exact_l0 else sized._smoothing, slopes)
+            want = dense_file_terms(mode, q1, q2, sized, theta, slopes)
+            assert np.array_equal(got[1], want[1])                # P
+            _assert_rows_close(got[0], want[0])                  # R
+            if slopes:
+                for r_got, r_want in zip(got[3], want[2]):       # R1', R2'
+                    _assert_rows_close(np.broadcast_to(r_got, shape), r_want)
+                for p_got, p_want in zip(got[4], want[3]):       # P1', P2'
+                    assert np.array_equal(p_got, p_want)
+
+
+def _assert_rows_close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestRelabelingInvariance:

@@ -13,7 +13,7 @@ from svcache.config import CachingPolicy
 from svcache.objective import _ee, ee_gradient, ee_value
 from svcache.optimizer import (SolverSettings, make_initial_policy, optimize,
                                project_capped_simplex)
-from svcache.power import _block_terms, _layer_blocks
+from svcache.power import _block_terms
 
 
 def _oracle_project(v, budget):
@@ -201,6 +201,19 @@ class TestOptimize:
             want = max(want, np.abs(step - q).max())
         assert trace.residual == want > 0.0
 
+    @pytest.mark.parametrize("mode, iterations, ee", [
+        ("fractional", 487, 326844.90744754154),
+        ("random", 297, 329107.8594859654)], ids=["scheme1", "scheme2"])
+    def test_default_scenario_ascent_is_pinned(self, ctx, mode, iterations,
+                                               ee):
+        """The ascent from UCP on the default scenario keeps its iteration
+        count, its termination and, to 1e-12, the EE of the returned policy
+        (recorded before the block constants moved into the context)."""
+        policy, trace = optimize(ucp_policy(ctx.content, mode=mode), ctx)
+        assert len(trace.rows) == iterations
+        assert trace.termination == "converged"
+        assert abs(ee_value(policy, ctx) - ee) <= 1e-12 * ee
+
     def test_rate_table_ulp_moves_no_trace_row(self, ctx):
         """One ulp up on every rate-table entry moves no trace EE by more
         than 1e-12 relative, no step, no max_delta by more than 1e-12 and
@@ -304,14 +317,12 @@ class TestSchemeTwoDualBound:
         f = ctx.profile.f_count
         x = np.linspace(0.0, 1.0, 2001)
         grid = np.repeat(x[:, None], f, axis=1)
-        blocks, p_fix = _layer_blocks(grid, grid, ctx.profile, ctx.net,
-                                      ctx.content, ctx.coeff)
+        p_fix = ctx._p_fix
         rows = []
-        for (q, n, w, bits), r, budget in zip(blocks, (ctx._r_bl, ctx._r_el),
-                                           (ctx.content.m_b, ctx.content.m_e)):
-            d, tr, ca, bh = _block_terms("random", q, n, w, bits, ctx.net,
-                                         ctx.coeff)
-            rows.append((w * (r @ d), tr + ca + bh, budget))
+        for block, budget in zip(ctx._blocks,
+                                 (ctx.content.m_b, ctx.content.m_e)):
+            rate, tr, ca, bh = _block_terms("random", grid, block)
+            rows.append((rate, tr + ca + bh, budget))
         excess = lambda t: sum(_block_dual(rate - t * power, x, budget)
                                for rate, power, budget in rows) - t * p_fix
         # no policy has a rate above every file's best, or a power below p_fix
