@@ -7,7 +7,9 @@ conditional ergodic rates empirically.  Drops are drawn serially in
 fixed-size batches; batch i draws from child i of SeedSequence(seed), so
 a seeded call returns the same array on every run.  Each interference
 sum is built in place, so its memory is two float64 arrays the size of
-the batch's point count, whatever the number of drops.
+the batch's point count, whatever the number of drops.  Each drop's
+interference is summed on its own, so it does not depend on the drops
+beside it in the batch.
 
 The simulation window is a disk of radius R_sim = 10 / sqrt(pi*lambda_m)
 centred on the user.  Each field that the window cuts off contributes
@@ -33,9 +35,10 @@ import numpy as np
 from svcache.config import NetworkConfig
 
 # Fixed batch size: it bounds the memory of one draw, and every seeded
-# result depends on it.  An interference sum over a batch holds two arrays
-# with one float64 per point (see _faded_sums): about 2 x 5 MB for the
-# ambient SBS field of the default scenario.
+# result depends on it through the draws.  An interference sum over a
+# batch holds two arrays with one float64 per point (see _faded_sums):
+# about 2 x 5 MB for the ambient SBS field of the default scenario.  Each
+# drop's sum is its own, whatever else the batch holds.
 _BATCH = 1024
 
 WINDOW_FACTOR = 10.0
@@ -80,32 +83,35 @@ class Estimate:
     n_samples: int
 
 
-def _faded_sums(rng, r2, counts, power, alpha, by_square=False):
+def _faded_sums(rng, r2, counts, power, alpha):
     """Per-drop sums of fade * power * r2^(-alpha/2), where drop i holds the
     next counts[i] points of r2 and the unit-mean fades are drawn here.
 
-    r2 is overwritten.  The fades are drawn straight into the cumulative-sum
-    buffer and every step works in place, so a call holds two per-point
-    arrays: r2 and that buffer.  by_square (alpha = 4 only) divides by
-    r2 * r2 instead of multiplying by r2^-2; the two round differently, and
-    each sampler keeps its own rounding so that seeded drops keep their
-    bits.  A drop with no points sums to exactly 0.0.
+    Each drop is summed on its own (np.add.reduceat over its segment), so
+    its sum does not depend on the drops beside it in the batch: a huge
+    term from a very close interferer costs no other drop any precision.
+    r2 is overwritten.  The fades are drawn straight into a buffer of one
+    more entry than r2, which holds 0.0 so that trailing empty drops have a
+    valid start, and the terms are formed in it in place; a call holds two
+    per-point arrays: r2 and that buffer.  At alpha = 4 the terms divide by
+    r2 * r2.  A drop with no points sums to exactly 0.0.
     """
-    csum = np.empty(r2.size + 1)
-    csum[0] = 0.0
-    p = csum[1:]
+    buf = np.empty(r2.size + 1)
+    terms = buf[:-1]
     # Draws the same numbers as rng.exponential(1.0, r2.size).
-    rng.standard_exponential(out=p)
-    p *= power
-    if by_square:
+    rng.standard_exponential(out=terms)
+    buf[-1] = 0.0
+    if alpha == 4.0:
         r2 *= r2
-        p /= r2
+        terms /= r2
     else:
         np.power(r2, -alpha / 2.0, out=r2)
-        p *= r2
-    np.cumsum(p, out=p)
-    ends = np.cumsum(counts)
-    return csum[ends] - csum[ends - counts]
+        terms *= r2
+    sums = np.add.reduceat(buf, np.cumsum(counts) - counts)
+    # reduceat gives an empty drop the next drop's first term.
+    sums[counts == 0] = 0.0
+    sums *= power
+    return sums
 
 
 def _interference(rng, density, r2_lo, r2_hi, power, alpha, n_drops):
@@ -114,7 +120,7 @@ def _interference(rng, density, r2_lo, r2_hi, power, alpha, n_drops):
         return np.zeros(n_drops)
     counts = rng.poisson(density * math.pi * (r2_hi - r2_lo), n_drops)
     r2 = rng.uniform(r2_lo, r2_hi, int(counts.sum()))
-    return _faded_sums(rng, r2, counts, power, alpha, by_square=alpha == 4.0)
+    return _faded_sums(rng, r2, counts, power, alpha)
 
 
 def _run_batches(worker, n_drops: int, seed: int) -> np.ndarray:

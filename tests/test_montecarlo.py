@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from svcache import analytic, montecarlo
 from svcache.cli import GAMMA_GRID_DB
@@ -14,27 +15,27 @@ from svcache.config import db_to_linear
 DROPS = 20_000
 
 
-def _allocating_interference(rng, density, r2_lo, r2_hi, power, alpha,
-                             n_drops):
-    """The interference sum as written before it was built in place: one
-    new array per step."""
+def _fsum_faded(rng, r2, counts, power, alpha):
+    """_faded_sums with one new array per step and each drop's terms summed
+    by math.fsum, correctly rounded; r2 is left as it is."""
+    terms = rng.exponential(1.0, r2.size) * power * r2 ** (-alpha / 2.0)
+    ends = np.cumsum(counts)
+    return np.array([math.fsum(terms[e - c:e]) for e, c in zip(ends, counts)])
+
+
+def _fsum_interference(rng, density, r2_lo, r2_hi, power, alpha, n_drops):
+    """The interference sum with one new array per step and each drop
+    summed by math.fsum."""
     if r2_hi <= r2_lo:
         return np.zeros(n_drops)
     counts = rng.poisson(density * math.pi * (r2_hi - r2_lo), n_drops)
-    total = int(counts.sum())
-    r2 = rng.uniform(r2_lo, r2_hi, total)
-    fade = rng.exponential(1.0, total)
-    if alpha == 4.0:
-        p = fade * power / (r2 * r2)
-    else:
-        p = fade * power * r2 ** (-alpha / 2.0)
-    csum = np.concatenate(([0.0], np.cumsum(p)))
-    ends = np.cumsum(counts)
-    return csum[ends] - csum[ends - counts]
+    r2 = rng.uniform(r2_lo, r2_hi, int(counts.sum()))
+    return _fsum_faded(rng, r2, counts, power, alpha)
 
 
-def _allocating_mbs_worker(cfg, seed_seq, size):
-    """The nearest-MBS batch as written before it was built in place."""
+def _fsum_mbs_worker(cfg, seed_seq, size):
+    """The nearest-MBS batch with one new array per step and each drop's
+    interference summed by math.fsum."""
     a2 = montecarlo.window_radius(cfg) ** 2
     rng = np.random.default_rng(seed_seq)
     counts = rng.poisson(cfg.lambda_m * math.pi * a2, size)
@@ -45,13 +46,9 @@ def _allocating_mbs_worker(cfg, seed_seq, size):
     total = int(n_interf.sum())
     lo = np.repeat(min_r2, n_interf)
     r2 = lo + rng.uniform(0.0, 1.0, total) * (a2 - lo)
-    fade = rng.exponential(1.0, total)
-    p = fade * cfg.p_m * r2 ** (-cfg.alpha_m / 2.0)
-    csum = np.concatenate(([0.0], np.cumsum(p)))
-    ends = np.cumsum(n_interf)
-    i_mbs = csum[ends] - csum[ends - n_interf]
-    i_sbs = _allocating_interference(rng, cfg.lambda_s, 0.0, a2, cfg.p_s,
-                                     cfg.alpha_s, size)
+    i_mbs = _fsum_faded(rng, r2, n_interf, cfg.p_m, cfg.alpha_m)
+    i_sbs = _fsum_interference(rng, cfg.lambda_s, 0.0, a2, cfg.p_s,
+                               cfg.alpha_s, size)
     far = (montecarlo._far_mean(cfg.lambda_m, cfg.p_m, cfg.alpha_m, a2)
            + montecarlo._far_mean(cfg.lambda_s, cfg.p_s, cfg.alpha_s, a2))
     return signal / (i_mbs + i_sbs + far)
@@ -76,24 +73,67 @@ class TestInterference:
     @pytest.mark.parametrize("alpha, density", [
         (4.0, 1e-4), (3.5, 1e-4), (4.0, 3e-7), (3.5, 3e-7)])
     def test_same_bits_as_allocating_sum(self, alpha, density):
-        """In place, the sum keeps every bit and every RNG draw; at 3e-7
-        about 39% of the drops have no interferer and sum to exactly 0."""
+        """In place, the sum keeps every RNG draw, and each drop lies
+        within 1e-13 of the allocating sum's correctly rounded (fsum) value
+        of its own terms (up to about 900 positive terms); at 3e-7 about
+        39% of the drops have no interferer and sum to exactly 0."""
         args = (density, 0.0, 1e6, 200.0, alpha, 1024)
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
         got = montecarlo._interference(rng, *args)
-        want = _allocating_interference(ref_rng, *args)
-        assert np.array_equal(got, want)
+        want = _fsum_interference(ref_rng, *args)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert np.array_equal(got == 0.0, want == 0.0)
         if density < 1e-6:
             assert 0 < np.count_nonzero(got == 0.0) < got.size
         assert rng.random() == ref_rng.random()
 
     @pytest.mark.parametrize("alpha", [4.0, 3.5])
     def test_mbs_batch_same_bits_as_allocating_worker(self, net, alpha):
+        """The in-place batch draws what the allocating worker draws, and
+        each SIR lies within 1e-13 of the one from fsum interference."""
         cfg = replace(net, alpha_m=alpha, alpha_s=alpha)
         (child,) = np.random.SeedSequence(17).spawn(1)
-        want = _allocating_mbs_worker(cfg, child, 64)
-        assert np.array_equal(montecarlo.sir_samples_mbs(cfg, 64, seed=17),
-                              want)
+        want = _fsum_mbs_worker(cfg, child, 64)
+        got = montecarlo.sir_samples_mbs(cfg, 64, seed=17)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_close_interferer_costs_no_other_drop_precision(self):
+        """One interferer at r2 = 1e-6 in drop 0 is a term about 1e24 times
+        any other; a running sum over the batch loses every later drop to
+        it.  Drops 5 and 1023 are empty."""
+        rng = np.random.default_rng(8)
+        counts = rng.poisson(600.0, 1024)
+        counts[0], counts[5], counts[-1] = 1, 0, 0
+        r2 = rng.uniform(1.0, 1e6, int(counts.sum()))
+        r2[0] = 1e-6
+        got_rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        want = _fsum_faded(ref_rng, r2, counts, 200.0, 4.0)
+        got = montecarlo._faded_sums(got_rng, r2, counts, 200.0, 4.0)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert got[5] == 0.0 and got[-1] == 0.0
+        assert np.count_nonzero(got == 0.0) == 2
+        assert got_rng.random() == ref_rng.random()
+
+    @settings(max_examples=60, deadline=None)
+    @given(counts=st.lists(st.integers(0, 6), min_size=1, max_size=40),
+           log_r2=st.lists(st.floats(-6.0, 6.0), min_size=240,
+                           max_size=240),
+           alpha=st.sampled_from([4.0, 3.5]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_any_counts_each_drop_summed_on_its_own(self, counts, log_r2,
+                                                     alpha, seed):
+        """Leading, interior, trailing and all-empty drops, with r2 over 12
+        decades: every drop within 1e-13 of its fsum, every empty drop
+        exactly 0.0, and the RNG in step."""
+        counts = np.array(counts)
+        r2 = 10.0 ** np.array(log_r2[:int(counts.sum())])
+        got_rng = np.random.default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
+        want = _fsum_faded(ref_rng, r2, counts, 3.0, alpha)
+        got = montecarlo._faded_sums(got_rng, r2, counts, 3.0, alpha)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert np.all(got[counts == 0] == 0.0)
+        assert got_rng.random() == ref_rng.random()
 
     def test_peak_memory_two_per_point_arrays(self, net):
         """One default-scenario batch of the ambient SBS field holds two
