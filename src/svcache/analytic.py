@@ -250,18 +250,19 @@ def _serving_scale(cfg: NetworkConfig, layer: str, n: int, n_samples: int,
     return r.sum(axis=1)
 
 
-def _cluster_log_p(cfg: NetworkConfig, layer: str, t: float, sigma, sigma_m,
-                   out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """ln P(SIR_S >= t) given serving positions, written into out.
+def _cluster_log_p(cfg: NetworkConfig, layer: str, t: float, sigma,
+                   sigma_m) -> np.ndarray:
+    """ln P(SIR_S >= t) given serving positions, as a new array.
 
     One entry per position sample, given sigma = S^(-2/alpha_s) and
     sigma_m = S^(-2/alpha_m) of its S = sum r^-alpha_s (used only when
     alpha_m != alpha_s).  t is a scalar, or a column of thresholds that
-    broadcasts against sigma to out's shape.  With c = t/S,
+    broadcasts against sigma to the result's shape.  With c = t/S,
     y = t^(2/alpha_s) * sigma is c^(2/alpha_s), and the SBSs beyond the
     layer's silent ring contribute G(outer^2 / y).  SBSs inside the ring
     add the head integral G(0) - G(inner^2 / y); a ring starting at 0 has
-    none.  work holds two scratch arrays of out's shape.
+    none.  The two scratch rows of the result's shape are allocated apart
+    from it, so the result does not keep them alive.
 
     At alpha_s = 4 the kernel works in u = y / outer^2 and
     rho = (inner / outer)^2 < 1.  The outer term is arctan(u), which does
@@ -275,7 +276,9 @@ def _cluster_log_p(cfg: NetworkConfig, layer: str, t: float, sigma, sigma_m,
     """
     a_s, a_m = cfg.alpha_s, cfg.alpha_m
     inner, outer = _ring(cfg, layer)
-    y, tmp = work
+    shape = np.broadcast_shapes(np.shape(t), np.shape(sigma))
+    out = np.empty(shape)
+    y, tmp = np.empty((2,) + shape)
     if a_s == 4.0:
         # the y row holds u = c^(1/2) / outer^2
         scale = outer ** 2
@@ -342,27 +345,22 @@ def _cluster_state(cfg: NetworkConfig, layer: str, n: int, seed: int) -> tuple:
     return sigma, sigma_m
 
 
-def _cluster_draw(cfg, layer, gamma, n_serving, seed) -> tuple:
-    """The checked arguments' _cluster_state."""
+def _cluster_terms(cfg, layer, gamma, n_serving, seed) -> tuple:
+    """(sigma, terms) of the checked arguments: the _cluster_state draw's
+    sigma and P(SIR_S >= gamma) at each of its samples, exp of the kernel.
+    n_serving is checked before gamma."""
     if not 1 <= n_serving <= (cfg.n1 if layer == "bl" else cfg.n2):
         raise ValueError("n_serving must lie in 1..cluster size")
     _check_gamma(gamma)
-    return _cluster_state(cfg, layer, n_serving, seed)
-
-
-def _cluster_terms(cfg, layer, gamma, sigma, sigma_m) -> np.ndarray:
-    """P(SIR_S >= gamma) at each sample of a draw: exp of the kernel."""
-    out = np.empty(sigma.size)
-    _cluster_log_p(cfg, layer, gamma, sigma, sigma_m, out,
-                   np.empty((2, sigma.size)))
-    return np.exp(out, out=out)
+    sigma, sigma_m = _cluster_state(cfg, layer, n_serving, seed)
+    terms = _cluster_log_p(cfg, layer, gamma, sigma, sigma_m)
+    return sigma, np.exp(terms, out=terms)
 
 
 def _cluster_p(cfg, layer, gamma, n_serving, seed) -> float:
     """P(SIR_S >= gamma) averaged over the sorted draw: the kernel on every
     sample, summed in sorted order."""
-    sigma, sigma_m = _cluster_draw(cfg, layer, gamma, n_serving, seed)
-    terms = _cluster_terms(cfg, layer, gamma, sigma, sigma_m)
+    sigma, terms = _cluster_terms(cfg, layer, gamma, n_serving, seed)
     return float(terms.sum()) / sigma.size
 
 
@@ -486,13 +484,10 @@ def _psi_at(cfg: NetworkConfig, layer: str, gamma: float,
     sigma = np.exp(x)
     sigma_m = (sigma if cfg.alpha_m == cfg.alpha_s
                else np.exp(x * (cfg.alpha_s / cfg.alpha_m)))
-    log_p_gamma = _cluster_log_p(cfg, layer, gamma, sigma, sigma_m,
-                                 np.empty(x.size), np.empty((2, x.size)))
+    log_p_gamma = _cluster_log_p(cfg, layer, gamma, sigma, sigma_m)
 
     def phi(t, idx):
-        out = np.empty((t.size, idx.size))
-        _cluster_log_p(cfg, layer, t[:, None], sigma[idx], sigma_m[idx], out,
-                       np.empty((2,) + out.shape))
+        out = _cluster_log_p(cfg, layer, t[:, None], sigma[idx], sigma_m[idx])
         out -= log_p_gamma[idx]
         return np.exp(out, out=out)
 
@@ -558,11 +553,15 @@ def _psi_runs(top: float, sigma: np.ndarray, pieces: int):
         yield j, start, stop
 
 
-def _psi_mean(table: list, top: float, sigma: np.ndarray,
-              weights: np.ndarray) -> float:
-    """sum_i weights_i Psi(sigma_i) / N over a sorted draw of N samples,
-    the Psi interpolant evaluated run by run in blocks of _PSI_BLOCK
-    samples."""
+def _psi_mean(cfg: NetworkConfig, layer: str, gamma: float, seed: int,
+              sigma: np.ndarray, weights: np.ndarray) -> float:
+    """sum_i weights_i Psi(sigma_i) / N over a sorted draw of N samples.
+
+    The layer's Psi table at (cfg, gamma, seed) is grown to the pieces
+    that cover the draw, and its interpolant is evaluated run by run in
+    blocks of _PSI_BLOCK samples."""
+    top = _psi_top(cfg, layer)
+    table = _psi_table(cfg, layer, gamma, seed, _psi_pieces(top, sigma))
     total = 0.0
     for j, start, stop in _psi_runs(top, sigma, len(table)):
         mid = top - (j + 0.5) * _PSI_WIDTH
@@ -584,16 +583,10 @@ def _ergodic_rate_cluster(cfg, layer, gamma, n_serving, seed):
     """The rate from E[phi(gamma) Psi] / E[phi(gamma)] over the draw: one
     kernel pass at gamma, whose terms weight one pass of the Psi
     interpolant."""
-    sigma, sigma_m = _cluster_draw(cfg, layer, gamma, n_serving, seed)
-    terms = _cluster_terms(cfg, layer, gamma, sigma, sigma_m)
-    top = _psi_top(cfg, layer)
-
-    def tail():
-        table = _psi_table(cfg, layer, gamma, seed, _psi_pieces(top, sigma))
-        return _psi_mean(table, top, sigma, terms)
-
-    return _conditioned_rate(cfg, gamma, float(terms.sum()) / sigma.size,
-                             tail)
+    sigma, terms = _cluster_terms(cfg, layer, gamma, n_serving, seed)
+    return _conditioned_rate(
+        cfg, gamma, float(terms.sum()) / sigma.size,
+        lambda: _psi_mean(cfg, layer, gamma, seed, sigma, terms))
 
 
 def ergodic_rate_sbs_bl(cfg: NetworkConfig, gamma_bl: float, n1_serving: int,

@@ -43,7 +43,7 @@ GAMMA_GRID_DB = (0.0, 5.0, 10.0, 15.0, 20.0)
 
 # A standard error above this fraction of the scale (1 for a probability,
 # the analytic value for a rate) is reported as inconclusive rather than
-# pass/fail.
+# pass/fail; see _status for which error each row uses.
 _MAX_CONCLUSIVE_SIGMA = 0.02
 
 # The delivery modes: name suffix of their analytic and sampler functions,
@@ -93,10 +93,21 @@ def _estimate(kind, source, serving, net, gamma, args):
         net, gamma, source.removeprefix("SBS-"), *serving, args.drops, args.seed)
 
 
-def _status(analytic_value, est, scale):
-    if est.std_error > _MAX_CONCLUSIVE_SIGMA * scale:
+def _status(kind, analytic_value, est):
+    """The verdict on one validate row.  A probability is judged on the
+    scale 1 by the binomial error sqrt(p (1 - p) / n) at the analytic p:
+    the estimate's own plug-in error is 0 whenever no drop, or every
+    drop, succeeds.  A rate is judged on the scale of its analytic value
+    by the estimate's error."""
+    if kind == "p_success":
+        scale = 1.0
+        sigma = math.sqrt(analytic_value * (1.0 - analytic_value)
+                          / est.n_samples)
+    else:
+        scale, sigma = analytic_value, est.std_error
+    if sigma > _MAX_CONCLUSIVE_SIGMA * scale:
         return "inconclusive"
-    tolerance = max(3.0 * est.std_error, 0.01 * scale)
+    tolerance = max(3.0 * sigma, 0.01 * scale)
     return "pass" if abs(analytic_value - est.mean) <= tolerance else "fail"
 
 
@@ -111,8 +122,7 @@ def cmd_validate(args) -> int:
                 value = _analytic(kind, name, serving, net, gamma, args.seed)
                 try:
                     est = _estimate(kind, source, serving, net, gamma, args)
-                    status = _status(value, est,
-                                     1.0 if kind == "p_success" else value)
+                    status = _status(kind, value, est)
                 except RuntimeError:
                     # too few drops met the QoS condition for a rate
                     est = montecarlo.Estimate(math.nan, math.inf, 0)

@@ -56,8 +56,10 @@ def window_radius(cfg: NetworkConfig) -> float:
     return WINDOW_FACTOR / math.sqrt(math.pi * cfg.lambda_m)
 
 
-def _window2(cfg: NetworkConfig) -> float:
-    """R_sim^2, once the points a batch expects in it are known to fit."""
+def _window(cfg: NetworkConfig) -> tuple[float, float]:
+    """(R_sim^2, far): the window once the points a batch expects in it
+    are known to fit, and the Campbell mean of the MBS and SBS fields
+    beyond it, added to every drop's interference."""
     w2 = window_radius(cfg) ** 2
     points = (cfg.lambda_m + cfg.lambda_s) * math.pi * w2 * _BATCH
     if not points <= _MAX_BATCH_POINTS:
@@ -65,7 +67,8 @@ def _window2(cfg: NetworkConfig) -> float:
             f"Monte-Carlo window too large: lambda_m = {cfg.lambda_m:g} and "
             f"lambda_s = {cfg.lambda_s:g} expect {points:.3g} points per "
             f"batch of {_BATCH} drops, above the limit of 2^27")
-    return w2
+    return w2, (_far_mean(cfg.lambda_m, cfg.p_m, cfg.alpha_m, w2)
+                + _far_mean(cfg.lambda_s, cfg.p_s, cfg.alpha_s, w2))
 
 
 def _far_mean(density, power, alpha, r2):
@@ -138,10 +141,8 @@ def _run_batches(worker, n_drops: int, seed: int) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def sir_samples_mbs(cfg: NetworkConfig, n_drops: int, seed: int = 0) -> np.ndarray:
     """SIR samples for nearest-MBS service (one value per drop)."""
-    a2 = _window2(cfg)
+    a2, far = _window(cfg)
     mean_mbs = cfg.lambda_m * math.pi * a2
-    far = (_far_mean(cfg.lambda_m, cfg.p_m, cfg.alpha_m, a2)
-           + _far_mean(cfg.lambda_s, cfg.p_s, cfg.alpha_s, a2))
 
     def worker(seed_seq, size):
         rng = np.random.default_rng(seed_seq)
@@ -171,9 +172,7 @@ def _sir_samples_cluster(cfg, n_cluster, ring2, n_serving, n_drops, seed):
     if not 1 <= n_serving <= n_cluster:
         raise ValueError("n_serving must lie in 1..cluster size")
     lo2, hi2 = ring2
-    w2 = _window2(cfg)
-    far = (_far_mean(cfg.lambda_s, cfg.p_s, cfg.alpha_s, w2)
-           + _far_mean(cfg.lambda_m, cfg.p_m, cfg.alpha_m, w2))
+    w2, far = _window(cfg)
 
     def worker(seed_seq, size):
         rng = np.random.default_rng(seed_seq)

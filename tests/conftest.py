@@ -106,11 +106,10 @@ def _kernel_mean_p(cfg, layer, n_serving, seed):
     """t -> P(SIR_S >= t): exp of the library's kernel averaged over its
     sorted serving draw, every sample evaluated."""
     sigma, sigma_m = analytic._cluster_state(cfg, layer, n_serving, seed)
-    out, work = np.empty(sigma.size), np.empty((2, sigma.size))
 
     def p_at(t):
-        analytic._cluster_log_p(cfg, layer, t, sigma, sigma_m, out, work)
-        return float(np.exp(out).sum()) / sigma.size
+        log_p = analytic._cluster_log_p(cfg, layer, t, sigma, sigma_m)
+        return float(np.exp(log_p).sum()) / sigma.size
 
     return p_at
 

@@ -236,8 +236,7 @@ def _reference_exponent(cfg, layer, c):
 def _log_p_at_c(cfg, layer, c):
     """The kernel's ln P(SIR_S >= t) at t = c and S = 1."""
     one = np.ones(1)
-    return analytic._cluster_log_p(cfg, layer, c, one, one, np.empty(1),
-                                   np.empty((2, 1)))[0]
+    return analytic._cluster_log_p(cfg, layer, c, one, one)[0]
 
 
 def _underflow_c(cfg, layer):
@@ -352,9 +351,8 @@ class TestUnderflowCut:
         scale = analytic._serving_scale(net, layer, 2, self.N_SAMPLES, 0)
         p_success = getattr(analytic, f"p_success_sbs_{layer}")
         for t in (1e-2, 1.0, 1e6, 1e30):
-            full = np.exp(analytic._cluster_log_p(
-                net, layer, t, sigma, sigma_m, np.empty(sigma.size),
-                np.empty((2, sigma.size))))
+            full = np.exp(analytic._cluster_log_p(net, layer, t, sigma,
+                                                  sigma_m))
             assert p_success(net, t, 2, seed=0) == \
                 float(full.sum()) / sigma.size
             ref = float(np.exp(-_reference_exponent(net, layer,
@@ -616,8 +614,7 @@ class TestSwappedRate:
                         for k, uk in zip(piece, u)])
         want = analytic._psi_at(cfg, layer, gamma, x)
         log_p_gamma = analytic._cluster_log_p(
-            cfg, layer, gamma, np.exp(x), np.exp(x * cfg.alpha_s / cfg.alpha_m),
-            np.empty(x.size), np.empty((2, x.size)))
+            cfg, layer, gamma, np.exp(x), np.exp(x * cfg.alpha_s / cfg.alpha_m))
         assert np.all(np.abs(got - want) <= 1e-13 * want
                       * np.maximum(1.0, -log_p_gamma / 100.0))
 

@@ -59,12 +59,30 @@ class TestValidate:
         assert statuses <= {"pass", "inconclusive"}
         assert "pass" in statuses
 
-    def test_too_few_drops_is_inconclusive_not_fail(self, light_cfg, tmp_path):
+    @pytest.mark.parametrize("drops", [3, 20, 512])
+    def test_too_few_drops_is_inconclusive_not_fail(self, light_cfg, tmp_path,
+                                                    drops):
         rc = cli.main(["--config", light_cfg, "--out-dir", str(tmp_path),
-                       "--drops", "512", "validate"])
+                       "--drops", str(drops), "validate"])
         assert rc == 0
         _, rows = _read_csv(tmp_path / "validate.csv")
         assert "fail" not in {r[-1] for r in rows}
+
+    def test_probability_verdict_uses_the_binomial_error_at_the_analytic_value(
+            self):
+        """No drop succeeding gives a plug-in error of 0, which must not
+        make the row conclusive: 20 drops all miss a p of 0.039 45% of the
+        time."""
+        def status(kind, value, mean, std_error, n):
+            return cli._status(kind, value,
+                               montecarlo.Estimate(mean, std_error, n))
+
+        assert status("p_success", 0.039, 0.0, 0.0, 20) == "inconclusive"
+        assert status("p_success", 2.4e-6, 0.0, 0.0, 20) == "pass"
+        assert status("p_success", 0.1, 0.5, 0.005, 10_000) == "fail"
+        # a rate keeps the estimate's own error: 3% of the value is too wide
+        assert status("ergodic_rate", 1e6, 1e6, 3e4, 500) == "inconclusive"
+        assert status("ergodic_rate", 1e6, 1.05e6, 1e3, 500) == "fail"
 
 
 class TestAnalyze:

@@ -325,9 +325,8 @@ class TestWindow:
             def mode(gamma):
                 # s = c / p_s
                 c = gamma / s_sum
-                log_p = analytic._cluster_log_p(
-                    cfg, layer, gamma, sigma, sigma, np.empty(samples),
-                    np.empty((2, samples)))
+                log_p = analytic._cluster_log_p(cfg, layer, gamma, sigma,
+                                                sigma)
                 return (-log_p,
                         window(cfg.lambda_s, c ** (2.0 / alpha))
                         + window(cfg.lambda_m,
