@@ -5,11 +5,14 @@ underpins every expression: arctan(1/x) at alpha = 4, a hypergeometric
 form otherwise.  Cluster probabilities depend on the serving positions
 only through S = sum r^-alpha and are averaged over S by Monte-Carlo
 position integration with inverse-CDF radius sampling, POSITION_SAMPLES
-positions per seed.  One kernel serves every alpha: it sorts the draw by S
-once, keeps sigma = S^(-2/alpha) per sample, and sums the terms in sorted
-order.  At alpha = 4 a sample costs one arctan in either layer: the EL
-annulus's outer and head terms merge into one arctan by the addition
-formula.
+positions per seed.  One radius formula serves both rings, the BL disk
+being an annulus with inner radius 0: r^2 = inner^2 + (outer^2 - inner^2) u.
+A draw is kept as one ascending array of sigma = S^(-2/alpha_s), sorted
+once.  One kernel serves every alpha and sums its terms in that order; the
+MBS term's sigma_m = S^(-2/alpha_m) is sigma^(alpha_s/alpha_m), which the
+kernel forms itself when alpha_m != alpha_s.  At alpha = 4 a sample costs
+one arctan in either layer: the EL annulus's outer and head terms merge
+into one arctan by the addition formula.
 The nearest-MBS radial integral is exact when alpha_m = alpha_s and uses
 adaptive quadrature otherwise.  Every ergodic rate is a success-conditioned
 SIR tail integral, taken by one routine over a node axis: 21-point
@@ -38,9 +41,7 @@ alpha_m = alpha_s = 4 this module runs on numpy alone.
 
 from __future__ import annotations
 
-import bisect
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,10 @@ from svcache.config import NetworkConfig
 
 # Position samples behind every cluster-averaged quantity.
 POSITION_SAMPLES = 200_000
+# Position samples per block of the serving draw: a block of n uniforms
+# per sample is the draw's only temporary, so the draw's memory does not
+# grow with n (the whole (POSITION_SAMPLES, 4) array would be 6.4 MB).
+_DRAW_BLOCK = 8192
 
 # Relative tail threshold for truncating the SIR integral over t.
 _TAIL_REL = 1e-8
@@ -233,36 +238,40 @@ def _serving_scale(cfg: NetworkConfig, layer: str, n: int, n_samples: int,
     """S = sum r^-alpha_s of n serving SBSs uniform in the layer's ring,
     one value per position sample (inverse-CDF radii).
 
-    The radii and their powers are built in place in the one (n_samples, n)
-    array of uniforms.
+    One formula serves both rings, the BL disk being the annulus with
+    inner radius 0: r^2 = inner^2 + (outer^2 - inner^2) u for a uniform u,
+    and S = sum (r^2)^(-alpha_s/2).  The uniforms are drawn _DRAW_BLOCK
+    samples at a time, in the generator's order, and both steps run in
+    place in each block, so the draw is that of one (n_samples, n) array
+    without holding one.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    r = rng.random((n_samples, n))
     inner, outer = _ring(cfg, layer)
-    if inner == 0.0:
-        np.sqrt(r, out=r)
-        r *= outer
-    else:
-        r *= outer ** 2 - inner ** 2
-        r += inner ** 2
-        np.sqrt(r, out=r)
-    r **= -cfg.alpha_s
-    return r.sum(axis=1)
+    s = np.empty(n_samples)
+    for lo in range(0, n_samples, _DRAW_BLOCK):
+        r2 = rng.random((min(_DRAW_BLOCK, n_samples - lo), n))
+        r2 *= outer ** 2 - inner ** 2
+        r2 += inner ** 2
+        r2 **= -0.5 * cfg.alpha_s
+        r2.sum(axis=1, out=s[lo:lo + len(r2)])
+    return s
 
 
-def _cluster_log_p(cfg: NetworkConfig, layer: str, t: float, sigma,
-                   sigma_m) -> np.ndarray:
+def _cluster_log_p(cfg: NetworkConfig, layer: str, t: float,
+                   sigma) -> np.ndarray:
     """ln P(SIR_S >= t) given serving positions, as a new array.
 
-    One entry per position sample, given sigma = S^(-2/alpha_s) and
-    sigma_m = S^(-2/alpha_m) of its S = sum r^-alpha_s (used only when
-    alpha_m != alpha_s).  t is a scalar, or a column of thresholds that
+    One entry per position sample, given sigma = S^(-2/alpha_s) of its
+    S = sum r^-alpha_s.  t is a scalar, or a column of thresholds that
     broadcasts against sigma to the result's shape.  With c = t/S,
     y = t^(2/alpha_s) * sigma is c^(2/alpha_s), and the SBSs beyond the
     layer's silent ring contribute G(outer^2 / y).  SBSs inside the ring
     add the head integral G(0) - G(inner^2 / y); a ring starting at 0 has
-    none.  The two scratch rows of the result's shape are allocated apart
-    from it, so the result does not keep them alive.
+    none.  The MBS term scales with sigma_m = S^(-2/alpha_m), which is
+    sigma itself when alpha_m = alpha_s; otherwise the kernel forms
+    sigma_m = sigma^(alpha_s/alpha_m) in its second scratch row.  The two
+    scratch rows of the result's shape are allocated apart from it, so the
+    result does not keep them alive.
 
     At alpha_s = 4 the kernel works in u = y / outer^2 and
     rho = (inner / outer)^2 < 1.  The outer term is arctan(u), which does
@@ -308,7 +317,9 @@ def _cluster_log_p(cfg: NetworkConfig, layer: str, t: float, sigma,
         out *= y
     else:
         out *= y
-        out += np.multiply(sigma_m, mbs * t ** (2.0 / a_m), out=tmp)
+        np.power(sigma, a_s / a_m, out=tmp)
+        tmp *= mbs * t ** (2.0 / a_m)
+        out += tmp
     return out
 
 
@@ -317,15 +328,15 @@ def _cluster_log_p(cfg: NetworkConfig, layer: str, t: float, sigma,
 _STATES: dict = {}
 
 
-def _cluster_state(cfg: NetworkConfig, layer: str, n: int, seed: int) -> tuple:
-    """(sigma, sigma_m) of one serving draw of POSITION_SAMPLES
-    positions, read-only.
+def _cluster_state(cfg: NetworkConfig, layer: str, n: int,
+                   seed: int) -> np.ndarray:
+    """sigma of one serving draw of POSITION_SAMPLES positions, ascending
+    and read-only.
 
-    With S the _serving_scale draw sorted ascending, sigma = S^(-2/alpha_s)
-    (so descending, and at most outer^2 because S >= outer^-alpha_s) and
-    sigma_m = S^(-2/alpha_m) (sigma itself when alpha_m = alpha_s).  sigma
-    is computed in the draw's own array, so S is not kept.  The state of
-    the last draw of each layer is kept, so repeated calls at one
+    sigma = S^(-2/alpha_s) of the _serving_scale draw S is taken in the
+    draw's own array, so S is not kept, and sorted there: S in descending
+    order.  sigma is at most outer^2, because S >= outer^-alpha_s.  The
+    state of the last draw of each layer is kept, so repeated calls at one
     (cfg, n, seed) draw and sort once.
     """
     key = (cfg, n, seed)
@@ -333,16 +344,11 @@ def _cluster_state(cfg: NetworkConfig, layer: str, n: int, seed: int) -> tuple:
         return _STATES[layer][1]
     _STATES.pop(layer, None)    # free the old state before the new one
     s = _serving_scale(cfg, layer, n, POSITION_SAMPLES, seed)
-    s.sort()
-    sigma_m = (None if cfg.alpha_m == cfg.alpha_s
-               else s ** (-2.0 / cfg.alpha_m))
     sigma = np.power(s, -2.0 / cfg.alpha_s, out=s)
-    if sigma_m is None:
-        sigma_m = sigma
-    for a in (sigma, sigma_m):
-        a.setflags(write=False)
-    _STATES[layer] = (key, (sigma, sigma_m))
-    return sigma, sigma_m
+    sigma.sort()
+    sigma.setflags(write=False)
+    _STATES[layer] = (key, sigma)
+    return sigma
 
 
 def _cluster_terms(cfg, layer, gamma, n_serving, seed) -> tuple:
@@ -352,8 +358,8 @@ def _cluster_terms(cfg, layer, gamma, n_serving, seed) -> tuple:
     if not 1 <= n_serving <= (cfg.n1 if layer == "bl" else cfg.n2):
         raise ValueError("n_serving must lie in 1..cluster size")
     _check_gamma(gamma)
-    sigma, sigma_m = _cluster_state(cfg, layer, n_serving, seed)
-    terms = _cluster_log_p(cfg, layer, gamma, sigma, sigma_m)
+    sigma = _cluster_state(cfg, layer, n_serving, seed)
+    terms = _cluster_log_p(cfg, layer, gamma, sigma)
     return sigma, np.exp(terms, out=terms)
 
 
@@ -476,18 +482,15 @@ def _psi_at(cfg: NetworkConfig, layer: str, gamma: float,
     """Psi(sigma) = int_gamma^inf phi(t, sigma) / phi(gamma, sigma) dt/(1+t)
     at each ln sigma in x, one tail-integral node each.
 
-    phi is exp of the kernel, with sigma_m = sigma^(alpha_s/alpha_m); the
-    integrand is exp(ln phi(t) - ln phi(gamma)), so it starts at 1 however
-    small phi(gamma, sigma) is, and carries about |ln phi(gamma, sigma)|
-    ulp.
+    phi is exp of the kernel; the integrand is
+    exp(ln phi(t) - ln phi(gamma)), so it starts at 1 however small
+    phi(gamma, sigma) is, and carries about |ln phi(gamma, sigma)| ulp.
     """
     sigma = np.exp(x)
-    sigma_m = (sigma if cfg.alpha_m == cfg.alpha_s
-               else np.exp(x * (cfg.alpha_s / cfg.alpha_m)))
-    log_p_gamma = _cluster_log_p(cfg, layer, gamma, sigma, sigma_m)
+    log_p_gamma = _cluster_log_p(cfg, layer, gamma, sigma)
 
     def phi(t, idx):
-        out = _cluster_log_p(cfg, layer, t[:, None], sigma[idx], sigma_m[idx])
+        out = _cluster_log_p(cfg, layer, t[:, None], sigma[idx])
         out -= log_p_gamma[idx]
         return np.exp(out, out=out)
 
@@ -540,30 +543,26 @@ def _clenshaw(coef, u: np.ndarray) -> np.ndarray:
     return u * b1 - b2 + coef[0]
 
 
-def _psi_runs(top: float, sigma: np.ndarray, pieces: int):
-    """(j, start, stop) of each piece j of the Psi table and the run of a
-    sorted draw it holds: the samples with ln sigma in
-    (top - (j+1) w, top - j w].  The descending sigma is bisected in
-    place (np.searchsorted would copy the reversed view)."""
-    stop = 0
-    for j in range(pieces):
-        start, stop = stop, bisect.bisect_left(
-            sigma, -math.exp(top - (j + 1) * _PSI_WIDTH), lo=stop,
-            key=operator.neg)
-        yield j, start, stop
-
-
 def _psi_mean(cfg: NetworkConfig, layer: str, gamma: float, seed: int,
               sigma: np.ndarray, weights: np.ndarray) -> float:
-    """sum_i weights_i Psi(sigma_i) / N over a sorted draw of N samples.
+    """sum_i weights_i Psi(sigma_i) / N over an ascending draw of N samples.
 
     The layer's Psi table at (cfg, gamma, seed) is grown to the pieces
-    that cover the draw, and its interpolant is evaluated run by run in
-    blocks of _PSI_BLOCK samples."""
+    that cover the draw, down past its smallest sigma (its first sample).
+    Piece j holds the run of samples with ln sigma in
+    (top - (j+1) w, top - j w]; one np.searchsorted over the pieces' lower
+    edges gives every run's start, and each run ends where the run of the
+    piece above starts.  The interpolant is evaluated run by run in blocks
+    of _PSI_BLOCK samples."""
     top = _psi_top(cfg, layer)
-    table = _psi_table(cfg, layer, gamma, seed, _psi_pieces(top, sigma))
+    pieces = math.floor((top - math.log(sigma[0])) / _PSI_WIDTH) + 1
+    table = _psi_table(cfg, layer, gamma, seed, pieces)
+    starts = np.searchsorted(
+        sigma, np.exp(top - np.arange(1, pieces + 1) * _PSI_WIDTH),
+        side="right")
+    stops = np.concatenate(([sigma.size], starts[:-1]))
     total = 0.0
-    for j, start, stop in _psi_runs(top, sigma, len(table)):
+    for j, (start, stop) in enumerate(zip(starts, stops)):
         mid = top - (j + 0.5) * _PSI_WIDTH
         for lo in range(start, stop, _PSI_BLOCK):
             u = np.log(sigma[lo:min(lo + _PSI_BLOCK, stop)])
@@ -571,12 +570,6 @@ def _psi_mean(cfg: NetworkConfig, layer: str, gamma: float, seed: int,
             u *= 2.0 / _PSI_WIDTH
             total += float(_clenshaw(table[j], u) @ weights[lo:lo + u.size])
     return total / sigma.size
-
-
-def _psi_pieces(top: float, sigma: np.ndarray) -> int:
-    """Pieces of the Psi table that cover a draw: down past its smallest
-    sigma (its last sample)."""
-    return math.floor((top - math.log(sigma[-1])) / _PSI_WIDTH) + 1
 
 
 def _ergodic_rate_cluster(cfg, layer, gamma, n_serving, seed):

@@ -9,6 +9,7 @@ request asks for the base layer, which every request already counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,7 @@ class PopularityProfile:
     def __post_init__(self):
         object.__setattr__(self, "p", tuple(float(x) for x in self.p))
         object.__setattr__(self, "g_hdv", tuple(float(x) for x in self.g_hdv))
-        if abs(sum(self.p) - 1.0) > 1e-12:
+        if abs(math.fsum(self.p) - 1.0) > 1e-12:
             raise ValueError("request probabilities must sum to 1")
         if any(self.p[i] < self.p[i + 1] - 1e-15 for i in range(len(self.p) - 1)):
             raise ValueError("request probabilities must be non-increasing")

@@ -105,10 +105,10 @@ def arccot_cluster_p():
 def _kernel_mean_p(cfg, layer, n_serving, seed):
     """t -> P(SIR_S >= t): exp of the library's kernel averaged over its
     sorted serving draw, every sample evaluated."""
-    sigma, sigma_m = analytic._cluster_state(cfg, layer, n_serving, seed)
+    sigma = analytic._cluster_state(cfg, layer, n_serving, seed)
 
     def p_at(t):
-        log_p = analytic._cluster_log_p(cfg, layer, t, sigma, sigma_m)
+        log_p = analytic._cluster_log_p(cfg, layer, t, sigma)
         return float(np.exp(log_p).sum()) / sigma.size
 
     return p_at

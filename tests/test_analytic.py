@@ -236,7 +236,7 @@ def _reference_exponent(cfg, layer, c):
 def _log_p_at_c(cfg, layer, c):
     """The kernel's ln P(SIR_S >= t) at t = c and S = 1."""
     one = np.ones(1)
-    return analytic._cluster_log_p(cfg, layer, c, one, one)[0]
+    return analytic._cluster_log_p(cfg, layer, c, one)[0]
 
 
 def _underflow_c(cfg, layer):
@@ -347,12 +347,11 @@ class TestUnderflowCut:
                          * analytic.g_alpha_zero(net.alpha_m))
             ) ** (net.alpha_m / 2.0)
         assert not math.isfinite(mbs_only)
-        sigma, sigma_m = analytic._cluster_state(net, layer, 2, 0)
+        sigma = analytic._cluster_state(net, layer, 2, 0)
         scale = analytic._serving_scale(net, layer, 2, self.N_SAMPLES, 0)
         p_success = getattr(analytic, f"p_success_sbs_{layer}")
         for t in (1e-2, 1.0, 1e6, 1e30):
-            full = np.exp(analytic._cluster_log_p(net, layer, t, sigma,
-                                                  sigma_m))
+            full = np.exp(analytic._cluster_log_p(net, layer, t, sigma))
             assert p_success(net, t, 2, seed=0) == \
                 float(full.sum()) / sigma.size
             ref = float(np.exp(-_reference_exponent(net, layer,
@@ -599,11 +598,11 @@ class TestSwappedRate:
         EL table reaches 726)."""
         cfg, gamma = _threshold(scenario, layer)
         top, width = analytic._psi_top(cfg, layer), analytic._PSI_WIDTH
-        extremes = np.log([analytic._cluster_state(cfg, layer, n, 0)[0][i]
+        extremes = np.log([analytic._cluster_state(cfg, layer, n, 0)[i]
                            for n in (1, 4) for i in (0, -1)])
-        table = analytic._psi_table(cfg, layer, gamma, 0,
-                                    analytic._psi_pieces(top, np.exp(
-                                        [extremes.min()])))
+        table = analytic._psi_table(
+            cfg, layer, gamma, 0,
+            math.floor((top - extremes.min()) / width) + 1)
         j = np.arange(len(table))
         x = np.concatenate([top - (j[:, None] + np.array([0.0, 0.5, 1.0]))
                             * width, extremes[:, None]], axis=None)
@@ -613,8 +612,7 @@ class TestSwappedRate:
         got = np.array([analytic._clenshaw(table[k], np.array([uk]))[0]
                         for k, uk in zip(piece, u)])
         want = analytic._psi_at(cfg, layer, gamma, x)
-        log_p_gamma = analytic._cluster_log_p(
-            cfg, layer, gamma, np.exp(x), np.exp(x * cfg.alpha_s / cfg.alpha_m))
+        log_p_gamma = analytic._cluster_log_p(cfg, layer, gamma, np.exp(x))
         assert np.all(np.abs(got - want) <= 1e-13 * want
                       * np.maximum(1.0, -log_p_gamma / 100.0))
 
@@ -641,39 +639,69 @@ class TestSwappedRate:
         assert after == analytic.build_rate_table(net, seed=3)
 
 
+def _psi_blocks(monkeypatch, cfg, layer, n, seed):
+    """(sigma, pieces, blocks) of _psi_mean over the layer's (n, seed)
+    draw at its threshold, from a fresh Psi table: the ascending draw, the
+    table's piece count, and (j, ln sigma) of each block handed to
+    _clenshaw, j the piece it is evaluated on and ln sigma recovered from
+    the block's u."""
+    monkeypatch.setattr(analytic, "_PSI", {})
+    sigma = analytic._cluster_state(cfg, layer, n, seed)
+    gamma = cfg.gamma_bl if layer == "bl" else cfg.gamma_el
+    top, width = analytic._psi_top(cfg, layer), analytic._PSI_WIDTH
+    clenshaw, blocks = analytic._clenshaw, []
+
+    def recording(coef, u):
+        j = next(k for k, c in enumerate(analytic._PSI[layer][1])
+                 if c is coef)
+        blocks.append((j, top - (j + 0.5) * width + 0.5 * width * u))
+        return clenshaw(coef, u)
+
+    with monkeypatch.context() as m:
+        m.setattr(analytic, "_clenshaw", recording)
+        analytic._psi_mean(cfg, layer, gamma, seed, sigma,
+                           np.ones(sigma.size))
+    return sigma, len(analytic._PSI[layer][1]), blocks
+
+
 @pytest.mark.parametrize("seed", [0, 11])
-def test_full_draws_lie_inside_psi_table(net, seed):
-    """Every sample of the POSITION_SAMPLES draws at n = 1..4 falls in a
-    piece of the Psi table, inside its interval: nothing is
+def test_full_draws_lie_inside_psi_table(net, seed, monkeypatch):
+    """Every sample of the POSITION_SAMPLES draws at n = 1..4 is evaluated
+    once, on a piece of the Psi table whose interval holds it: nothing is
     extrapolated."""
+    width = analytic._PSI_WIDTH
     for layer, n in itertools.product(("bl", "el"), range(1, 5)):
-        sigma, _ = analytic._cluster_state(net, layer, n, seed)
+        sigma, _, blocks = _psi_blocks(monkeypatch, net, layer, n, seed)
         assert sigma.size == analytic.POSITION_SAMPLES == 200_000
+        assert np.all(np.diff(sigma) >= 0.0)
         top = analytic._psi_top(net, layer)
-        runs = list(analytic._psi_runs(top, sigma,
-                                       analytic._psi_pieces(top, sigma)))
-        assert runs[0][1] == 0 and runs[-1][2] == sigma.size
-        for j, start, stop in runs:
-            x = np.log(sigma[start:stop])
-            assert np.all(x <= top - j * analytic._PSI_WIDTH + 1e-12)
-            assert np.all(x >= top - (j + 1) * analytic._PSI_WIDTH - 1e-12)
+        for j, x in blocks:
+            assert np.all(x <= top - j * width + 1e-12)
+            assert np.all(x >= top - (j + 1) * width - 1e-12)
+        x = np.sort(np.concatenate([x for _, x in blocks]))
+        assert x.shape == sigma.shape
+        assert np.all(np.abs(x - np.log(sigma)) <= 1e-12)
 
 
-def test_psi_runs_match_the_scale_search(net, position_samples):
-    """The runs bisected on the descending sigma are those that the
-    ascending draw S = sigma^(-alpha_s/2) gives by np.searchsorted at
-    exp(alpha_s/2 ((j+1) w - top)), at seeds 0 and 11, for every n."""
+def test_psi_runs_match_the_scale_search(net, position_samples, monkeypatch):
+    """The runs that one searchsorted over the ascending sigma gives each
+    piece are those that the ascending draw S = sigma^(-alpha_s/2) gives by
+    np.searchsorted at exp(alpha_s/2 ((j+1) w - top)), at seeds 0 and 11,
+    for every n; the table ends at the piece that holds the smallest
+    sigma."""
     position_samples(20_000)
     for layer, n, seed in itertools.product(("bl", "el"), range(1, 5),
                                             (0, 11)):
-        sigma, _ = analytic._cluster_state(net, layer, n, seed)
+        _, pieces, blocks = _psi_blocks(monkeypatch, net, layer, n, seed)
         s = np.sort(analytic._serving_scale(net, layer, n, 20_000, seed))
         top = analytic._psi_top(net, layer)
-        pieces = analytic._psi_pieces(top, sigma)
         stops = np.searchsorted(s, np.exp(0.5 * net.alpha_s * (
             (np.arange(pieces) + 1) * analytic._PSI_WIDTH - top)))
-        runs = list(analytic._psi_runs(top, sigma, pieces))
-        assert [stop for _, _, stop in runs] == stops.tolist()
+        assert stops[-1] == s.size and (pieces == 1 or stops[-2] < s.size)
+        sizes = np.zeros(pieces, dtype=int)
+        for j, x in blocks:
+            sizes[j] += x.size
+        assert sizes.tolist() == np.diff(stops, prepend=0).tolist()
 
 
 _PUBLIC = ("p_success_mbs", "ergodic_rate_mbs", "p_success_sbs_bl",

@@ -240,6 +240,18 @@ class TestOptimize:
                        "optimize", "--scheme", scheme, "--max-iters", "3"])
         assert rc == 0
 
+    def test_large_uniform_catalog_runs(self, position_samples, tmp_path):
+        """F = 1e5 files of equal popularity: the profile's sum check and
+        the projection's budget hold at this size."""
+        position_samples(2_000)
+        cfg = tmp_path / "uniform.cfg"
+        cfg.write_text("f_count = 100000\nzipf_alpha = 0\n")
+        rc = cli.main(["--config", str(cfg), "--out-dir", str(tmp_path),
+                       "optimize", "--max-iters", "2"])
+        assert rc == 0
+        _, pol_rows = _read_csv(tmp_path / "policy.csv")
+        assert len(pol_rows) == 100_000
+
 
 class TestManifests:
     def test_every_csv_has_its_manifest(self, light_cfg, tmp_path):

@@ -55,13 +55,14 @@ def _fsum_mbs_worker(cfg, seed_seq, size):
 
 
 def _allocating_serving_scale(cfg, layer, n, n_samples, seed):
-    """The serving draw as written before it was built in place."""
+    """The serving draw as one (n_samples, n) array of uniforms, not built
+    in place block by block: the squared radii inner^2 + (outer^2 -
+    inner^2) u, then S = sum (r^2)^(-alpha_s/2)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     u = rng.random((n_samples, n))
     inner, outer = (0.0, cfg.a) if layer == "bl" else (cfg.a, cfg.b)
-    radii = (outer * np.sqrt(u) if inner == 0.0
-             else np.sqrt(inner ** 2 + (outer ** 2 - inner ** 2) * u))
-    return (radii ** -cfg.alpha_s).sum(axis=1)
+    r2 = (outer ** 2 - inner ** 2) * u + inner ** 2
+    return (r2 ** (-0.5 * cfg.alpha_s)).sum(axis=1)
 
 
 class TestInterference:
@@ -163,20 +164,31 @@ class TestServingScale:
                               _allocating_serving_scale(cfg, layer, n, 5_000,
                                                         23))
 
+    @pytest.mark.parametrize("layer", ["bl", "el"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_blocks_stitch_into_one_draw(self, net, layer, n):
+        """20,000 samples are two full blocks of the draw and a partial
+        one; together they are the one-array draw, bit for bit."""
+        assert 2 * analytic._DRAW_BLOCK < 20_000 < 3 * analytic._DRAW_BLOCK
+        got = analytic._serving_scale(net, layer, n, 20_000, 23)
+        assert np.array_equal(got,
+                              _allocating_serving_scale(net, layer, n, 20_000,
+                                                        23))
+
     def test_last_draw_of_each_layer_is_kept_read_only(self, net,
                                                        position_samples):
-        """The cluster kernel keeps sigma of the sorted draw of each
-        layer."""
+        """The cluster kernel keeps sigma of the draw of each layer, in
+        ascending order."""
         position_samples(1_000)
 
         def draw(layer, n):
-            return analytic._cluster_state(net, layer, n, 31)[0]
+            return analytic._cluster_state(net, layer, n, 31)
 
         bl = draw("bl", 2)
         assert not bl.flags.writeable
-        assert np.array_equal(
-            bl, np.sort(analytic._serving_scale(net, "bl", 2, 1_000, 31))
-            ** (-2.0 / net.alpha_s))
+        descending = np.sort(
+            analytic._serving_scale(net, "bl", 2, 1_000, 31))[::-1].copy()
+        assert np.array_equal(bl, descending ** (-2.0 / net.alpha_s))
         assert draw("el", 2) is not bl
         assert draw("bl", 2) is bl
         draw("bl", 3)
@@ -325,8 +337,7 @@ class TestWindow:
             def mode(gamma):
                 # s = c / p_s
                 c = gamma / s_sum
-                log_p = analytic._cluster_log_p(cfg, layer, gamma, sigma,
-                                                sigma)
+                log_p = analytic._cluster_log_p(cfg, layer, gamma, sigma)
                 return (-log_p,
                         window(cfg.lambda_s, c ** (2.0 / alpha))
                         + window(cfg.lambda_m,

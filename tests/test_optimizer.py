@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from svcache.analytic import RateTable
 from svcache.baselines import icp_expected_ee, mpcp_policy, ucp_policy
-from svcache.config import CachingPolicy
+from svcache.config import _BUDGET_TOL, CachingPolicy
 from svcache.objective import _ee, ee_gradient, ee_value
 from svcache.optimizer import (SolverSettings, make_initial_policy, optimize,
                                project_capped_simplex)
@@ -85,6 +85,18 @@ class TestProjection:
         once = project_capped_simplex(v, budget)
         twice = project_capped_simplex(once, budget)
         assert np.abs(twice - once).max() <= 1e-12
+
+    @pytest.mark.parametrize("budget", [5.0, 31_415.5])
+    def test_tied_large_catalog_meets_its_budget(self, budget):
+        """On F = 1e5 tied entries the kinks' sequential cumsum put the sum
+        5e-8 off a budget of 5; the projection still meets it within the
+        _BUDGET_TOL that every iterate is checked against, and the ties
+        stay tied."""
+        f_count = 100_000
+        x = project_capped_simplex(np.full(f_count, 0.3), budget)
+        assert abs(math.fsum(x) - budget) <= _BUDGET_TOL
+        assert np.all(x == x[0])
+        assert x[0] == pytest.approx(budget / f_count, rel=1e-9)
 
     def test_large_magnitude_inputs_terminate(self):
         # float64 spacing at |v| ~ 1e8 is about 1e-8; the threshold must
@@ -216,10 +228,12 @@ class TestOptimize:
 
     def test_rate_table_ulp_moves_no_trace_row(self, ctx):
         """One ulp up on every rate-table entry moves no trace EE by more
-        than 1e-12 relative, no step, no max_delta by more than 1e-12 and
-        no iteration count: the gradient does not amplify rounding the way
-        a finite-difference step would, and no trace column reads a value
-        the iterate does not fix."""
+        than 1e-12 relative, no step by more than 4 ulp, no max_delta by
+        more than 1e-12 and no iteration count: the gradient does not
+        amplify rounding the way a finite-difference step would, and no
+        trace column reads a value the iterate does not fix.  The step
+        eps0/t carries the initial gradient's rounding, so its last bits
+        may move with the table's."""
         r = ctx.rates
         up = lambda x: float(np.nextafter(x, np.inf))
         moved = replace(ctx, rates=RateTable(
@@ -237,7 +251,8 @@ class TestOptimize:
             assert np.array_equal(b[:, 0], a[:, 0])    # iteration
             assert (np.abs(b[:, 1] - a[:, 1]).max()
                     <= 1e-12 * np.abs(a[:, 1]).max())  # ee
-            assert np.array_equal(b[:, 2], a[:, 2])    # step
+            assert np.all(np.abs(b[:, 2] - a[:, 2])
+                          <= 4 * np.spacing(a[:, 2]))  # step
             assert np.abs(b[:, 3] - a[:, 3]).max() <= 1e-12  # max_delta
 
 

@@ -88,6 +88,15 @@ class TestProfile:
         with pytest.raises(ValueError):
             PopularityProfile(p=(0.4, 0.6), g_hdv=(1.0, 0.0))
 
+    @pytest.mark.parametrize("f_count", [10 ** 5, 10 ** 6])
+    def test_large_uniform_catalog_is_accepted(self, f_count):
+        """The float sum of F equal probabilities misses 1 by -1.9e-12 at
+        F = 1e5 and by 7.9e-12 at 1e6; the exactly rounded sum is 1."""
+        profile = build_profile(ContentConfig(f_count=f_count,
+                                              zipf_alpha=0.0))
+        assert profile.f_count == f_count
+        assert profile.p[0] == profile.p[-1] == 1.0 / f_count
+
     def test_zero_skew_content(self):
         profile = build_profile(ContentConfig(f_count=4, zipf_alpha=0.0))
         assert profile.p == pytest.approx((0.25,) * 4)
