@@ -3,11 +3,13 @@
 Each test pins one headline claim at its stated tolerance:
 
 1. closed-form success probabilities track the Monte-Carlo oracle within
-   max(0.01, 3 sigma) at 1e5 drops, under two minutes per quantity;
+   max(0.01, 3 sigma) at 1e5 drops, under two minutes per quantity, at
+   alpha = 4, at alpha = 3.5 and at alpha_m = 3.5, alpha_s = 4;
 2. the alpha=4 closed forms agree with the general quadrature to 1e-3
    relative, in under ten seconds;
 3. every ergodic service rate respects the conditioning floor
-   W*log2(1+gamma) and matches the conditional Monte-Carlo mean to 3%;
+   W*log2(1+gamma) and matches the conditional Monte-Carlo mean to 3%,
+   in the same three scenarios;
 4. the capped-simplex projection matches a brute-force QP oracle to 1e-6
    on a thousand random instances and is idempotent to 1e-12;
 5. the optimized fractional scheme dominates every baseline, the
@@ -31,6 +33,7 @@ import numpy as np
 import pytest
 
 from svcache import analytic, montecarlo
+from svcache.analytic import build_rate_table
 from svcache.baselines import icp_expected_ee, mpcp_policy, ucp_policy
 from svcache.config import ContentConfig, db_to_linear
 from svcache.objective import ObjectiveContext, ee_value
@@ -50,43 +53,64 @@ def _check_close(name, value, est):
     assert diff <= limit, f"{name}: {value} vs {est.mean} +- {est.std_error}"
 
 
+def _check_p_success(cfg, layer, n, gamma_db):
+    """Criterion 1 for one quantity: layer None is nearest-MBS service,
+    'bl' or 'el' cluster service by n SBSs."""
+    gamma = db_to_linear(gamma_db)
+    t0 = time.perf_counter()
+    if layer is None:
+        value = analytic.p_success_mbs(cfg, gamma)
+        est = montecarlo.estimate_p_success_mbs(cfg, gamma, ACCEPT_DROPS,
+                                                seed=0)
+        name = f"p_mbs({gamma_db}dB)"
+    else:
+        value = getattr(analytic, f"p_success_sbs_{layer}")(cfg, gamma, n,
+                                                            seed=0)
+        est = montecarlo.estimate_p_success_sbs(cfg, gamma, layer.upper(), n,
+                                                ACCEPT_DROPS, seed=0)
+        name = f"p_sbs_{layer}({gamma_db}dB, n={n})"
+    elapsed = time.perf_counter() - t0
+    _check_close(name, value, est)
+    assert elapsed <= PER_QUANTITY_BUDGET_S
+
+
+def _check_floor(cfg, rates):
+    """Criterion 3's floor: every rate is at least W log2(1 + gamma)."""
+    floor_bl = cfg.w * math.log2(1.0 + cfg.gamma_bl)
+    floor_el = cfg.w * math.log2(1.0 + cfg.gamma_el)
+    assert rates.r_m_bl >= floor_bl
+    assert rates.r_m_el >= floor_el
+    assert all(r >= floor_bl for r in rates.r_s_bl.values())
+    assert all(r >= floor_el for r in rates.r_s_el.values())
+
+
+def _check_rate(cfg, value, gamma, source, n=1):
+    """Criterion 3's agreement: the analytic rate within 3% of the
+    conditional Monte-Carlo mean."""
+    est = montecarlo.estimate_ergodic_rate(cfg, gamma, source, ACCEPT_DROPS,
+                                           seed=0, n_serving=n)
+    rel = abs(value - est.mean) / est.mean
+    print(f"rate {source}(gamma={gamma:.3g}, n={n}): rel diff {rel:.4%} "
+          f"over {est.n_samples} drops")
+    assert rel <= 0.03
+
+
 class TestSuccessProbabilityAgreement:
     """Criterion 1: analytic vs Monte-Carlo at 1e5 drops."""
 
     @pytest.mark.parametrize("gamma_db", GAMMA_GRID_DB)
     def test_mbs(self, net, gamma_db):
-        gamma = db_to_linear(gamma_db)
-        t0 = time.perf_counter()
-        value = analytic.p_success_mbs(net, gamma)
-        est = montecarlo.estimate_p_success_mbs(net, gamma, ACCEPT_DROPS,
-                                                seed=0)
-        elapsed = time.perf_counter() - t0
-        _check_close(f"p_mbs({gamma_db}dB)", value, est)
-        assert elapsed <= PER_QUANTITY_BUDGET_S
+        _check_p_success(net, None, 1, gamma_db)
 
     @pytest.mark.parametrize("gamma_db", GAMMA_GRID_DB)
     @pytest.mark.parametrize("n", [1, 4])
     def test_sbs_bl(self, net, gamma_db, n):
-        gamma = db_to_linear(gamma_db)
-        t0 = time.perf_counter()
-        value = analytic.p_success_sbs_bl(net, gamma, n, seed=0)
-        est = montecarlo.estimate_p_success_sbs(net, gamma, "BL", n,
-                                                ACCEPT_DROPS, seed=0)
-        elapsed = time.perf_counter() - t0
-        _check_close(f"p_sbs_bl({gamma_db}dB, n={n})", value, est)
-        assert elapsed <= PER_QUANTITY_BUDGET_S
+        _check_p_success(net, "bl", n, gamma_db)
 
     @pytest.mark.parametrize("gamma_db", GAMMA_GRID_DB)
     @pytest.mark.parametrize("n", [1, 4])
     def test_sbs_el(self, net, gamma_db, n):
-        gamma = db_to_linear(gamma_db)
-        t0 = time.perf_counter()
-        value = analytic.p_success_sbs_el(net, gamma, n, seed=0)
-        est = montecarlo.estimate_p_success_sbs(net, gamma, "EL", n,
-                                                ACCEPT_DROPS, seed=0)
-        elapsed = time.perf_counter() - t0
-        _check_close(f"p_sbs_el({gamma_db}dB, n={n})", value, est)
-        assert elapsed <= PER_QUANTITY_BUDGET_S
+        _check_p_success(net, "el", n, gamma_db)
 
 
 class TestClosedFormConsistency:
@@ -117,39 +141,67 @@ class TestErgodicRateFloorAndAgreement:
     """Criterion 3: rate floor exact, conditional MC agreement to 3%."""
 
     def test_floor_is_exact(self, net, rates):
-        floor_bl = net.w * math.log2(1.0 + net.gamma_bl)
-        floor_el = net.w * math.log2(1.0 + net.gamma_el)
-        assert rates.r_m_bl >= floor_bl
-        assert rates.r_m_el >= floor_el
-        assert all(r >= floor_bl for r in rates.r_s_bl.values())
-        assert all(r >= floor_el for r in rates.r_s_el.values())
+        _check_floor(net, rates)
 
     def test_mbs_rates_match_mc(self, net, rates):
-        for value, gamma in ((rates.r_m_bl, net.gamma_bl),
-                             (rates.r_m_el, net.gamma_el)):
-            est = montecarlo.estimate_ergodic_rate(net, gamma, "MBS",
-                                                   ACCEPT_DROPS, seed=0)
-            rel = abs(value - est.mean) / est.mean
-            print(f"r_mbs(gamma={gamma:.3g}): rel diff {rel:.4%}")
-            assert rel <= 0.03
+        _check_rate(net, rates.r_m_bl, net.gamma_bl, "MBS")
+        _check_rate(net, rates.r_m_el, net.gamma_el, "MBS")
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_sbs_bl_rates_match_mc(self, net, rates, n):
-        est = montecarlo.estimate_ergodic_rate(net, net.gamma_bl, "SBS-BL",
-                                               ACCEPT_DROPS, seed=0,
-                                               n_serving=n)
-        rel = abs(rates.r_s_bl[n] - est.mean) / est.mean
-        print(f"r_sbs_bl(n={n}): rel diff {rel:.4%}")
-        assert rel <= 0.03
+        _check_rate(net, rates.r_s_bl[n], net.gamma_bl, "SBS-BL", n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_sbs_el_rates_match_mc(self, net, rates, n):
-        est = montecarlo.estimate_ergodic_rate(net, net.gamma_el, "SBS-EL",
-                                               ACCEPT_DROPS, seed=0,
-                                               n_serving=n)
-        rel = abs(rates.r_s_el[n] - est.mean) / est.mean
-        print(f"r_sbs_el(n={n}): rel diff {rel:.4%}")
-        assert rel <= 0.03
+        _check_rate(net, rates.r_s_el[n], net.gamma_el, "SBS-EL", n)
+
+
+# Criteria 1 and 3 off the alpha = 4 path: the hypergeometric kernel at
+# alpha_m = alpha_s = 3.5, and alpha_m != alpha_s.  Both scenarios check
+# their EL rates at gamma_el = 0 dB: at the default 5 dB, only 4-12 of the
+# 1e5 drops of the mixed scenario meet the threshold at n = 1, fewer than
+# montecarlo.MIN_CONDITIONING_DROPS.
+GENERAL_SCENARIOS = {"alpha3.5": (3.5, 3.5), "alpha_m3.5-alpha_s4": (3.5, 4.0)}
+GENERAL_GAMMA_EL_DB = 0.0
+
+
+@pytest.fixture(scope="module", params=list(GENERAL_SCENARIOS))
+def general(request, net):
+    """(scenario, its seed-0 rate table) at one of GENERAL_SCENARIOS."""
+    alpha_m, alpha_s = GENERAL_SCENARIOS[request.param]
+    cfg = replace(net, alpha_m=alpha_m, alpha_s=alpha_s,
+                  gamma_el=db_to_linear(GENERAL_GAMMA_EL_DB))
+    return cfg, build_rate_table(cfg, seed=0)
+
+
+class TestGeneralAlphaAgreement:
+    """Criteria 1 and 3, with their tolerances, at alpha != 4."""
+
+    @pytest.mark.parametrize("gamma_db", GAMMA_GRID_DB)
+    def test_p_success_mbs(self, general, gamma_db):
+        _check_p_success(general[0], None, 1, gamma_db)
+
+    @pytest.mark.parametrize("gamma_db", GAMMA_GRID_DB)
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("layer", ["bl", "el"])
+    def test_p_success_sbs(self, general, layer, n, gamma_db):
+        _check_p_success(general[0], layer, n, gamma_db)
+
+    def test_floor_is_exact(self, general):
+        _check_floor(*general)
+
+    def test_mbs_rates_match_mc(self, general):
+        cfg, rates = general
+        _check_rate(cfg, rates.r_m_bl, cfg.gamma_bl, "MBS")
+        _check_rate(cfg, rates.r_m_el, cfg.gamma_el, "MBS")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("layer", ["bl", "el"])
+    def test_sbs_rates_match_mc(self, general, layer, n):
+        cfg, rates = general
+        value = getattr(rates, f"r_s_{layer}")[n]
+        _check_rate(cfg, value, getattr(cfg, f"gamma_{layer}"),
+                    f"SBS-{layer.upper()}", n)
 
 
 class TestProjectionOracle:
