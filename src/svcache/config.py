@@ -131,9 +131,12 @@ class CachingPolicy:
         object.__setattr__(self, "q2", tuple(float(x) for x in self.q2))
         _require(len(self.q1) == len(self.q2), "q1", "length mismatch with q2")
         for name, vec in (("q1", self.q1), ("q2", self.q2)):
-            for x in vec:
-                _require(-1e-12 <= x <= 1 + 1e-12, name,
-                         f"entry {x} outside [0, 1]")
+            # The message is formatted only for the first bad entry; NaN
+            # fails the range test too.
+            bad = next((x for x in vec if not -1e-12 <= x <= 1 + 1e-12),
+                       None)
+            if bad is not None:
+                raise ValueError(f"{name}: entry {bad} outside [0, 1]")
 
     @property
     def f_count(self) -> int:

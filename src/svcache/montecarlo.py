@@ -3,25 +3,41 @@
 Samples Poisson fields of base stations and Rayleigh fading, computes
 the exact SIR expressions (coherent cooperative sum for cluster service,
 nearest-MBS service otherwise) and estimates success probabilities and
-conditional ergodic rates empirically.  Drops are drawn serially in
-fixed-size batches; batch i draws from child i of SeedSequence(seed), so
-a seeded call returns the same array on every run.  Each interference
-sum is built in place, so its memory is two float64 arrays the size of
-the batch's point count, whatever the number of drops.  Each drop's
+conditional ergodic rates empirically.
+
+One ambient draw of the interfering fields serves every delivery mode.
+Per drop it holds the MBS field (the nearest MBS, and the others beyond
+it) and the SBS field as three independent PPPs over the squared radii
+[0, a^2], [a^2, b^2] and [b^2, R_sim^2].  A PPP on the window is the
+union of independent PPPs on a partition of it, and a PPP restricted to
+a region is a PPP on that region, so each mode sees the law it would see
+alone; the three modes of one drop are correlated, and no estimate uses
+their joint law.  A mode's interference is the sum of the regions it
+does not silence:
+
+- nearest-MBS service: the other MBSs and every SBS;
+- base-layer service: every MBS and the SBSs beyond a;
+- enhancement-layer service: every MBS and the SBSs inside a or beyond b.
+
+Cluster members that do not serve stay silent until the next
+transmission.  The coherent serving signal of each (layer, n) is drawn
+from its own stream of the seed, independent of the ambient stream, so
+every serving count of both layers shares one ambient draw.
+
+Drops are drawn serially in fixed-size batches; batch i of a stream
+draws from child i of the stream's SeedSequence, so a seeded call
+returns the same array on every run.  Each interference sum is built in
+place, so its memory is two float64 arrays the size of the region's
+point count in one batch, whatever the number of drops.  Each drop's
 interference is summed on its own, so it does not depend on the drops
-beside it in the batch.
+beside it in the batch, and no sum is formed by subtracting another.
 
 The simulation window is a disk of radius R_sim = 10 / sqrt(pi*lambda_m)
 centred on the user.  Each field that the window cuts off contributes
 its Campbell mean 2*pi*lambda*P*R_sim^(2-alpha)/(alpha-2) to every drop
 (Haenggi, Stochastic Geometry for Wireless Networks, 2012); with it,
 truncation moves each success probability by less than 1e-3 for
-path-loss exponents from 3 to 4.  In each delivery mode the
-ambient interfering-SBS field is a homogeneous PPP over the region that
-is not silenced by the serving cluster: the whole window for nearest-MBS
-service, radii beyond a for base-layer service, and the inner disk plus
-radii beyond b for enhancement-layer service.  Cluster members that do
-not serve stay silent until the next transmission.
+path-loss exponents from 3 to 4.
 """
 
 from __future__ import annotations
@@ -37,9 +53,9 @@ from svcache.config import NetworkConfig
 # Fixed batch size: it bounds the memory of one draw, and every seeded
 # result depends on it through the draws.  An interference sum over a
 # batch holds two arrays with one float64 per point (see _faded_sums):
-# about 2 x 5 MB for the ambient SBS field of the default scenario.  Each
+# about 2 x 1.3 MB for the SBSs beyond b in the default scenario.  Each
 # drop's sum is its own, whatever else the batch holds.
-_BATCH = 1024
+_BATCH = 256
 
 WINDOW_FACTOR = 10.0
 
@@ -126,23 +142,33 @@ def _interference(rng, density, r2_lo, r2_hi, power, alpha, n_drops):
     return _faded_sums(rng, r2, counts, power, alpha)
 
 
-def _run_batches(worker, n_drops: int, seed: int) -> np.ndarray:
+def _run_batches(worker, n_drops: int, seed: int,
+                 stream: tuple = ()) -> np.ndarray:
+    """worker(seed_seq, size) for each batch, joined along the last axis
+    into one read-only array.  Batch i draws from child i of the seed's
+    stream: SeedSequence(seed, spawn_key=stream)."""
     if n_drops < 1:
         raise ValueError("n_drops must be >= 1")
-    seeds = np.random.SeedSequence(seed).spawn((n_drops + _BATCH - 1) // _BATCH)
+    seeds = np.random.SeedSequence(seed, spawn_key=stream).spawn(
+        (n_drops + _BATCH - 1) // _BATCH)
     out = np.concatenate([worker(s, min(_BATCH, n_drops - i * _BATCH))
-                          for i, s in enumerate(seeds)])
+                          for i, s in enumerate(seeds)], axis=-1)
     out.setflags(write=False)
     return out
 
 
-# Each sampler keeps its last draw only: one run asks each sampler for one
-# (cfg, n_serving, n_drops, seed), and an older draw would stay in memory.
+# The ambient draw keeps its last result only: one run asks for one
+# (cfg, n_drops, seed), and an older draw would stay in memory.
 @functools.lru_cache(maxsize=1)
-def sir_samples_mbs(cfg: NetworkConfig, n_drops: int, seed: int = 0) -> np.ndarray:
-    """SIR samples for nearest-MBS service (one value per drop)."""
-    a2, far = _window(cfg)
-    mean_mbs = cfg.lambda_m * math.pi * a2
+def _ambient(cfg: NetworkConfig, n_drops: int, seed: int) -> np.ndarray:
+    """One draw of every interfering field: a read-only (5, n_drops)
+    array whose rows are, per drop, the nearest MBS's faded power (near),
+    the other MBSs' plus the Campbell mean beyond the window (rest), and
+    the SBSs' over the squared radii [0, a^2], [a^2, b^2] and
+    [b^2, R_sim^2] (in, ring, out), each edge capped at R_sim^2."""
+    w2, far = _window(cfg)
+    a2, b2 = min(cfg.a ** 2, w2), min(cfg.b ** 2, w2)
+    mean_mbs = cfg.lambda_m * math.pi * w2
 
     def worker(seed_seq, size):
         rng = np.random.default_rng(seed_seq)
@@ -150,29 +176,35 @@ def sir_samples_mbs(cfg: NetworkConfig, n_drops: int, seed: int = 0) -> np.ndarr
         # no MBS with probability e^-100, about 3.7e-44: negligible.
         counts = rng.poisson(mean_mbs, size)
         # Nearest-of-m uniform-in-disk distance, remaining MBSs beyond it.
-        min_r2 = a2 * (1.0 - rng.random(size) ** (1.0 / counts))
-        signal = rng.exponential(1.0, size) * cfg.p_m * min_r2 ** (-cfg.alpha_m / 2.0)
+        min_r2 = w2 * (1.0 - rng.random(size) ** (1.0 / counts))
+        near = (rng.exponential(1.0, size) * cfg.p_m
+                * min_r2 ** (-cfg.alpha_m / 2.0))
         n_interf = counts - 1
-        # r2 = lo + u * (a2 - lo) with lo the drop's min_r2, built in place.
+        # r2 = lo + u * (w2 - lo) with lo the drop's min_r2, built in place.
         r2 = rng.uniform(0.0, 1.0, int(n_interf.sum()))
-        r2 *= np.repeat(a2 - min_r2, n_interf)
+        r2 *= np.repeat(w2 - min_r2, n_interf)
         r2 += np.repeat(min_r2, n_interf)
-        i_mbs = _faded_sums(rng, r2, n_interf, cfg.p_m, cfg.alpha_m)
-        i_sbs = _interference(rng, cfg.lambda_s, 0.0, a2, cfg.p_s,
-                              cfg.alpha_s, size)
-        return signal / (i_mbs + i_sbs + far)
+        rest = _faded_sums(rng, r2, n_interf, cfg.p_m, cfg.alpha_m)
+        rest += far
+        return np.stack([near, rest] + [
+            _interference(rng, cfg.lambda_s, lo, hi, cfg.p_s, cfg.alpha_s,
+                          size)
+            for lo, hi in ((0.0, a2), (a2, b2), (b2, w2))])
 
     return _run_batches(worker, n_drops, seed)
 
 
-def _sir_samples_cluster(cfg, n_cluster, ring2, n_serving, n_drops, seed):
-    # ring2 = (lo^2, hi^2) holds the serving SBSs; interferers lie inside
-    # lo and beyond hi.  A base-layer ring starts at 0, so its inner field
-    # is empty and draws nothing from the RNG.
+def _serving(cfg: NetworkConfig, layer: str, n_serving: int, n_drops: int,
+             seed: int) -> np.ndarray:
+    """Per-drop coherent signal power p_s |sum_i h_i r_i^(-alpha_s/2)|^2 of
+    n_serving SBSs uniform in the layer's ring (the disk of radius a for
+    'BL', the annulus from a to b for 'EL'), with CN(0, 1) fades h_i.  It
+    is drawn from the stream SeedSequence(seed, spawn_key=(tag, n_serving)),
+    tag 1 for 'BL' and 2 for 'EL', apart from the ambient stream."""
+    tag, n_cluster, lo2, hi2 = ((1, cfg.n1, 0.0, cfg.a ** 2) if layer == "BL"
+                                else (2, cfg.n2, cfg.a ** 2, cfg.b ** 2))
     if not 1 <= n_serving <= n_cluster:
         raise ValueError("n_serving must lie in 1..cluster size")
-    lo2, hi2 = ring2
-    w2, far = _window(cfg)
 
     def worker(seed_seq, size):
         rng = np.random.default_rng(seed_seq)
@@ -180,32 +212,46 @@ def _sir_samples_cluster(cfg, n_cluster, ring2, n_serving, n_drops, seed):
         h = (rng.standard_normal((size, n_serving))
              + 1j * rng.standard_normal((size, n_serving))) / math.sqrt(2)
         amp = (h * r2 ** (-cfg.alpha_s / 4.0)).sum(axis=1)
-        signal = cfg.p_s * np.abs(amp) ** 2
-        i_sbs = (_interference(rng, cfg.lambda_s, 0.0, lo2, cfg.p_s,
-                               cfg.alpha_s, size)
-                 + _interference(rng, cfg.lambda_s, hi2, w2, cfg.p_s,
-                                 cfg.alpha_s, size))
-        i_mbs = _interference(rng, cfg.lambda_m, 0.0, w2, cfg.p_m,
-                              cfg.alpha_m, size)
-        return signal / (i_sbs + i_mbs + far)
+        return cfg.p_s * np.abs(amp) ** 2
 
-    return _run_batches(worker, n_drops, seed)
+    return _run_batches(worker, n_drops, seed, (tag, n_serving))
+
+
+def _sir(signal, *interference) -> np.ndarray:
+    """signal over the interference columns summed left to right, as a
+    read-only array."""
+    sir = signal / sum(interference[1:], interference[0])
+    sir.setflags(write=False)
+    return sir
+
+
+# Each sampler keeps its last draw only: one run asks each sampler for one
+# (cfg, n_serving, n_drops, seed), and an older draw would stay in memory.
+@functools.lru_cache(maxsize=1)
+def sir_samples_mbs(cfg: NetworkConfig, n_drops: int, seed: int = 0) -> np.ndarray:
+    """SIR samples for nearest-MBS service (one value per drop)."""
+    near, rest, i_in, i_ring, i_out = _ambient(cfg, n_drops, seed)
+    return _sir(near, rest, i_in, i_ring, i_out)
 
 
 @functools.lru_cache(maxsize=1)
 def sir_samples_sbs_bl(cfg: NetworkConfig, n_serving: int, n_drops: int,
                        seed: int = 0) -> np.ndarray:
-    """SIR samples for cooperative base-layer delivery."""
-    return _sir_samples_cluster(cfg, cfg.n1, (0.0, cfg.a ** 2), n_serving,
-                                n_drops, seed)
+    """SIR samples for cooperative base-layer delivery: the SBSs inside a
+    are silent."""
+    signal = _serving(cfg, "BL", n_serving, n_drops, seed)
+    near, rest, _, i_ring, i_out = _ambient(cfg, n_drops, seed)
+    return _sir(signal, near, rest, i_ring, i_out)
 
 
 @functools.lru_cache(maxsize=1)
 def sir_samples_sbs_el(cfg: NetworkConfig, n_serving: int, n_drops: int,
                        seed: int = 0) -> np.ndarray:
-    """SIR samples for cooperative enhancement-layer delivery."""
-    return _sir_samples_cluster(cfg, cfg.n2, (cfg.a ** 2, cfg.b ** 2),
-                                n_serving, n_drops, seed)
+    """SIR samples for cooperative enhancement-layer delivery: the SBSs
+    from a to b are silent."""
+    signal = _serving(cfg, "EL", n_serving, n_drops, seed)
+    near, rest, i_in, _, i_out = _ambient(cfg, n_drops, seed)
+    return _sir(signal, near, rest, i_in, i_out)
 
 
 def _success_estimate(sir: np.ndarray, gamma: float) -> Estimate:

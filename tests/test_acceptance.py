@@ -368,5 +368,6 @@ class TestStatisticalSanity:
                                    (montecarlo.sir_samples_sbs_el, (net.n2,))):
             first = np.array(sampler(net, *n_serving, 8192, seed=5), copy=True)
             sampler.cache_clear()
+            montecarlo._ambient.cache_clear()
             again = sampler(net, *n_serving, 8192, seed=5)
             assert np.array_equal(first, again)

@@ -152,26 +152,27 @@ class TestServingDraws:
 
 
 class TestSamplerDraws:
-    """A run draws each Monte-Carlo sampler once, and each sampler keeps
-    only its last draw."""
+    """A run draws the interfering fields once and each serving cluster
+    once, and each draw keeps only its last result."""
 
     SAMPLERS = (montecarlo.sir_samples_mbs, montecarlo.sir_samples_sbs_bl,
                 montecarlo.sir_samples_sbs_el)
 
     @pytest.fixture
     def batches(self, monkeypatch):
-        """The seed of each _run_batches call, from empty sampler caches."""
-        seeds = []
+        """The (seed, stream) of each _run_batches call, from empty
+        caches."""
+        calls = []
         run = montecarlo._run_batches
 
-        def counting(worker, n_drops, seed):
-            seeds.append(seed)
-            return run(worker, n_drops, seed)
+        def counting(worker, n_drops, seed, stream=()):
+            calls.append((seed, stream))
+            return run(worker, n_drops, seed, stream)
 
         monkeypatch.setattr(montecarlo, "_run_batches", counting)
-        for sampler in self.SAMPLERS:
-            sampler.cache_clear()
-        return seeds
+        for cached in self.SAMPLERS + (montecarlo._ambient,):
+            cached.cache_clear()
+        return calls
 
     @pytest.mark.parametrize("argv", [["validate"], ["simulate", "--dump"]],
                              ids=["validate", "simulate-dump"])
@@ -179,14 +180,18 @@ class TestSamplerDraws:
         rc = cli.main(["--config", light_cfg, "--out-dir", str(tmp_path),
                        "--seed", "3", "--drops", "300"] + argv)
         assert rc == 0
-        assert batches == [3, 3, 3]
+        # the ambient fields, then the one-SBS BL and EL serving draws
+        assert batches == [(3, ()), (3, (1, 1)), (3, (2, 1))]
+        assert montecarlo._ambient.cache_info().misses == 1
         assert [s.cache_info().misses for s in self.SAMPLERS] == [1, 1, 1]
 
     def test_second_seed_evicts_first(self, batches, net):
-        for seed in (1, 2):
+        for seed in (1, 2, 1):
             for sampler, serving in zip(self.SAMPLERS, ((), (1,), (1,))):
                 sampler(net, *serving, 64, seed)
-        assert batches == [1, 1, 1, 2, 2, 2]
+        assert batches == [(seed, stream) for seed in (1, 2, 1)
+                           for stream in ((), (1, 1), (2, 1))]
+        assert montecarlo._ambient.cache_info().currsize == 1
         assert [s.cache_info().currsize for s in self.SAMPLERS] == [1, 1, 1]
 
 

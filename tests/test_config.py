@@ -117,6 +117,19 @@ class TestCachingPolicy:
         with pytest.raises(ValueError):
             CachingPolicy(mode="random", q1=(1.5,), q2=(0.5,))
 
+    @pytest.mark.parametrize("bad, shown", [(1.5, "1.5"), (-0.25, "-0.25"),
+                                            (math.nan, "nan")])
+    @pytest.mark.parametrize("block", ["q1", "q2"])
+    def test_first_bad_entry_named(self, block, bad, shown):
+        """An out-of-range or NaN entry is rejected, and the message names
+        the first bad entry of its block."""
+        vec = [0.5, 1.0, bad, 2.0, 0.0]
+        other = [0.5] * len(vec)
+        kwargs = {"q1": other, "q2": other, block: vec}
+        with pytest.raises(ValueError,
+                           match=rf"^{block}: entry {shown} outside \[0, 1\]$"):
+            CachingPolicy(mode="fractional", **kwargs)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             CachingPolicy(mode="random", q1=(0.5, 0.5), q2=(0.5,))

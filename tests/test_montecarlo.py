@@ -33,25 +33,26 @@ def _fsum_interference(rng, density, r2_lo, r2_hi, power, alpha, n_drops):
     return _fsum_faded(rng, r2, counts, power, alpha)
 
 
-def _fsum_mbs_worker(cfg, seed_seq, size):
-    """The nearest-MBS batch with one new array per step and each drop's
-    interference summed by math.fsum."""
-    a2 = montecarlo.window_radius(cfg) ** 2
+def _fsum_ambient_worker(cfg, seed_seq, size):
+    """The ambient batch with one new array per step and each drop's sum
+    over each field taken by math.fsum: rows near, rest, in, ring, out."""
+    w2 = montecarlo.window_radius(cfg) ** 2
+    a2, b2 = min(cfg.a ** 2, w2), min(cfg.b ** 2, w2)
     rng = np.random.default_rng(seed_seq)
-    counts = rng.poisson(cfg.lambda_m * math.pi * a2, size)
-    min_r2 = a2 * (1.0 - rng.random(size) ** (1.0 / counts))
-    signal = (rng.exponential(1.0, size) * cfg.p_m
-              * min_r2 ** (-cfg.alpha_m / 2.0))
+    counts = rng.poisson(cfg.lambda_m * math.pi * w2, size)
+    min_r2 = w2 * (1.0 - rng.random(size) ** (1.0 / counts))
+    near = (rng.exponential(1.0, size) * cfg.p_m
+            * min_r2 ** (-cfg.alpha_m / 2.0))
     n_interf = counts - 1
-    total = int(n_interf.sum())
     lo = np.repeat(min_r2, n_interf)
-    r2 = lo + rng.uniform(0.0, 1.0, total) * (a2 - lo)
-    i_mbs = _fsum_faded(rng, r2, n_interf, cfg.p_m, cfg.alpha_m)
-    i_sbs = _fsum_interference(rng, cfg.lambda_s, 0.0, a2, cfg.p_s,
-                               cfg.alpha_s, size)
-    far = (montecarlo._far_mean(cfg.lambda_m, cfg.p_m, cfg.alpha_m, a2)
-           + montecarlo._far_mean(cfg.lambda_s, cfg.p_s, cfg.alpha_s, a2))
-    return signal / (i_mbs + i_sbs + far)
+    r2 = lo + rng.uniform(0.0, 1.0, int(n_interf.sum())) * (w2 - lo)
+    far = (montecarlo._far_mean(cfg.lambda_m, cfg.p_m, cfg.alpha_m, w2)
+           + montecarlo._far_mean(cfg.lambda_s, cfg.p_s, cfg.alpha_s, w2))
+    rest = _fsum_faded(rng, r2, n_interf, cfg.p_m, cfg.alpha_m) + far
+    return np.array([near, rest] + [
+        _fsum_interference(rng, cfg.lambda_s, lo2, hi2, cfg.p_s, cfg.alpha_s,
+                           size)
+        for lo2, hi2 in ((0.0, a2), (a2, b2), (b2, w2))])
 
 
 def _allocating_serving_scale(cfg, layer, n, n_samples, seed):
@@ -90,13 +91,32 @@ class TestInterference:
 
     @pytest.mark.parametrize("alpha", [4.0, 3.5])
     def test_mbs_batch_same_bits_as_allocating_worker(self, net, alpha):
-        """The in-place batch draws what the allocating worker draws, and
-        each SIR lies within 1e-13 of the one from fsum interference."""
+        """The in-place ambient batch draws what the allocating worker
+        draws, and each nearest-MBS SIR lies within 1e-13 of the one from
+        fsum interference."""
         cfg = replace(net, alpha_m=alpha, alpha_s=alpha)
         (child,) = np.random.SeedSequence(17).spawn(1)
-        want = _fsum_mbs_worker(cfg, child, 64)
+        near, rest, i_in, i_ring, i_out = _fsum_ambient_worker(cfg, child, 64)
+        want = near / (rest + i_in + i_ring + i_out)
         got = montecarlo.sir_samples_mbs(cfg, 64, seed=17)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("alpha", [4.0, 3.5])
+    def test_region_sums_within_1e15_of_fsum(self, net, alpha, seed):
+        """Over three batches, every per-drop column of the ambient draw
+        (the nearest MBS, the other MBSs with the far mean, and the SBSs
+        of each region) lies within 1e-15 relative of its fsum value; the
+        nearest MBS's term and every empty region are exact."""
+        cfg = replace(net, alpha_m=alpha, alpha_s=alpha)
+        batch = montecarlo._BATCH
+        got = montecarlo._ambient(cfg, 3 * batch, seed)
+        want = np.concatenate([_fsum_ambient_worker(cfg, child, batch)
+                               for child in
+                               np.random.SeedSequence(seed).spawn(3)], axis=1)
+        assert np.array_equal(got[0], want[0])
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        assert np.array_equal(got == 0.0, want == 0.0)
 
     def test_close_interferer_costs_no_other_drop_precision(self):
         """One interferer at r2 = 1e-6 in drop 0 is a term about 1e24 times
@@ -202,6 +222,63 @@ class TestSamplerArguments:
             montecarlo.sir_samples_mbs(net, 0)
         with pytest.raises(ValueError, match="n_drops"):
             montecarlo.sir_samples_sbs_bl(net, 1, -3)
+
+
+class TestSharedField:
+    """One ambient draw serves every delivery mode; each mode silences
+    exactly its ring."""
+
+    @pytest.mark.parametrize("lambda_m", [None, 1e-2],
+                             ids=["default", "b-beyond-window"])
+    def test_each_mode_silences_exactly_its_ring(self, net, monkeypatch,
+                                                 lambda_m):
+        """The SBS field is drawn over three regions that partition the
+        window at a^2 and b^2 (each capped at R_sim^2; at lambda_m = 1e-2,
+        R_sim is 56 m, between a and b).  Nearest-MBS service hears all
+        three, BL service no SBS inside a, EL service none from a to b;
+        both cluster modes hear the nearest MBS."""
+        if lambda_m is not None:
+            net = replace(net, lambda_m=lambda_m)
+        regions = {}
+        interference = montecarlo._interference
+
+        def spy(rng, density, r2_lo, r2_hi, *args):
+            sums = interference(rng, density, r2_lo, r2_hi, *args)
+            regions.setdefault((r2_lo, r2_hi), []).append(sums.copy())
+            return sums
+
+        monkeypatch.setattr(montecarlo, "_interference", spy)
+        drops, seed = 3 * montecarlo._BATCH // 2, 12
+        montecarlo._ambient.cache_clear()
+        near, rest, *sbs = montecarlo._ambient(net, drops, seed)
+        w2 = montecarlo.window_radius(net) ** 2
+        a2, b2 = net.a ** 2, min(net.b ** 2, w2)
+        assert a2 < w2
+        assert list(regions) == [(0.0, a2), (a2, b2), (b2, w2)]
+        i_in, i_ring, i_out = (np.concatenate(regions[k]) for k in regions)
+        assert all(np.array_equal(got, want)
+                   for got, want in zip(sbs, (i_in, i_ring, i_out)))
+        assert np.count_nonzero(i_in) and np.count_nonzero(i_ring)
+
+        def exact(sir, signal, *heard):
+            return np.array_equal(sir, signal / sum(heard[1:], heard[0]))
+
+        assert exact(montecarlo.sir_samples_mbs(net, drops, seed),
+                     near, rest, i_in, i_ring, i_out)
+        s_bl = montecarlo._serving(net, "BL", 2, drops, seed)
+        assert exact(montecarlo.sir_samples_sbs_bl(net, 2, drops, seed),
+                     s_bl, near, rest, i_ring, i_out)
+        s_el = montecarlo._serving(net, "EL", 3, drops, seed)
+        assert exact(montecarlo.sir_samples_sbs_el(net, 3, drops, seed),
+                     s_el, near, rest, i_in, i_out)
+
+    def test_every_serving_count_shares_one_ambient_draw(self, net):
+        montecarlo._ambient.cache_clear()
+        for sampler in (montecarlo.sir_samples_sbs_bl,
+                        montecarlo.sir_samples_sbs_el):
+            for n in range(1, 5):
+                sampler(net, n, 512, 4)
+        assert montecarlo._ambient.cache_info().misses == 1
 
 
 class TestReproducibility:
