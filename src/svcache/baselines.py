@@ -16,17 +16,16 @@ from svcache.objective import ObjectiveContext, _ee
 def mpcp_policy(content: ContentConfig, mode: str = "fractional") -> CachingPolicy:
     """Most Popular Content Placement: cache the top-M_B/M_E files whole
     (files are sorted by request probability)."""
-    q1 = [1.0 if f < content.m_b else 0.0 for f in range(content.f_count)]
-    q2 = [1.0 if f < content.m_e else 0.0 for f in range(content.f_count)]
-    return CachingPolicy(mode=mode, q1=tuple(q1), q2=tuple(q2))
+    f = np.arange(content.f_count)
+    return CachingPolicy(mode=mode, q1=(f < content.m_b) * 1.0,
+                         q2=(f < content.m_e) * 1.0)
 
 
 def ucp_policy(content: ContentConfig, mode: str = "fractional") -> CachingPolicy:
     """Uniform Content Placement: equal fractions M_B/F and M_E/F everywhere."""
     f_count = content.f_count
-    return CachingPolicy(mode=mode,
-                         q1=(content.m_b / f_count,) * f_count,
-                         q2=(content.m_e / f_count,) * f_count)
+    return CachingPolicy(mode=mode, q1=np.full(f_count, content.m_b / f_count),
+                         q2=np.full(f_count, content.m_e / f_count))
 
 
 def _icp_rows(content: ContentConfig, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -40,8 +39,7 @@ def _icp_rows(content: ContentConfig, seed) -> tuple[np.ndarray, np.ndarray]:
 
 def icp_policy(content: ContentConfig, seed: int = 0) -> CachingPolicy:
     """Independent Content Placement: one uniform-random binary placement."""
-    q1, q2 = _icp_rows(content, seed)
-    return CachingPolicy(mode="fractional", q1=tuple(q1), q2=tuple(q2))
+    return CachingPolicy("fractional", *_icp_rows(content, seed))
 
 
 def icp_expected_ee(ctx: ObjectiveContext, n_realizations: int = 1000,

@@ -215,7 +215,8 @@ def cmd_optimize(args) -> int:
     out_dir = Path(args.out_dir)
     _write_csv(out_dir / "trace.csv", [f.name for f in fields(TraceRow)],
                [astuple(r) for r in trace.rows], {"x": "iteration", "y": ["ee"]})
-    rows = [[f + 1, policy.q1[f], policy.q2[f]] for f in range(content.f_count)]
+    rows = list(zip(range(1, content.f_count + 1), policy.q1.tolist(),
+                    policy.q2.tolist()))
     _write_csv(out_dir / "policy.csv", ["file", "q1", "q2"], rows,
                {"x": "file", "y": ["q1", "q2"]})
     ee = ee_value(policy, ctx)

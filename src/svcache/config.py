@@ -12,6 +12,8 @@ import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
 
 def dbm_to_watts(x_dbm: float) -> float:
     return 10.0 ** ((x_dbm - 30.0) / 10.0)
@@ -112,31 +114,24 @@ class PowerCoefficients:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CachingPolicy:
     """Per-file caching fractions (fractional) or probabilities (random).
 
-    q1 covers base layers, q2 enhancement layers; both are length-F
-    tuples with entries in [0, 1].
+    q1 covers base layers, q2 enhancement layers: read-only length-F
+    float64 copies in [0, 1], checked once here; compared by identity.
     """
 
     mode: str           # "fractional" (Scheme I) or "random" (Scheme II)
-    q1: tuple
-    q2: tuple
+    q1: np.ndarray
+    q2: np.ndarray
 
     def __post_init__(self):
         _require(self.mode in ("fractional", "random"), "mode",
                  "must be 'fractional' or 'random'")
-        object.__setattr__(self, "q1", tuple(float(x) for x in self.q1))
-        object.__setattr__(self, "q2", tuple(float(x) for x in self.q2))
+        object.__setattr__(self, "q1", _unit_entries("q1", self.q1, 1e-12))
+        object.__setattr__(self, "q2", _unit_entries("q2", self.q2, 1e-12))
         _require(len(self.q1) == len(self.q2), "q1", "length mismatch with q2")
-        for name, vec in (("q1", self.q1), ("q2", self.q2)):
-            # The message is formatted only for the first bad entry; NaN
-            # fails the range test too.
-            bad = next((x for x in vec if not -1e-12 <= x <= 1 + 1e-12),
-                       None)
-            if bad is not None:
-                raise ValueError(f"{name}: entry {bad} outside [0, 1]")
 
     @property
     def f_count(self) -> int:
@@ -165,6 +160,16 @@ def check_budget(q1, q2, content: ContentConfig) -> None:
 def _require(cond: bool, key: str, msg: str) -> None:
     if not cond:
         raise ValueError(f"{key}: {msg}")
+
+
+def _unit_entries(key: str, values, tol: float = 0.0) -> np.ndarray:
+    """A read-only float64 copy of values, each in [-tol, 1 + tol] (not NaN)."""
+    vec = np.array(values, dtype=float)
+    bad = ~((vec >= -tol) & (vec <= 1 + tol))
+    if bad.any():
+        raise ValueError(f"{key}: entry {vec[bad.argmax()]} outside [0, 1]")
+    vec.setflags(write=False)
+    return vec
 
 
 # Scenario file schema: flat "key = value" lines, '#' comments.  A key is a
@@ -230,6 +235,7 @@ def load_scenario(path) -> tuple[NetworkConfig, ContentConfig, PowerCoefficients
             except OverflowError:
                 raise ValueError(f"{key}: {raw[key]:g} is out of range") from None
 
-    return tuple(cls(**{f.name: values[f.name] for f in fields(cls)
-                        if f.name in values})
-                 for cls in _SCENARIO_CLASSES)
+    net, content, coeff = (cls(**{f.name: values[f.name] for f in fields(cls)
+                                  if f.name in values})
+                           for cls in _SCENARIO_CLASSES)
+    return net, content, coeff

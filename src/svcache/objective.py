@@ -66,7 +66,7 @@ class ObjectiveContext:
 def _file_terms(mode: str, q1, q2, ctx: ObjectiveContext, smoothing,
                 slopes: bool = False):
     """The per-file rate and power rows R_f, P_f of the (F,) or (B, F)
-    blocks q1, q2, and p_fix: the sums over the two layer blocks of
+    float arrays q1, q2, and p_fix: the sums over the two layer blocks of
     ctx._blocks.  With slopes=True also the derivatives of each row in the
     file's own q1_f and q2_f: (R, P, p_fix, (R1', R2'), (P1', P2')).
     smoothing is ctx._smoothing for Scheme I's surrogate, or None for the
@@ -112,8 +112,7 @@ def ee_value(policy: CachingPolicy, ctx: ObjectiveContext,
     Scheme I uses the theta-smoothed transmission power unless
     exact_l0=True, which reports the true-indicator value instead.
     """
-    return float(_ee(policy.mode, np.asarray(policy.q1), np.asarray(policy.q2),
-                     ctx, exact_l0))
+    return float(_ee(policy.mode, policy.q1, policy.q2, ctx, exact_l0))
 
 
 def ee_gradient(policy: CachingPolicy, ctx: ObjectiveContext,
@@ -126,6 +125,5 @@ def ee_gradient(policy: CachingPolicy, ctx: ObjectiveContext,
     """
     if which not in ("q1", "q2"):
         raise ValueError("which must be 'q1' or 'q2'")
-    _, grad1, grad2 = _ee_and_gradient(policy.mode, np.asarray(policy.q1),
-                                       np.asarray(policy.q2), ctx)
+    _, grad1, grad2 = _ee_and_gradient(policy.mode, policy.q1, policy.q2, ctx)
     return grad1 if which == "q1" else grad2

@@ -127,7 +127,7 @@ def make_initial_policy(kind: str, content: ContentConfig, seed: int = 0,
         q2 = project_capped_simplex(rng.random(f_count), content.m_e)
     else:
         raise ValueError(f"kind must be one of {', '.join(INITIAL_KINDS)}")
-    return CachingPolicy(mode=mode, q1=tuple(q1), q2=tuple(q2))
+    return CachingPolicy(mode=mode, q1=q1, q2=q2)
 
 
 def _residual(q: np.ndarray, grad: np.ndarray, budget: float) -> float:
@@ -164,7 +164,7 @@ def optimize(initial: CachingPolicy, ctx: ObjectiveContext,
 
     mode = initial.mode
     budgets = (ctx.content.m_b, ctx.content.m_e)
-    q = (np.asarray(initial.q1), np.asarray(initial.q2))
+    q = (initial.q1, initial.q2)
     trace = SolverTrace()
     ee, *grad = _ee_and_gradient(mode, *q, ctx)
     best_q, best_ee = q, ee
@@ -195,7 +195,7 @@ def optimize(initial: CachingPolicy, ctx: ObjectiveContext,
     _, *grad = _ee_and_gradient(mode, *best_q, ctx)
     trace.residual = max(_residual(x, g, m)
                          for x, g, m in zip(best_q, grad, budgets))
-    return CachingPolicy(mode=mode, q1=tuple(best_q[0]), q2=tuple(best_q[1])), trace
+    return CachingPolicy(mode=mode, q1=best_q[0], q2=best_q[1]), trace
 
 
 def optimize_best(ctx: ObjectiveContext, mode: str,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from svcache.config import ContentConfig
+from svcache.config import ContentConfig, _unit_entries
 
 
 def zipf(f_count: int, zipf_alpha: float) -> np.ndarray:
@@ -34,22 +34,23 @@ def zipf(f_count: int, zipf_alpha: float) -> np.ndarray:
     return weights / norm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PopularityProfile:
-    """Per-file request probabilities and HD shares."""
+    """Per-file request probabilities p and HD shares g_hdv: read-only
+    length-F float64 copies, checked once here; compared by identity."""
 
-    p: tuple
-    g_hdv: tuple
+    p: np.ndarray
+    g_hdv: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p", tuple(float(x) for x in self.p))
-        object.__setattr__(self, "g_hdv", tuple(float(x) for x in self.g_hdv))
+        object.__setattr__(self, "p", _unit_entries("p", self.p))
+        object.__setattr__(self, "g_hdv", _unit_entries("g_hdv", self.g_hdv))
         if abs(math.fsum(self.p) - 1.0) > 1e-12:
             raise ValueError("request probabilities must sum to 1")
-        if any(self.p[i] < self.p[i + 1] - 1e-15 for i in range(len(self.p) - 1)):
+        if (self.p[:-1] < self.p[1:] - 1e-15).any():
             raise ValueError("request probabilities must be non-increasing")
-        if not all(0.0 <= h <= 1.0 for h in self.g_hdv):
-            raise ValueError("g_hdv entries must lie in [0, 1]")
+        if len(self.g_hdv) != self.f_count:
+            raise ValueError(f"g_hdv: length {len(self.g_hdv)} != {self.f_count} files")
 
     @property
     def f_count(self) -> int:
@@ -59,6 +60,5 @@ class PopularityProfile:
 def build_profile(content: ContentConfig) -> PopularityProfile:
     """Assemble the request/preference profile for a content catalog."""
     f_count = content.f_count
-    g_hdv = [1.0 - (f - 1) / (f_count - 1) for f in range(1, f_count + 1)]
-    return PopularityProfile(p=tuple(zipf(f_count, content.zipf_alpha)),
-                             g_hdv=tuple(g_hdv))
+    return PopularityProfile(p=zipf(f_count, content.zipf_alpha),
+                             g_hdv=1.0 - np.arange(f_count) / (f_count - 1))

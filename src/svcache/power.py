@@ -113,10 +113,9 @@ def _layer_blocks(profile: PopularityProfile, net: NetworkConfig,
     power of the n1 + n2 cluster SBSs and the MBS.  rates holds the rate
     rows (r_M, r_S[1..n]) of the two blocks; without it (the power alone)
     both rate rows are 0."""
-    p = np.asarray(profile.p)
+    p = profile.p
     blocks = []
-    for n, w, bits, r in zip((net.n1, net.n2),
-                             (p, p * np.asarray(profile.g_hdv)),
+    for n, w, bits, r in zip((net.n1, net.n2), (p, p * profile.g_hdv),
                              (content.l_b, content.l_e),
                              rates or (None, None)):
         r = np.zeros(n + 1) if r is None else np.asarray(r, dtype=float)
@@ -130,9 +129,7 @@ def _layer_blocks(profile: PopularityProfile, net: NetworkConfig,
 
 
 def _policy_rows(q1, q2, f_count: int) -> tuple:
-    """The policy blocks q1, q2 ((F,) or (B, F)) as float arrays, checked
-    against the catalog size."""
-    q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
+    """q1, q2 ((F,) or (B, F) float arrays), checked against the catalog size."""
     if q1.shape[-1] != f_count or q2.shape[-1] != f_count:
         raise ValueError(f"policy lengths {q1.shape[-1]}, {q2.shape[-1]} != "
                          f"catalog size {f_count}")

@@ -13,18 +13,27 @@ from svcache.objective import ee_value
 from svcache.popularity import build_profile
 
 
+def _same(a, b):
+    """Value equality of two policies: mode and both blocks, bit for bit."""
+    return (a.mode == b.mode and np.array_equal(a.q1, b.q1)
+            and np.array_equal(a.q2, b.q2))
+
+
 class TestMpcp:
     def test_caches_top_files_whole(self, content):
         pol = mpcp_policy(content)
-        assert pol.q1 == (1.0,) * content.m_b + (0.0,) * (content.f_count
-                                                          - content.m_b)
-        assert pol.q2 == (1.0,) * content.m_e + (0.0,) * (content.f_count
-                                                          - content.m_e)
+        np.testing.assert_array_equal(
+            pol.q1, (1.0,) * content.m_b + (0.0,) * (content.f_count
+                                                     - content.m_b))
+        np.testing.assert_array_equal(
+            pol.q2, (1.0,) * content.m_e + (0.0,) * (content.f_count
+                                                     - content.m_e))
 
     def test_full_catalog_fits(self):
         content = ContentConfig(f_count=4, m_cache=1e12)
         pol = mpcp_policy(content)
-        assert pol.q1 == (1.0,) * 4 and pol.q2 == (1.0,) * 4
+        np.testing.assert_array_equal(pol.q1, (1.0,) * 4)
+        np.testing.assert_array_equal(pol.q2, (1.0,) * 4)
 
     def test_maximizes_hit_probability(self):
         """Among all binary placements of the same cardinality, caching
@@ -54,6 +63,16 @@ class TestUcp:
         pol.validate_budget(content)
 
 
+@pytest.mark.parametrize("f_count", [2, 20, 10 ** 5])
+@pytest.mark.parametrize("build", [mpcp_policy, ucp_policy])
+def test_array_builders_meet_their_budgets(build, f_count):
+    content = ContentConfig(f_count=f_count, zipf_alpha=0.0)
+    pol = build(content)
+    assert pol.q1.dtype == pol.q2.dtype == np.float64
+    assert pol.f_count == f_count
+    pol.validate_budget(content)
+
+
 class TestIcp:
     def test_exact_cardinality(self, content):
         for seed in range(20):
@@ -73,8 +92,9 @@ class TestIcp:
         assert np.abs(hits / n - p).max() <= 3.5 * sigma
 
     def test_reproducible(self, content):
-        assert icp_policy(content, seed=7) == icp_policy(content, seed=7)
-        assert icp_policy(content, seed=7) != icp_policy(content, seed=8)
+        assert _same(icp_policy(content, seed=7), icp_policy(content, seed=7))
+        assert not _same(icp_policy(content, seed=7),
+                         icp_policy(content, seed=8))
 
     def test_ee_same_in_every_mode(self, ctx):
         """A 0/1 placement has the same EE under Scheme I, smoothed or

@@ -5,6 +5,7 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from svcache.config import (_ALT_KEYS, CachingPolicy, ContentConfig,
@@ -133,6 +134,21 @@ class TestCachingPolicy:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             CachingPolicy(mode="random", q1=(0.5, 0.5), q2=(0.5,))
+
+    def test_holds_read_only_copies(self):
+        q1, q2 = np.array([0.5, 0.5]), np.array([1.0, 0.0])
+        policy = CachingPolicy(mode="fractional", q1=q1, q2=q2)
+        q1[0], q2[0] = 0.25, 0.0
+        assert policy.q1.tolist() == [0.5, 0.5]
+        assert policy.q2.tolist() == [1.0, 0.0]
+        # compared by identity: equal entries do not make equal policies
+        assert policy == policy
+        assert policy != CachingPolicy(mode="fractional", q1=policy.q1,
+                                       q2=policy.q2)
+        for vec in (policy.q1, policy.q2):
+            assert vec.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                vec[0] = 0.0
 
     def test_budget_validation(self, content):
         f = content.f_count

@@ -23,6 +23,7 @@ def _policy(mode, q1, q2):
 
 def _rate(mode, q1, q2, ctx):
     """Sum rate of the (F,) blocks q1, q2 under the scheme of mode."""
+    q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
     return _file_terms(mode, q1, q2, ctx, None)[0].sum(axis=-1)
 
 

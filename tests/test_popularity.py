@@ -72,6 +72,23 @@ class TestQualityPreference:
             with pytest.raises(ValueError, match="g_hdv"):
                 PopularityProfile(p=(0.5, 0.5), g_hdv=g_hdv)
 
+    @pytest.mark.parametrize("g_hdv", [(1.0,), (1.0, 0.5, 0.0)])
+    def test_length_mismatch_rejected(self, g_hdv):
+        """One share per file: a g_hdv shorter or longer than p would be
+        broadcast over the catalog, or fail deep in the power model."""
+        with pytest.raises(ValueError, match=r"^g_hdv: length \d != 2 files$"):
+            PopularityProfile(p=(0.5, 0.5), g_hdv=g_hdv)
+
+    @pytest.mark.parametrize("f_count", [2, 20, 10 ** 5])
+    def test_same_bits_as_scalar_expression(self, f_count):
+        """The array build gives, bit for bit, the scalar expression
+        1 - (f-1)/(F-1) over Python ints: both round one exact integer
+        quotient and one subtraction."""
+        g_hdv = build_profile(ContentConfig(f_count=f_count)).g_hdv
+        scalar = [1.0 - (f - 1) / (f_count - 1) for f in range(1, f_count + 1)]
+        assert g_hdv.dtype == np.float64
+        assert g_hdv.tolist() == scalar
+
 
 class TestProfile:
     def test_build_profile_shape(self, content, profile):
@@ -87,6 +104,25 @@ class TestProfile:
     def test_rejects_increasing_popularity(self):
         with pytest.raises(ValueError):
             PopularityProfile(p=(0.4, 0.6), g_hdv=(1.0, 0.0))
+
+    @pytest.mark.parametrize("p", [(1.5, -0.5), (float("nan"), 1.0)])
+    def test_rejects_entry_outside_unit_interval(self, p):
+        with pytest.raises(ValueError, match=r"^p: entry"):
+            PopularityProfile(p=p, g_hdv=(1.0, 0.0))
+
+    def test_holds_read_only_copies(self):
+        p, g_hdv = np.array([0.5, 0.3, 0.2]), np.array([1.0, 0.5, 0.0])
+        profile = PopularityProfile(p=p, g_hdv=g_hdv)
+        p[0], g_hdv[0] = 0.9, 0.1
+        assert profile.p.tolist() == [0.5, 0.3, 0.2]
+        assert profile.g_hdv.tolist() == [1.0, 0.5, 0.0]
+        # compared by identity: equal entries do not make equal profiles
+        assert profile == profile
+        assert profile != PopularityProfile(p=profile.p, g_hdv=profile.g_hdv)
+        for vec in (profile.p, profile.g_hdv):
+            assert vec.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                vec[0] = 0.0
 
     @pytest.mark.parametrize("f_count", [10 ** 5, 10 ** 6])
     def test_large_uniform_catalog_is_accepted(self, f_count):
