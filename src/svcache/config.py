@@ -146,13 +146,14 @@ _BUDGET_TOL = 1e-9
 
 
 def check_budget(q1, q2, content: ContentConfig) -> None:
-    """Check sum(q1)=M_B and sum(q2)=M_E for raw length-F sequences; the
-    sums are exactly rounded (math.fsum)."""
+    """Check sum(q1)=M_B and sum(q2)=M_E for length-F float arrays.  numpy's
+    pairwise sum misses the exact sum of a uniform catalog by at most
+    4.4e-16 up to F = 10^6, far inside the 1e-9 tolerance."""
     _require(len(q1) == content.f_count, "q1",
              f"length {len(q1)} != catalog size {content.f_count}")
     for name, q, budget, layer in (("q1", q1, content.m_b, "BL"),
                                    ("q2", q2, content.m_e, "EL")):
-        total = math.fsum(q)
+        total = float(q.sum())
         if abs(total - budget) > _BUDGET_TOL:
             raise ValueError(f"{name}: sum {total} != {layer} budget {budget}")
 

@@ -2,21 +2,17 @@
 
 The energy efficiency is the user sum rate divided by the total network
 power.  Both are sums over files and over the two layer blocks of
-power._layer_blocks, BL and EL, which are the same block with different
-constants: R = sum_{b,f} R_bf(q_bf) and P = sum_{b,f} P_bf(q_bf) + p_fix.
-A block's rate row is w_f r @ D(q_f): r[0] is the MBS rate, r[k] the
-rate of k cooperating SBSs and D the serving-count distribution, so both
-schemes share one sum rate and a cluster of size 0 (D = e0) is served
-by the MBS.  ObjectiveContext builds both blocks' constants (rate rows,
-weights, power coefficients, binomial rows) and Scheme I's
-theta-smoothed surrogate of the l0 transmission-power terms once; each
-evaluation is then one call of the per-block core power._block_terms
-per block.
+power._layer_blocks, BL and EL: R = sum_{b,f} R_bf(q_bf) and
+P = sum_{b,f} P_bf(q_bf) + p_fix.  ObjectiveContext builds both blocks'
+constants and Scheme I's theta-smoothed surrogate of the l0
+transmission-power terms once; each evaluation is then one call of the
+block core power._block_terms per block, which gives both schemes' rows
+and slopes from one serving-count model.
 
 _file_terms sums the two blocks into the rows R_f, P_f of (F,) or (B, F)
 policy blocks and, on request, their derivatives in each file's own
-q1_f, q2_f (R' = w_f r @ D'(q_f), and P' from the block core).  The EE
-gradient is then (R_f' - EE P_f') / P, in closed form.
+q1_f, q2_f.  The EE gradient is then (R_f' - EE P_f') / P, in closed
+form.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ request asks for the base layer, which every request already counts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +44,7 @@ class PopularityProfile:
     def __post_init__(self):
         object.__setattr__(self, "p", _unit_entries("p", self.p))
         object.__setattr__(self, "g_hdv", _unit_entries("g_hdv", self.g_hdv))
-        if abs(math.fsum(self.p) - 1.0) > 1e-12:
+        if abs(self.p.sum() - 1.0) > 1e-12:
             raise ValueError("request probabilities must sum to 1")
         if (self.p[:-1] < self.p[1:] - 1e-15).any():
             raise ValueError("request probabilities must be non-increasing")

@@ -5,28 +5,28 @@ rate, it is a sum over files and over the two SVC layers, so the model
 is written once for one layer block and applied to the base layer
 (q1, n1, p, l_b) and to the enhancement layer (q2, n2, p g_hdv, l_e).
 _layer_blocks builds the constants of both blocks (_Block):
-ObjectiveContext once, _breakdown on each call.  The per-block core
-_block_terms gives a block's per-file rows at a policy block q:
+ObjectiveContext once, _breakdown on each call.
 
-- rate w r @ D(q), with r the block's rate row (r_M, r_S[1..n]) and D
-  the distribution of the number k = 0..n of cluster SBSs that hold the
-  layer: 1 - q at k = 0 and q at k = n under fractional caching (all n
-  SBSs store the fraction, or none), Binomial(n, q) under random caching
-  (each SBS independently);
+The two schemes differ only in how many of a cluster's n SBSs hold a
+layer: Binomial(n, q) under random caching, all n or none under
+fractional caching.  So both are one degree-m Bernstein form on a rate
+row rho: m = n on (r_M, r_S[1..n]) under random caching, and m = 1 on
+(r_M, r_S[n]) under fractional caching and on (r_M, r_M) for a cluster
+of size 0, which the MBS serves whatever q says.  The block core
+_block_terms takes one de Casteljau step from the basis B = B_{m-1}(q)
+(B = 1 at m = 1): with lo = rho[:-1] @ B, hi = rho[1:] @ B and
+s = (rho[1:] - rho[:-1]) @ B, a block's per-file rows are
+
+- rate w ((1 - q) lo + q hi), with slope w m s in q;
 - transmission w (n P_s zeta_s on(q) + P_m zeta_m on(1 - q)), where on
   is the (smoothed) l0 indicator in Scheme I and q itself in Scheme II;
 - caching c_ca bits n q;
-- backhaul c_bh bits w D0, the cluster miss.
+- backhaul c_bh bits w D0, with the cluster miss D0 = (1 - q)^m and its
+  slope -m B_0.
 
-On request it also gives the derivative of each file's rate and power
-in its own q_f, from which the objective builds its exact gradient.
-Fractional caching uses the two nonzero rows of D directly, so its rate
-slope is the constant w (r_n - r_0).  Random caching forms the powers
-q^k and (1 - q)^k once; they give both D = B_n and the Binomial(n-1, q)
-rows B_{n-1} of D' = n (B_{n-1}(k-1) - B_{n-1}(k)), and the rate slope
-is w r @ D'.  A cluster of size 0 (D = e0) is served by the MBS whatever
-q says.  power_scheme1 and power_scheme2 report the physical power, with
-the exact l0 indicator in Scheme I; only the objective uses the smoothed
+The objective builds its exact gradient from these slopes.
+power_scheme1 and power_scheme2 report the physical power, with the
+exact l0 indicator in Scheme I; only the objective uses the smoothed
 surrogate.
 """
 
@@ -85,25 +85,27 @@ def _smooth_slope(x: np.ndarray, smoothing) -> np.ndarray:
     return 1.0 / ((x + theta) * scale)
 
 
+def _bernstein_rows(rho: np.ndarray) -> np.ndarray:
+    """The (3, m) rows rho[:-1], rho[1:], rho[1:] - rho[:-1] of a rate row
+    rho of degree m, entry j times B_{m-1}'s coefficient C(m - 1, j)."""
+    m = len(rho) - 1
+    return (np.array([rho[:-1], rho[1:], rho[1:] - rho[:-1]])
+            * [math.comb(m - 1, j) for j in range(m)])
+
+
 @dataclass(frozen=True, slots=True)
 class _Block:
     """The constants of one layer block of cluster size n."""
 
     n: int
-    w: np.ndarray         # per-file weight: p (BL) or p g_hdv (EL)
-    r: np.ndarray         # rate row (r_M, r_S[1], ..., r_S[n])
-    sbs: float            # n P_s zeta_s
-    mbs: float            # P_m zeta_m
-    caching: float        # (c_ca bits) n
-    backhaul: np.ndarray  # (c_bh bits) w
-    k: np.ndarray         # column 0..n, the powers of q and 1 - q
-    comb: np.ndarray      # column C(n, k), k = 0..n
-    comb1: np.ndarray     # column C(n-1, k), k = 0..n-1 (empty at n = 0)
-
-
-def _binomial_column(n: int) -> np.ndarray:
-    return np.array([math.comb(n, i) for i in range(n + 1)],
-                    dtype=float)[:, None]
+    w: np.ndarray           # per-file weight: p (BL) or p g_hdv (EL)
+    sbs: float              # n P_s zeta_s
+    mbs: float              # P_m zeta_m
+    caching: float          # (c_ca bits) n
+    backhaul: np.ndarray    # (c_bh bits) w
+    k: np.ndarray           # column 0..n, the powers of q and 1 - q
+    random: np.ndarray      # rows on (r_M, r_S[1..n]); (r_M, r_M) at n = 0
+    fractional: np.ndarray  # rows on (r_M, r_S[n])
 
 
 def _layer_blocks(profile: PopularityProfile, net: NetworkConfig,
@@ -119,12 +121,13 @@ def _layer_blocks(profile: PopularityProfile, net: NetworkConfig,
                              (content.l_b, content.l_e),
                              rates or (None, None)):
         r = np.zeros(n + 1) if r is None else np.asarray(r, dtype=float)
+        pair = _bernstein_rows(r[[0, n]])
         blocks.append(_Block(
-            n=n, w=w, r=r,
+            n=n, w=w,
             sbs=net.p_s * coeff.zeta_s * n, mbs=net.p_m * coeff.zeta_m,
             caching=coeff.c_ca * bits * n, backhaul=coeff.c_bh * bits * w,
-            k=np.arange(n + 1)[:, None], comb=_binomial_column(n),
-            comb1=_binomial_column(n - 1)))
+            k=np.arange(n + 1)[:, None],
+            random=_bernstein_rows(r) if n else pair, fractional=pair))
     return tuple(blocks), (net.n1 + net.n2) * coeff.p_s_fix + coeff.p_m_fix
 
 
@@ -141,47 +144,47 @@ def _block_terms(mode: str, q: np.ndarray, block: _Block, smoothing=None,
     """One layer block's per-file rows at the (F,) or (B, F) policy block
     q: (rate, tr, ca, bh), each of the shape of q.  With slopes=True also
     the derivatives of each file's rate and power tr + ca + bh in its own
-    q_f: (rate, tr, ca, bh, rate', power').  The fractional rate' does not
-    depend on q: it is the (F,) row w (r_n - r_0).  smoothing is Scheme
-    I's (theta, normaliser) pair of _surrogate, or None for the exact l0
-    norm (which has no slope)."""
-    n, w, r = block.n, block.w, block.r
+    q_f: (rate, tr, ca, bh, rate', power'); the fractional rate' does
+    not depend on q and is the (F,) row w (r_S[n] - r_M).  smoothing is
+    Scheme I's (theta, normaliser) pair of _surrogate, or None for the
+    exact l0 norm (which has no slope)."""
+    w, rows = block.w, block.random if mode == "random" else block.fractional
+    m = rows.shape[1]
     # A cluster of size 0 caches nothing: the MBS serves the block
-    # whatever q says (D = e0), so its terms are those at q = 0 and its
-    # slopes are 0.
-    if n == 0:
+    # whatever q says, so its terms are those at q = 0 and its slopes 0.
+    if block.n == 0:
         q = np.zeros_like(q)
     miss = 1.0 - q
-    if mode == "random":
-        # numpy's 0.0**0 is 1: q = 0, q = 1 and n = 0 give point masses.
+    if mode == "random" and block.n:
+        # B from the powers of q and 1 - q, at n = 1 too, which gives
+        # power' the shape of q.  numpy's 0.0**0 is 1: q = 0 and q = 1 give
+        # point masses.  The rows carry B's coefficients.
         qk, mk = q[..., None, :] ** block.k, miss[..., None, :] ** block.k
-        d = block.comb * qk * mk[..., ::-1, :]
-        d0 = d[..., 0, :]
-        rate = w * (r @ d)
+        b = qk[..., :-1, :] * mk[..., m - 1::-1, :]
+        lo, hi, s = (rows @ b).swapaxes(0, -2)
+        b0, d0 = b[..., 0, :], mk[..., m, :]
+    else:
+        # m = 1: B = B_0 = 1, so the rows are lo, hi and s
+        (lo, hi, s), b0, d0 = rows[:, 0].tolist(), 1.0, miss
+    rate = w * (lo * miss + hi * q)
+    if mode == "random":
         tr = w * (block.sbs * q + block.mbs * miss)
     else:
-        d0 = miss
-        rate = w * (r[0] * miss + r[n] * q)
         tr = w * (block.sbs * _smooth_or_l0(q, smoothing)
                   + block.mbs * _smooth_or_l0(miss, smoothing))
     ca = block.caching * q
     bh = block.backhaul * d0
     if not slopes:
         return rate, tr, ca, bh
-    if n == 0:
+    if block.n == 0:
         return rate, tr, ca, bh, np.zeros_like(q), np.zeros_like(q)
     if mode == "random":
-        b = n * (block.comb1 * qk[..., :-1, :] * mk[..., n - 1::-1, :])
-        d_slope = np.zeros(d.shape)
-        d_slope[..., 1:, :] = b
-        d_slope[..., :-1, :] -= b
-        return rate, tr, ca, bh, w * (r @ d_slope), (
-            w * (block.sbs - block.mbs) + block.caching
-            - block.backhaul * b[..., 0, :])
-    return rate, tr, ca, bh, w * (r[n] - r[0]), (
-        w * (block.sbs * _smooth_slope(q, smoothing)
-             - block.mbs * _smooth_slope(miss, smoothing))
-        + block.caching - block.backhaul)
+        tr_slope = w * (block.sbs - block.mbs)
+    else:
+        tr_slope = w * (block.sbs * _smooth_slope(q, smoothing)
+                        - block.mbs * _smooth_slope(miss, smoothing))
+    return rate, tr, ca, bh, w * (m * s), (
+        tr_slope + block.caching - block.backhaul * (m * b0))
 
 
 def _breakdown(mode: str, policy: CachingPolicy, profile: PopularityProfile,

@@ -96,14 +96,17 @@ class TestIcp:
         assert not _same(icp_policy(content, seed=7),
                          icp_policy(content, seed=8))
 
-    def test_ee_same_in_every_mode(self, ctx):
-        """A 0/1 placement has the same EE under Scheme I, smoothed or
-        exact, and under Scheme II."""
-        for seed in range(5):
-            pol = icp_policy(ctx.content, seed=seed)
-            smoothed = ee_value(pol, ctx)
-            assert ee_value(pol, ctx, exact_l0=True) == smoothed
-            assert ee_value(replace(pol, mode="random"), ctx) == smoothed
+    @pytest.mark.parametrize("n1, n2", [(0, 2), (1, 3), (2, 2), (4, 4),
+                                        (4, 0)])
+    def test_ee_same_in_every_mode(self, ctx, n1, n2):
+        """A 0/1 placement, ICP's or MPCP's, has the same EE under Scheme I,
+        smoothed or exact, and under Scheme II, at every cluster size."""
+        sized = replace(ctx, net=replace(ctx.net, n1=n1, n2=n2))
+        placements = [icp_policy(ctx.content, seed=seed) for seed in range(5)]
+        for pol in placements + [mpcp_policy(ctx.content)]:
+            smoothed = ee_value(pol, sized)
+            assert ee_value(pol, sized, exact_l0=True) == smoothed
+            assert ee_value(replace(pol, mode="random"), sized) == smoothed
 
 
 def _icp_loop_reference(ctx, n_realizations, seed):

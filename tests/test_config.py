@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from svcache.config import (_ALT_KEYS, CachingPolicy, ContentConfig,
-                            NetworkConfig, PowerCoefficients, db_to_linear,
-                            dbm_to_watts, load_scenario)
+                            NetworkConfig, PowerCoefficients, check_budget,
+                            db_to_linear, dbm_to_watts, load_scenario)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -159,6 +159,21 @@ class TestCachingPolicy:
         bad = CachingPolicy(mode="fractional", q1=(0.0,) * f, q2=(0.0,) * f)
         with pytest.raises(ValueError):
             bad.validate_budget(content)
+
+    def test_budget_check_at_large_catalog(self):
+        """At F = 1e5 the uniform placement meets both budgets, and a miss
+        of 2e-9, twice the tolerance, in either block is rejected."""
+        content = ContentConfig(f_count=10 ** 5, zipf_alpha=0.0)
+        f = content.f_count
+        q1, q2 = np.full(f, content.m_b / f), np.full(f, content.m_e / f)
+        check_budget(q1, q2, content)
+        short, over = q1.copy(), q2.copy()
+        short[0] -= 2e-9
+        over[-1] += 2e-9
+        with pytest.raises(ValueError, match="q1: sum"):
+            check_budget(short, q2, content)
+        with pytest.raises(ValueError, match="q2: sum"):
+            check_budget(q1, over, content)
 
 
 class TestLoadScenario:

@@ -303,18 +303,47 @@ class TestSchemeOneVertexOracle:
             best_candidate * (1.0 + 1e-12)
 
 
-def _block_dual(h, x, budget):
-    """Lagrangian dual min over lam of lam M + sum_f max_k (h[k, f] - lam x_k)
-    of max sum_f h_f(x_f) subject to sum_f x_f = M, for one block sampled
-    at the grid x (Everett, Operations Research 11, 1963).  The dual is
-    convex in lam; bisection on its subgradient M - sum_f x*_f(lam) brackets
-    the minimum, and every lam gives an upper bound."""
-    lo = ((h[-1] - h[:-1]) / (1.0 - x[:-1, None])).min()
-    hi = ((h[1:] - h[0]) / x[1:, None]).max()
-    value = lambda lam: lam * budget + (h - lam * x[:, None]).max(axis=0).sum()
+def _file_max(h, slope, lam):
+    """Each file's maximizer and maximum of h_f(x) - lam x over [0, 1]:
+    h maps a (K, F) block of points to the values h_f, a polynomial, and
+    slope (d, F) holds the monomial coefficients of each h_f'.  The
+    candidates are 0, 1 and the real parts of the roots of h_f' - lam,
+    clipped to [0, 1], so every stationary point in (0, 1) is one; the
+    roots of each file come from the companion matrix of its own degree
+    (a file of weight 0 has a constant h_f')."""
+    d = slope.copy()
+    d[0] -= lam
+    f = d.shape[1]
+    degree = np.where(d != 0.0, np.arange(len(d))[:, None], 0).max(axis=0)
+    x = [np.zeros(f), np.ones(f)]
+    for k in np.unique(degree[degree > 0]):
+        files = degree == k
+        companion = np.zeros((files.sum(), k, k))
+        companion[:, 1:, :-1] = np.eye(k - 1)
+        companion[:, :, -1] = -(d[:k, files] / d[k, files]).T
+        roots = np.zeros((k, f))
+        roots[:, files] = np.linalg.eigvals(companion).real.T
+        x += list(np.clip(roots, 0.0, 1.0))
+    x = np.array(x)
+    v = h(x) - lam * x
+    best, files = v.argmax(axis=0), np.arange(f)
+    return x[best, files], v[best, files]
+
+
+def _block_dual(h, slope, budget):
+    """Lagrangian dual min over lam of lam M + sum_f max_x (h_f(x) - lam x)
+    of max sum_f h_f(x_f) subject to sum_f x_f = M, for one block whose
+    file terms h_f are polynomials with derivative coefficients slope
+    (Everett, Operations Research 11, 1963).  The dual is convex in lam;
+    bisection on its subgradient M - sum_f x*_f(lam) brackets the minimum,
+    from |h_f'| <= sum_k |slope_k, f| on [0, 1], and every lam gives an
+    upper bound."""
+    hi = np.abs(slope).sum(axis=0).max()
+    lo = -hi
+    value = lambda lam: lam * budget + _file_max(h, slope, lam)[1].sum()
     for _ in range(60):
         lam = 0.5 * (lo + hi)
-        if x[np.argmax(h - lam * x[:, None], axis=0)].sum() > budget:
+        if _file_max(h, slope, lam)[0].sum() > budget:
             lo = lam
         else:
             hi = lam
@@ -329,22 +358,40 @@ class TestSchemeTwoDualBound:
     @pytest.fixture(scope="class")
     def bound(self, ctx):
         """The smallest t, by bisection, at which the summed block duals of
-        h_bf(x) = R_bf(x) - t P_bf(x) on a 2001-point grid, minus t p_fix,
-        are <= 0."""
+        h_bf(x) = R_bf(x) - t P_bf(x), minus t p_fix, are <= 0.  In the
+        Bernstein form h_bf is a polynomial of degree n, so each file's
+        maximum is taken exactly, at 0, 1 or a root of h_bf' - lam; h_bf'
+        (degree n - 1) is interpolated from the block core's slopes at n
+        Chebyshev nodes."""
         f = ctx.profile.f_count
-        x = np.linspace(0.0, 1.0, 2001)
-        grid = np.repeat(x[:, None], f, axis=1)
-        p_fix = ctx._p_fix
-        rows = []
+        blocks = []
         for block, budget in zip(ctx._blocks,
                                  (ctx.content.m_b, ctx.content.m_e)):
-            rate, tr, ca, bh = _block_terms("random", grid, block)
-            rows.append((rate, tr + ca + bh, budget))
-        excess = lambda t: sum(_block_dual(rate - t * power, x, budget)
-                               for rate, power, budget in rows) - t * p_fix
+            n = block.n
+            nodes = 0.5 - 0.5 * np.cos(np.pi * (np.arange(n) + 0.5) / n)
+            grid = np.repeat(nodes[:, None], f, axis=1)
+            *_, rate_slope, power_slope = _block_terms(
+                "random", grid, block, slopes=True)
+            to_monomial = np.linalg.inv(np.vander(nodes, increasing=True))
+            blocks.append((block, budget,
+                           to_monomial @ np.broadcast_to(rate_slope,
+                                                         grid.shape),
+                           to_monomial @ power_slope))
+
+        def terms(block, t):
+            def h(x):
+                rate, tr, ca, bh = _block_terms("random", x, block)
+                return rate - t * (tr + ca + bh)
+            return h
+
+        p_fix = ctx._p_fix
+        excess = lambda t: sum(
+            _block_dual(terms(block, t), rate - t * power, budget)
+            for block, budget, rate, power in blocks) - t * p_fix
         # no policy has a rate above every file's best, or a power below p_fix
         lo = 0.0
-        hi = sum(rate.max(axis=0).sum() for rate, _, _ in rows) / p_fix
+        hi = sum(_file_max(terms(block, 0.0), rate, 0.0)[1].sum()
+                 for block, _, rate, _ in blocks) / p_fix
         assert excess(hi) <= 0.0 < excess(lo)
         while hi - lo > 1e-10 * hi:
             t = 0.5 * (lo + hi)

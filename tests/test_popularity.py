@@ -126,8 +126,9 @@ class TestProfile:
 
     @pytest.mark.parametrize("f_count", [10 ** 5, 10 ** 6])
     def test_large_uniform_catalog_is_accepted(self, f_count):
-        """The float sum of F equal probabilities misses 1 by -1.9e-12 at
-        F = 1e5 and by 7.9e-12 at 1e6; the exactly rounded sum is 1."""
+        """A left-to-right float sum of F equal probabilities misses 1 by
+        -1.9e-12 at F = 1e5 and by 7.9e-12 at 1e6; numpy's pairwise sum,
+        which the check uses, misses it by 0 and 4.4e-16."""
         profile = build_profile(ContentConfig(f_count=f_count,
                                               zipf_alpha=0.0))
         assert profile.f_count == f_count
