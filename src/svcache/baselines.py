@@ -12,6 +12,15 @@ from svcache.config import CachingPolicy, ContentConfig
 from svcache.montecarlo import Estimate
 from svcache.objective import ObjectiveContext, _ee
 
+# Most (realization x file) entries icp_expected_ee scores in one stacked
+# _ee call.  A chunk's placements and _ee's temporaries take about 104
+# bytes per entry (a tracemalloc peak of 10.4 MB per realization at
+# F = 10^5), so whatever the realization count the chunks cap its memory
+# at about 14 MB, or at one realization's where the catalog has more than
+# 2^17 files.  A catalog of 20 files scores up to 6,553 realizations at
+# once.
+_ICP_CHUNK = 2 ** 17
+
 
 def mpcp_policy(content: ContentConfig, mode: str = "fractional") -> CachingPolicy:
     """Most Popular Content Placement: cache the top-M_B/M_E files whole
@@ -44,13 +53,23 @@ def icp_policy(content: ContentConfig, seed: int = 0) -> CachingPolicy:
 
 def icp_expected_ee(ctx: ObjectiveContext, n_realizations: int = 1000,
                     seed: int = 0) -> Estimate:
-    """Average EE of ICP over independently re-drawn placements, all
-    scored in one stacked evaluation."""
+    """Average EE of ICP over independently re-drawn placements.
+
+    They are drawn and scored in stacked chunks of at most _ICP_CHUNK
+    entries (one realization per chunk if it alone holds more).  A row's
+    EE does not depend on the rows stacked with it, so the chunking moves
+    no value."""
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
     seeds = np.random.SeedSequence(seed).generate_state(n_realizations)
-    placements = np.array([_icp_rows(ctx.content, int(s)) for s in seeds])
-    values = _ee("fractional", placements[:, 0], placements[:, 1], ctx)
+    step = max(1, _ICP_CHUNK // ctx.content.f_count)
+
+    def score(chunk):
+        placements = np.array([_icp_rows(ctx.content, int(s)) for s in chunk])
+        return _ee("fractional", placements[:, 0], placements[:, 1], ctx)
+
+    values = np.concatenate([score(seeds[lo:lo + step])
+                             for lo in range(0, n_realizations, step)])
     se = float(values.std(ddof=1) / np.sqrt(n_realizations)) \
         if n_realizations > 1 else 0.0
     return Estimate(mean=float(values.mean()), std_error=se,

@@ -138,7 +138,10 @@ def _interference(rng, density, r2_lo, r2_hi, power, alpha, n_drops):
     if r2_hi <= r2_lo:
         return np.zeros(n_drops)
     counts = rng.poisson(density * math.pi * (r2_hi - r2_lo), n_drops)
-    r2 = rng.uniform(r2_lo, r2_hi, int(counts.sum()))
+    # The numbers of rng.uniform(r2_lo, r2_hi, k), built in place.
+    r2 = rng.random(int(counts.sum()))
+    r2 *= r2_hi - r2_lo
+    r2 += r2_lo
     return _faded_sums(rng, r2, counts, power, alpha)
 
 
@@ -181,7 +184,7 @@ def _ambient(cfg: NetworkConfig, n_drops: int, seed: int) -> np.ndarray:
                 * min_r2 ** (-cfg.alpha_m / 2.0))
         n_interf = counts - 1
         # r2 = lo + u * (w2 - lo) with lo the drop's min_r2, built in place.
-        r2 = rng.uniform(0.0, 1.0, int(n_interf.sum()))
+        r2 = rng.random(int(n_interf.sum()))
         r2 *= np.repeat(w2 - min_r2, n_interf)
         r2 += np.repeat(min_r2, n_interf)
         rest = _faded_sums(rng, r2, n_interf, cfg.p_m, cfg.alpha_m)

@@ -639,6 +639,33 @@ class TestSwappedRate:
         assert after == analytic.build_rate_table(net, seed=3)
 
 
+def _allocating_clenshaw(coef, u):
+    """Clenshaw's recurrence with one new array per operation."""
+    u2 = 2.0 * u
+    b1, b2 = np.full_like(u, coef[-1]), np.zeros_like(u)
+    for c in coef[-2:0:-1]:
+        b1, b2 = u2 * b1 - b2 + c, b1
+    return u * b1 - b2 + coef[0]
+
+
+class TestClenshaw:
+    @pytest.mark.parametrize("size", [1, 7, 8192])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_bits_as_allocating_recurrence(self, size, seed):
+        """The in-place recurrence gives the allocating one's bits, for
+        16 coefficients over ten decades and u over [-1, 1] with its
+        edges; the input is left as it is."""
+        rng = np.random.default_rng(seed)
+        coef = (rng.standard_normal(analytic._PSI_NODES)
+                * 10.0 ** rng.uniform(-5.0, 5.0, analytic._PSI_NODES))
+        u = rng.uniform(-1.0, 1.0, size)
+        u[:2] = (-1.0, 1.0)[:size]
+        before = u.copy()
+        assert np.array_equal(analytic._clenshaw(coef, u),
+                              _allocating_clenshaw(coef, u))
+        assert np.array_equal(u, before)
+
+
 def _psi_blocks(monkeypatch, cfg, layer, n, seed):
     """(sigma, pieces, blocks) of _psi_mean over the layer's (n, seed)
     draw at its threshold, from a fresh Psi table: the ascending draw, the

@@ -72,6 +72,20 @@ class TestInterference:
                                      1e4, 1.0, 4.0, 7)
         assert np.array_equal(i, np.zeros(7))
 
+    @pytest.mark.parametrize("r2_lo, r2_hi", [(0.0, 1e6), (2.5e3, 1e6),
+                                              (1e5, 1.3e5)])
+    def test_draws_the_rng_uniform_array(self, r2_lo, r2_hi):
+        """Built in place from rng.random, the squared radii are the
+        numbers rng.uniform(r2_lo, r2_hi, k) draws, so the sums are too."""
+        args = (1e-4, r2_lo, r2_hi, 200.0, 3.5, 512)
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        got = montecarlo._interference(rng, *args)
+        counts = ref_rng.poisson(1e-4 * math.pi * (r2_hi - r2_lo), 512)
+        r2 = ref_rng.uniform(r2_lo, r2_hi, int(counts.sum()))
+        want = montecarlo._faded_sums(ref_rng, r2, counts, 200.0, 3.5)
+        assert np.array_equal(got, want)
+        assert rng.random() == ref_rng.random()
+
     @pytest.mark.parametrize("alpha, density", [
         (4.0, 1e-4), (3.5, 1e-4), (4.0, 3e-7), (3.5, 3e-7)])
     def test_same_bits_as_allocating_sum(self, alpha, density):
@@ -176,13 +190,27 @@ class TestInterference:
 class TestServingScale:
     @pytest.mark.parametrize("alpha", [4.0, 3.5])
     @pytest.mark.parametrize("layer", ["bl", "el"])
-    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 7])
     def test_same_bits_as_allocating_draw(self, net, alpha, layer, n):
+        """Below 8 entries numpy sums a row left to right, as the draw's
+        column sum does."""
         cfg = replace(net, alpha_m=alpha, alpha_s=alpha)
         got = analytic._serving_scale(cfg, layer, n, 5_000, 23)
         assert np.array_equal(got,
                               _allocating_serving_scale(cfg, layer, n, 5_000,
                                                         23))
+
+    @pytest.mark.parametrize("alpha", [4.0, 3.5])
+    @pytest.mark.parametrize("layer", ["bl", "el"])
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_within_1e15_of_pairwise_row_sums(self, net, alpha, layer, n):
+        """From 8 entries numpy sums a row pairwise, so the left-to-right
+        column sum may differ from it in the last bits, but no further."""
+        cfg = replace(net, alpha_m=alpha, alpha_s=alpha)
+        got = analytic._serving_scale(cfg, layer, n, 5_000, 23)
+        np.testing.assert_allclose(
+            got, _allocating_serving_scale(cfg, layer, n, 5_000, 23),
+            rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("layer", ["bl", "el"])
     @pytest.mark.parametrize("n", [1, 3])
