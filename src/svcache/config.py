@@ -46,6 +46,7 @@ class NetworkConfig:
     gamma_el: float = db_to_linear(5.0)   # EL QoS threshold
 
     def __post_init__(self):
+        _require_finite(self)
         _require(self.lambda_m > 0, "lambda_m", "must be > 0")
         _require(self.lambda_s > 0, "lambda_s", "must be > 0")
         _require(self.p_m > 0, "p_m", "must be > 0")
@@ -72,6 +73,7 @@ class ContentConfig:
     zipf_alpha: float = 1.0  # popularity skewness
 
     def __post_init__(self):
+        _require_finite(self)
         _require(self.f_count >= 2, "f_count", "must be >= 2")
         _require(self.l_b >= 0, "l_b", "must be >= 0")
         _require(self.l_e >= 0, "l_e", "must be >= 0")
@@ -105,6 +107,7 @@ class PowerCoefficients:
     p_m_fix: float = 130.0   # MBS fixed power, W
 
     def __post_init__(self):
+        _require_finite(self)
         for key in ("c_ca", "c_bh", "zeta_s", "zeta_m", "p_s_fix", "p_m_fix"):
             _require(getattr(self, key) >= 0, key, "must be >= 0")
         if self.c_ca > self.c_bh:
@@ -161,6 +164,15 @@ def check_budget(q1, q2, content: ContentConfig) -> None:
 def _require(cond: bool, key: str, msg: str) -> None:
     if not cond:
         raise ValueError(f"{key}: {msg}")
+
+
+def _require_finite(config) -> None:
+    """Reject inf or NaN in any float field of a scenario dataclass."""
+    for f in fields(config):
+        # Annotations are strings here (postponed evaluation).
+        if f.type == "float":
+            _require(math.isfinite(getattr(config, f.name)), f.name,
+                     "must be finite")
 
 
 def _unit_entries(key: str, values, tol: float = 0.0) -> np.ndarray:

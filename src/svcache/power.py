@@ -51,10 +51,6 @@ class PowerBreakdown:
     p_bh: float
     p_fix: float
 
-    @property
-    def p_total(self) -> float:
-        return self.p_tr + self.p_ca + self.p_bh + self.p_fix
-
 
 def _surrogate(theta: float) -> tuple[float, float]:
     """Scheme I's smoothing: theta and the normaliser log(1/theta + 1) of

@@ -556,6 +556,36 @@ class TestTailRule:
             analytic._tail_integral(net.gamma_bl, p_at, 2)
         assert len(calls) == 21 * (analytic._MAX_BISECTIONS + 1)
 
+    def test_no_truncation_raises(self, net, monkeypatch):
+        """With a truncation threshold of 0 no segment is small enough to
+        end the integral, which stops after its 40 segments."""
+        monkeypatch.setattr(analytic, "_TAIL_REL", 0.0)
+        with pytest.raises(analytic.QuadratureError, match="did not truncate"):
+            analytic.ergodic_rate_mbs(net, net.gamma_bl)
+
+
+class TestQuadratureMisses:
+    """Each adaptive quadrature raises QuadratureError when scipy reports
+    an error above its tolerance."""
+
+    @pytest.fixture
+    def sloppy_quad(self, monkeypatch):
+        quad = integrate.quad
+
+        def sloppy(*args, **kwargs):
+            return quad(*args, **kwargs)[0], 1.0
+
+        monkeypatch.setattr(integrate, "quad", sloppy)
+
+    @pytest.mark.parametrize("x", [0.5, 2.0], ids=["head", "inverted"])
+    def test_g_alpha(self, sloppy_quad, x):
+        with pytest.raises(analytic.QuadratureError, match="G_alpha"):
+            analytic.g_alpha(3.5, x)
+
+    def test_mixed_alpha_radial_integral(self, sloppy_quad, net):
+        with pytest.raises(analytic.QuadratureError, match="radial"):
+            analytic.p_success_mbs(replace(net, alpha_m=3.5), net.gamma_bl)
+
 
 _SWAP_SCENARIOS = {
     **_TAIL_SCENARIOS,

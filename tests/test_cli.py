@@ -117,6 +117,15 @@ class TestAnalyze:
         assert manifest["schema_version"] == 1
         assert manifest["columns"]["y"] == ["value"]
 
+    def test_without_config_runs_the_default_scenario(self, position_samples,
+                                                      tmp_path):
+        position_samples(2_000)
+        rc = cli.main(["--out-dir", str(tmp_path), "analyze"])
+        assert rc == 0
+        _, rows = _read_csv(tmp_path / "analyze.csv")
+        # the default n1 = n2 = 4
+        assert len(rows) == len(cli.GAMMA_GRID_DB) * 3 + 2 + 4 + 4
+
 
 class TestServingDraws:
     """A CLI run draws the serving positions of each (layer, n) once: the
@@ -257,6 +266,20 @@ class TestOptimize:
         _, pol_rows = _read_csv(tmp_path / "policy.csv")
         assert len(pol_rows) == 100_000
 
+    @pytest.mark.parametrize("size, column", [("l_b", 1), ("l_e", 2)])
+    def test_zero_layer_size_caches_every_file(self, size, column, tmp_path):
+        """A layer of size 0 fits any cache: its budget is the catalog."""
+        cfg = tmp_path / "zero-size.cfg"
+        cfg.write_text(LIGHT_SCENARIO + f"{size} = 0\n")
+        base = ["--config", str(cfg), "--out-dir", str(tmp_path)]
+        assert cli.main(base + ["optimize", "--max-iters", "3"]) == 0
+        _, pol_rows = _read_csv(tmp_path / "policy.csv")
+        assert [float(r[column]) for r in pol_rows] == pytest.approx(
+            [1.0] * 10, abs=1e-12)
+        assert cli.main(base + ["compare", "--sweep", "cache_size", "--grid",
+                                "3e8", "--max-iters", "3",
+                                "--icp-realizations", "5"]) == 0
+
 
 class TestManifests:
     def test_every_csv_has_its_manifest(self, light_cfg, tmp_path):
@@ -337,6 +360,29 @@ class TestCompare:
                                content=content, coeff=coeff)
         assert ee[0.2, "ucp"] == ee_value(ucp_policy(content), ctx,
                                           exact_l0=True)
+
+    @pytest.mark.parametrize("sweep, grid, tables", [
+        ("gamma_bl", "5,20", 2), ("zipf_alpha", "0.5,1.5", 1)])
+    def test_sweep_kinds(self, sweep, grid, tables, light_cfg, tmp_path,
+                         monkeypatch):
+        """A network sweep builds one rate table per grid point, a content
+        sweep one for the whole grid."""
+        built = []
+        build = analytic.build_rate_table
+
+        def counting(net, seed=0):
+            built.append(net)
+            return build(net, seed=seed)
+
+        monkeypatch.setattr(analytic, "build_rate_table", counting)
+        rc = cli.main(["--config", light_cfg, "--out-dir", str(tmp_path),
+                       "compare", "--sweep", sweep, "--grid", grid,
+                       "--max-iters", "3", "--icp-realizations", "5"])
+        assert rc == 0
+        _, rows = _read_csv(tmp_path / f"compare_{sweep}.csv")
+        assert Counter(float(r[0]) for r in rows) == {
+            float(v): 6 for v in grid.split(",")}
+        assert len(built) == tables
 
 
 class TestModuleLookup:
@@ -579,6 +625,16 @@ class TestExitCodes:
         rc = cli.main(["--config", light_cfg, "--out-dir", str(tmp_path),
                        "analyze"])
         assert rc == 2
+
+    def test_tail_integral_without_truncation_exits_2_with_one_line(
+            self, light_cfg, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(analytic, "_TAIL_REL", 0.0)
+        rc = cli.main(["--config", light_cfg, "--out-dir", str(tmp_path),
+                       "analyze"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric non-convergence: ")
+        assert err.count("\n") == 1
 
 
 # Runs each argv of the JSON list argv[1] through cli.main in this fresh

@@ -8,11 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from svcache.config import (_ALT_KEYS, CachingPolicy, ContentConfig,
-                            NetworkConfig, PowerCoefficients, check_budget,
-                            db_to_linear, dbm_to_watts, load_scenario)
+from svcache.config import (_ALT_KEYS, _SCENARIO_CLASSES, CachingPolicy,
+                            ContentConfig, NetworkConfig, PowerCoefficients,
+                            check_budget, db_to_linear, dbm_to_watts,
+                            load_scenario)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+# (class, field) of every float field of the scenario dataclasses
+FLOAT_FIELDS = [(cls, f.name) for cls in _SCENARIO_CLASSES
+                for f in fields(cls) if f.type == "float"]
 
 
 class TestConversions:
@@ -80,6 +84,11 @@ class TestContentConfig:
         with pytest.raises(ValueError):
             ContentConfig(f_count=1)
 
+    @pytest.mark.parametrize("size, budget", [("l_b", "m_b"), ("l_e", "m_e")])
+    def test_zero_layer_size_caches_the_whole_catalog(self, size, budget):
+        c = ContentConfig(**{size: 0.0})
+        assert getattr(c, budget) == c.f_count
+
 
 class TestPowerCoefficients:
     def test_defaults(self, coeff):
@@ -103,6 +112,18 @@ class TestPowerCoefficients:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             PowerCoefficients(c_bh=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
+                         ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("cls, key", FLOAT_FIELDS,
+                         ids=[f"{cls.__name__}.{key}" for cls, key in FLOAT_FIELDS])
+def test_non_finite_field_rejected(cls, key, value):
+    """A dataclass built directly rejects inf and NaN with one line, as
+    load_scenario does for a scenario file."""
+    with pytest.raises(ValueError) as exc:
+        cls(**{key: value})
+    assert str(exc.value) == f"{key}: must be finite"
 
 
 class TestCachingPolicy:

@@ -210,11 +210,17 @@ class TestEeValue:
         from svcache.baselines import mpcp_policy
         from svcache.power import power_scheme1
         pol = mpcp_policy(ctx.content)
+        pb = power_scheme1(pol, ctx.profile, ctx.net, ctx.content, ctx.coeff)
         expected = (_rate("fractional", pol.q1, pol.q2, ctx)
-                    / power_scheme1(pol, ctx.profile, ctx.net, ctx.content,
-                                    ctx.coeff).p_total)
+                    / (pb.p_tr + pb.p_ca + pb.p_bh + pb.p_fix))
         assert ee_value(pol, ctx, exact_l0=True) == pytest.approx(expected,
                                                                   rel=1e-12)
+
+    @pytest.mark.parametrize("layer", ["r_s_bl", "r_s_el"])
+    def test_incomplete_rate_table_rejected(self, ctx, layer):
+        short = replace(ctx.rates, **{layer: {1: getattr(ctx.rates, layer)[1]}})
+        with pytest.raises(ValueError, match="rate table incomplete"):
+            replace(ctx, rates=short)
 
     def test_positive(self, ctx):
         f = ctx.content.f_count

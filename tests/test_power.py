@@ -62,7 +62,6 @@ class TestScheme1:
         assert pb.p_tr == pytest.approx(p_tr, rel=1e-12)
         assert pb.p_ca == pytest.approx(p_ca, rel=1e-12)
         assert pb.p_bh == pytest.approx(p_bh, rel=1e-12)
-        assert pb.p_total == pb.p_tr + pb.p_ca + pb.p_bh + pb.p_fix
 
     def test_mode_mismatch(self, profile, net, content, coeff):
         with pytest.raises(ValueError, match="mode"):
