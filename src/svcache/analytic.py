@@ -13,13 +13,15 @@ MBS term's sigma_m = S^(-2/alpha_m) is sigma^(alpha_s/alpha_m), which the
 kernel forms itself when alpha_m != alpha_s.  At alpha = 4 a sample costs
 one arctan in either layer: the EL annulus's outer and head terms merge
 into one arctan by the addition formula.
-The nearest-MBS radial integral is exact when alpha_m = alpha_s and uses
-adaptive quadrature otherwise.  Every ergodic rate is a success-conditioned
-SIR tail integral, taken by one routine over a node axis: 21-point
-Gauss-Kronrod segments on a logarithmic scale, bisected where the embedded
-10-point Gauss rule disagrees and extended until they stop contributing,
-each rule applied node by node.  The MBS rate is one node.  A cluster rate
-swaps the tail integral and the position average (Fubini):
+The nearest-MBS radial integral is exact when alpha_m = alpha_s and
+otherwise one fixed exp-sinh rule, one array expression over the
+thresholds of a call and the rule's nodes.  Every ergodic rate is a
+success-conditioned SIR tail integral, taken by one routine over a node
+axis: 21-point Gauss-Kronrod segments on a logarithmic scale, bisected
+where the embedded 10-point Gauss rule disagrees and extended until they
+stop contributing, each rule applied node by node.  The MBS rate is one
+node.  A cluster rate swaps the tail integral and the position average
+(Fubini):
 
     R = W log2(1+gamma)
         + (W/ln2) E[phi(gamma, sigma) Psi(sigma)] / E[phi(gamma, sigma)],
@@ -34,8 +36,8 @@ ln sigma whose nodes are tail integrals; a rate is then one kernel pass
 at gamma and one interpolant pass over its draw.
 
 scipy is imported inside the branches that call it: scipy.special for
-hyp2f1 at alpha != 4, scipy.integrate for the radial quadrature at
-alpha_m != alpha_s and for the scalar reference g_alpha.  At the default
+hyp2f1 at alpha != 4, and scipy.integrate only for the scalar reference
+g_alpha, which no rate or probability calls.  At the default
 alpha_m = alpha_s = 4 this module runs on numpy alone.
 """
 
@@ -104,8 +106,27 @@ _PSI_DCT = np.array([[(1.0 if k else 0.5) * 2.0 / _PSI_NODES
 _PSI_BLOCK = 8192
 
 
+# The exp-sinh rule on (0, inf) (Takahasi & Mori, "Double exponential
+# formulas for numerical integration", Publ. RIMS 9, 1974): nodes
+# v_k = exp((pi/2) sinh(k h)) with weights h (pi/2) cosh(k h) v_k, for
+# h = 0.05 and k in [-120, 80], 201 nodes from v = 1e-138 to 4e18.
+_DE_H = 0.05
+_DE_X = _DE_H * np.arange(-120, 81)
+_DE_LOG_V = 0.5 * math.pi * np.sinh(_DE_X)
+_DE_V = np.exp(_DE_LOG_V)
+_DE_W = _DE_H * 0.5 * math.pi * np.cosh(_DE_X) * _DE_V
+# The rule's nodes at even k are the rule of step 2h, so |T_h - T_2h| is an
+# error estimate that costs no evaluation.  It also sees a tail cut off at
+# the last node: the two sums differ there by about half its term.  The
+# estimate must stay within this fraction of T_h.  On the tested grid of
+# exponents, SBS densities and thresholds it is at most 1.2e-8, while T_h
+# itself is within 7e-15 of a log-space quad reference.
+_DE_REL = 1e-6
+
+
 class QuadratureError(RuntimeError):
-    """Raised when an adaptive quadrature misses its tolerance, or when the
+    """Raised when the scalar G_alpha quadrature misses its tolerance, when
+    the exp-sinh rule's error estimate exceeds _DE_REL, or when the
     segmented Gauss-Kronrod tail integral meets a non-finite value, needs
     more than _MAX_BISECTIONS bisections in one segment or does not
     truncate within 40 segments."""
@@ -188,38 +209,60 @@ def _check_gamma(gamma: float) -> None:
 # Serving via the nearest MBS
 # ---------------------------------------------------------------------------
 
-def p_success_mbs(cfg: NetworkConfig, gamma: float) -> float:
-    """P(SIR_M >= gamma): nearest-MBS success probability.
+def _p_mbs(cfg: NetworkConfig, t) -> np.ndarray:
+    """P(SIR_M >= t) at each threshold of the array t, as an array of its
+    shape.
 
     Radial integral over the serving distance, nondimensionalized via
-    z = pi*lambda_m*x^2 so the position density becomes exp(-z).  It is
-    exact when alpha_m = alpha_s and adaptive quadrature otherwise.
+    z = pi*lambda_m*x^2 so the position density becomes exp(-z): the
+    exponent is c1*z + c2*z^kappa, MBS interference giving the linear part
+    and SBS interference the power.  When alpha_m = alpha_s it is
+    (c1 + c2) z, and the integral is 1/(1 + c1 + c2).
+
+    Otherwise the integral in u = (1 + c1) z is
+    int_0^inf exp(-u - c2 (u / (1 + c1))^kappa) du / (1 + c1), which the
+    exp-sinh rule takes at every (threshold, node) pair at once, in
+    v = u / s with s = min(1, (1 + c1) c2^(-1/kappa)): the integrand is cut
+    off at v = 1 by the SBS term, or by the MBS term if that comes first,
+    so its mass sits on the rule's dense nodes around 1 however far below
+    u = 1 the SBS term cuts it.  s is taken in logs, and an exponent past
+    the float range is a term of exactly 0.  The rule is checked per
+    threshold (see _DE_REL).
     """
-    _check_gamma(gamma)
-    # The exponent is c1*z + c2*z^kappa: MBS interference gives the linear
-    # part, SBS interference the power.  Rescaling by 1 + c1 keeps the
-    # integrand O(1) wide even for huge gamma, where the mass would
-    # otherwise concentrate in a spike the quadrature can miss.
+    # np.float_power takes libm's pow, as a float's ** does; np.power's
+    # SIMD loop gives other last bits for about 5% of inputs (numpy 2.4 on
+    # AVX-512), which would move the closed form off its scalar value.
     kappa = cfg.alpha_m / cfg.alpha_s
-    c1 = float(gamma ** (2.0 / cfg.alpha_m)
-               * g_alpha_vec(cfg.alpha_m, gamma ** (-2.0 / cfg.alpha_m)))
+    c1 = (np.float_power(t, 2.0 / cfg.alpha_m)
+          * g_alpha_vec(cfg.alpha_m, np.float_power(t, -2.0 / cfg.alpha_m)))
     c2 = (math.pi * cfg.lambda_s * g_alpha_zero(cfg.alpha_s)
-          * (gamma * cfg.p_s / cfg.p_m) ** (2.0 / cfg.alpha_s)
+          * np.float_power(t * cfg.p_s / cfg.p_m, 2.0 / cfg.alpha_s)
           * (math.pi * cfg.lambda_m) ** -kappa)
     if cfg.alpha_m == cfg.alpha_s:
-        # the exponent is (c1 + c2) z: int_0^inf exp(-(1 + c1 + c2) z) dz
         return 1.0 / (1.0 + c1 + c2)
-    from scipy import integrate
+    log_c1, log_c2 = np.log1p(c1), np.log(c2)
+    log_s = np.minimum(0.0, log_c1 - log_c2 / kappa)
+    # the exponent s v + c2 (s v / (1 + c1))^kappa at each node
+    log_sbs = log_c2 + kappa * (log_s - log_c1)
+    with np.errstate(over="ignore"):
+        expo = np.exp(log_sbs[..., None] + kappa * _DE_LOG_V)
+        expo += np.exp(log_s)[..., None] * _DE_V
+    terms = np.exp(-expo, out=expo)
+    terms *= _DE_W
+    total = terms.sum(axis=-1)
+    err = np.abs(total - 2.0 * terms[..., ::2].sum(axis=-1))
+    if not np.all(err <= _DE_REL * total):
+        worst = np.max(err / total)
+        raise QuadratureError(
+            f"MBS radial rule error {worst:.2e} > {_DE_REL:g} of the integral")
+    return np.exp(log_s - log_c1) * total
 
-    def integrand(u):
-        z = u / (1.0 + c1)
-        return math.exp(-u - c2 * z ** kappa) / (1.0 + c1)
 
-    val, abserr = integrate.quad(integrand, 0.0, np.inf,
-                                 epsabs=1e-14, epsrel=1e-10, limit=200)
-    if abserr > 1e-6 * val + 1e-12:
-        raise QuadratureError(f"radial quadrature error {abserr:.2e}")
-    return min(max(val, 0.0), 1.0)
+def p_success_mbs(cfg: NetworkConfig, gamma: float) -> float:
+    """P(SIR_M >= gamma): nearest-MBS success probability, exact when
+    alpha_m = alpha_s and by a fixed exp-sinh rule otherwise (_p_mbs)."""
+    _check_gamma(gamma)
+    return float(_p_mbs(cfg, np.float64(gamma)))
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +525,11 @@ def _conditioned_rate(cfg: NetworkConfig, gamma: float, p_gamma: float,
 
 def ergodic_rate_mbs(cfg: NetworkConfig, gamma: float) -> float:
     """Ergodic nearest-MBS service rate conditioned on SIR >= gamma: the
-    tail integral of p_success_mbs, one node."""
+    tail integral of p_success_mbs, one node, each rule's thresholds in one
+    _p_mbs call."""
 
     def p_at(t, idx):
-        return np.array([[p_success_mbs(cfg, tk)] for tk in t])
+        return _p_mbs(cfg, t)[:, None]
 
     return _conditioned_rate(
         cfg, gamma, p_success_mbs(cfg, gamma),

@@ -48,9 +48,10 @@ class ObjectiveContext:
 
     def __post_init__(self):
         object.__setattr__(self, "_smoothing", _surrogate(self.theta))
-        if len(self.rates.r_s_bl) < self.net.n1 or len(self.rates.r_s_el) < self.net.n2:
-            raise ValueError("rate table incomplete for the cluster sizes")
         r = self.rates
+        if not (r.r_s_bl.keys() >= set(range(1, self.net.n1 + 1))
+                and r.r_s_el.keys() >= set(range(1, self.net.n2 + 1))):
+            raise ValueError("rate table incomplete for the cluster sizes")
         rows = ([r.r_m_bl] + [r.r_s_bl[n] for n in range(1, self.net.n1 + 1)],
                 [r.r_m_el] + [r.r_s_el[n] for n in range(1, self.net.n2 + 1)])
         blocks, p_fix = _layer_blocks(self.profile, self.net, self.content,

@@ -84,12 +84,16 @@ def project_capped_simplex(v, budget: float) -> np.ndarray:
     sum_free is a sequential cumsum, whose rounding grows with F: on F
     tied entries at F = 1e5 it left sum x off the budget by 5e-8.  So
     where sum x misses the budget by more than _PROJECTION_MISS, u moves
-    once by the miss over the piece's slope -n_free.
+    once by the miss over the piece's slope -n_free.  At budget 0 or F the
+    set is one vertex, returned exactly: on random inputs at F = 1000 the
+    solved u left entries up to 7e-13 off 0 or 1 there.
     """
     v = np.asarray(v, dtype=float)
     f_count = len(v)
     if not 0 <= budget <= f_count:
         raise ValueError(f"budget {budget} outside [0, {f_count}]")
+    if budget == 0 or budget == f_count:
+        return np.full(f_count, 1.0 if budget else 0.0)
     kinks = np.concatenate((v - 1.0, v))
     order = kinks.argsort(kind="stable")
     kinks = kinks[order]

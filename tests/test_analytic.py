@@ -10,10 +10,17 @@ import pytest
 from scipy import integrate
 from scipy.special import hyp2f1
 
-from svcache import analytic
+from svcache import analytic, cli
 from svcache.config import NetworkConfig, db_to_linear
 
 GAMMA_GRID = [db_to_linear(g) for g in (0.0, 5.0, 10.0, 15.0, 20.0)]
+
+# The mixed-exponent scan: (alpha_m, alpha_s) pairs, SBS densities as
+# multiples of the default, and thresholds in dB.
+MIXED_PAIRS = [(3.5, 4.0), (3.0, 4.0), (4.0, 3.5), (2.2, 6.0), (6.0, 2.2),
+               (2.5, 4.5), (5.0, 3.0)]
+MIXED_DENSITIES = [1.0, 1e1, 1e2, 1e3, 1e4, 1e6]
+MIXED_GAMMA_DB = [-20.0, 0.0, 10.0, 30.0, 45.0]
 
 
 def _g_hyp2f1(alpha, x):
@@ -101,6 +108,30 @@ class TestGAlpha:
             analytic.g_alpha(4.0, -1.0)
 
 
+def _log_space_mbs(cfg, gamma):
+    """P(SIR_M >= gamma) at alpha_m != alpha_s by scipy quadrature in
+    s = ln u, u = (1 + c1) z: int e^(s - e^s - c2 e^(kappa (s - ln(1 + c1))))
+    ds / (1 + c1), in unit pieces over 60 on either side of the cut-off
+    ln u = min(0, ln(1 + c1) - ln(c2) / kappa), with G from the scalar
+    quadrature g_alpha."""
+    kappa = cfg.alpha_m / cfg.alpha_s
+    c1 = (gamma ** (2.0 / cfg.alpha_m)
+          * analytic.g_alpha(cfg.alpha_m, gamma ** (-2.0 / cfg.alpha_m)))
+    c2 = (math.pi * cfg.lambda_s * analytic.g_alpha_zero(cfg.alpha_s)
+          * (gamma * cfg.p_s / cfg.p_m) ** (2.0 / cfg.alpha_s)
+          * (math.pi * cfg.lambda_m) ** -kappa)
+    log_c1 = math.log1p(c1)
+    cut = min(0.0, log_c1 - math.log(c2) / kappa)
+
+    def integrand(s):
+        return math.exp(s - math.exp(s) - c2 * math.exp(kappa * (s - log_c1)))
+
+    return math.fsum(
+        integrate.quad(integrand, cut + j, cut + j + 1, epsabs=0.0,
+                       epsrel=1e-13, limit=200)[0]
+        for j in range(-60, 60)) / (1.0 + c1)
+
+
 class TestSuccessMbs:
     def test_vanishing_threshold(self, net):
         # exact value is 1 - Theta(sqrt(gamma)), about 3.1e-5 below 1 here
@@ -131,6 +162,77 @@ class TestSuccessMbs:
                 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
             assert analytic.p_success_mbs(cfg, gamma) == pytest.approx(
                 ref, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("alpha_m, alpha_s", MIXED_PAIRS,
+                             ids=[f"{m}-{s}" for m, s in MIXED_PAIRS])
+    def test_mixed_exponents_match_log_space_reference(self, net, alpha_m,
+                                                       alpha_s):
+        """The exp-sinh rule against _log_space_mbs at each SBS density and
+        threshold of the scan.  Centred on u = (1 + c1) z, scipy's quad
+        missed the mass of an integrand that the SBS term cuts off far
+        below u = 1 and reported no error: 58 of these 210 values were
+        about 100% off."""
+        for scale in MIXED_DENSITIES:
+            cfg = replace(net, alpha_m=alpha_m, alpha_s=alpha_s,
+                          lambda_s=scale * net.lambda_s)
+            for gamma_db in MIXED_GAMMA_DB:
+                gamma = db_to_linear(gamma_db)
+                assert analytic.p_success_mbs(cfg, gamma) == pytest.approx(
+                    _log_space_mbs(cfg, gamma), rel=1e-12, abs=0.0)
+
+    def test_dense_sbs_tier_reproducer(self, net):
+        """alpha_m = 6, alpha_s = 2.2 and 10x the SBS density: the value
+        that 100,000 Monte-Carlo drops put at 3.3e-4 +- 0.57e-4, where the
+        centred quadrature gave 7.6e-21."""
+        cfg = replace(net, alpha_m=6.0, alpha_s=2.2, lambda_s=3.183e-4)
+        p = analytic.p_success_mbs(cfg, 1.0)
+        assert p == pytest.approx(_log_space_mbs(cfg, 1.0), rel=1e-12, abs=0.0)
+        assert p == pytest.approx(3.5565012949e-4, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha_m, alpha_s", [(3.5, 4.0), (2.2, 6.0),
+                                                  (6.0, 2.2), (2.2, 30.0)])
+    def test_sparse_sbs_tier_mixed_exponents(self, net, alpha_m, alpha_s):
+        """At lambda_s = 1e-30 the SBS cut-off (1 + c1) c2^(-1/kappa) lies
+        far out, up to 1e79 at (2.2, 6), and at (2.2, 30) c2^(-1/kappa)
+        overflows a float's **, so the rule's scale is taken in logs.  What
+        is left is the single-tier value 1/(1 + c1)."""
+        cfg = replace(net, alpha_m=alpha_m, alpha_s=alpha_s, lambda_s=1e-30)
+        for gamma_db in MIXED_GAMMA_DB:
+            gamma = db_to_linear(gamma_db)
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                p = analytic.p_success_mbs(cfg, gamma)
+            assert 0.0 <= p <= 1.0
+            c1 = (gamma ** (2.0 / alpha_m)
+                  * analytic.g_alpha(alpha_m, gamma ** (-2.0 / alpha_m)))
+            assert p == pytest.approx(1.0 / (1.0 + c1), rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", [4.0, 3.5])
+    def test_array_closed_form_keeps_scalar_bits(self, net, alpha):
+        """The MBS rate's thresholds go through _p_mbs as one array.  At
+        alpha_m = alpha_s each entry has the bits of the closed form in
+        float arithmetic, one threshold at a time."""
+        cfg = replace(net, alpha_m=alpha, alpha_s=alpha)
+
+        def scalar(gamma):
+            c1 = float(gamma ** (2.0 / alpha)
+                       * analytic.g_alpha_vec(alpha, gamma ** (-2.0 / alpha)))
+            c2 = (math.pi * cfg.lambda_s * analytic.g_alpha_zero(alpha)
+                  * (gamma * cfg.p_s / cfg.p_m) ** (2.0 / alpha)
+                  * (math.pi * cfg.lambda_m) ** -1.0)
+            return 1.0 / (1.0 + c1 + c2)
+
+        t = np.geomspace(1e-3, 1e8, 997)
+        assert analytic._p_mbs(cfg, t).tolist() == [scalar(x) for x in
+                                                    t.tolist()]
+
+    @pytest.mark.parametrize("alpha_m, alpha_s", [(3.5, 4.0), (2.2, 6.0)])
+    def test_array_rule_matches_scalar_calls(self, net, alpha_m, alpha_s):
+        """At alpha_m != alpha_s each threshold's row of the array rule has
+        the bits of p_success_mbs at that threshold alone."""
+        cfg = replace(net, alpha_m=alpha_m, alpha_s=alpha_s)
+        t = np.geomspace(1e-3, 1e8, 97)
+        assert analytic._p_mbs(cfg, t).tolist() == [
+            analytic.p_success_mbs(cfg, x) for x in t.tolist()]
 
     def test_in_unit_interval_and_monotone_in_gamma(self, net):
         vals = [analytic.p_success_mbs(net, g) for g in GAMMA_GRID]
@@ -565,8 +667,8 @@ class TestTailRule:
 
 
 class TestQuadratureMisses:
-    """Each adaptive quadrature raises QuadratureError when scipy reports
-    an error above its tolerance."""
+    """The scalar G_alpha quadrature raises QuadratureError when scipy
+    reports an error above its tolerance."""
 
     @pytest.fixture
     def sloppy_quad(self, monkeypatch):
@@ -582,9 +684,37 @@ class TestQuadratureMisses:
         with pytest.raises(analytic.QuadratureError, match="G_alpha"):
             analytic.g_alpha(3.5, x)
 
-    def test_mixed_alpha_radial_integral(self, sloppy_quad, net):
-        with pytest.raises(analytic.QuadratureError, match="radial"):
+
+class TestRadialRule:
+    """The exp-sinh rule of the mixed-exponent MBS probability checks each
+    threshold against its own rule of step 2h."""
+
+    def test_failed_error_estimate_raises_and_exits_2(self, net, tmp_path,
+                                                      monkeypatch, capsys):
+        """With a bound of 0 any difference between the two sums fails the
+        check: p_success_mbs raises, and analyze exits 2 with one line.
+        The closed form at alpha_m = alpha_s does not use the rule."""
+        monkeypatch.setattr(analytic, "_DE_REL", 0.0)
+        with pytest.raises(analytic.QuadratureError, match="MBS radial rule"):
             analytic.p_success_mbs(replace(net, alpha_m=3.5), net.gamma_bl)
+        assert 0.0 < analytic.p_success_mbs(net, net.gamma_bl) < 1.0
+        scenario = tmp_path / "mixed.cfg"
+        scenario.write_text("n1 = 1\nn2 = 1\nf_count = 10\nm_cache = 3e8\n"
+                            "alpha_m = 3.5\n")
+        assert cli.main(["--config", str(scenario), "--out-dir",
+                         str(tmp_path), "analyze"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric non-convergence: MBS radial rule")
+        assert err.count("\n") == 1
+
+    def test_unresolved_integrand_raises(self, net):
+        """At kappa = 2.2/30 and a dense SBS tier the SBS term barely cuts
+        the integrand at v = 1, and the MBS term cuts it at v = e^20, where
+        the nodes are about 1 apart in ln v: the two sums differ by 3.5e-2,
+        so no value is returned."""
+        cfg = replace(net, alpha_m=2.2, alpha_s=30.0, lambda_s=1.0)
+        with pytest.raises(analytic.QuadratureError, match="MBS radial rule"):
+            analytic.p_success_mbs(cfg, 1.0)
 
 
 _SWAP_SCENARIOS = {

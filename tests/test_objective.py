@@ -216,11 +216,21 @@ class TestEeValue:
         assert ee_value(pol, ctx, exact_l0=True) == pytest.approx(expected,
                                                                   rel=1e-12)
 
-    @pytest.mark.parametrize("layer", ["r_s_bl", "r_s_el"])
-    def test_incomplete_rate_table_rejected(self, ctx, layer):
-        short = replace(ctx.rates, **{layer: {1: getattr(ctx.rates, layer)[1]}})
+    @pytest.mark.parametrize("table", ["r_s_bl", "r_s_el", "mis-keyed"])
+    def test_incomplete_rate_table_rejected(self, ctx, table):
+        """A table without every key 1..n is rejected with one message:
+        one with too few entries, and one with n entries under other
+        keys."""
+        if table == "mis-keyed":
+            net = replace(ctx.net, n1=1, n2=1)
+            rates = RateTable(r_m_bl=1.0, r_m_el=1.0, r_s_bl={2: 2.0},
+                              r_s_el={1: 2.0})
+        else:
+            net = ctx.net
+            rates = replace(ctx.rates,
+                            **{table: {1: getattr(ctx.rates, table)[1]}})
         with pytest.raises(ValueError, match="rate table incomplete"):
-            replace(ctx, rates=short)
+            replace(ctx, net=net, rates=rates)
 
     def test_positive(self, ctx):
         f = ctx.content.f_count

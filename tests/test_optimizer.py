@@ -99,6 +99,17 @@ class TestProjection:
         assert np.all(x == x[0])
         assert x[0] == pytest.approx(budget / f_count, rel=1e-9)
 
+    @pytest.mark.parametrize("f_count", [10, 1000])
+    def test_vertex_budgets_are_exact(self, f_count):
+        """At budget F the only feasible point is all ones, and at budget 0
+        all zeros; both come back exactly, not up to the rounding of a
+        solved threshold (up to 7e-13 off at F = 1000)."""
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            v = rng.normal(0.0, 2.0, f_count)
+            assert np.all(project_capped_simplex(v, f_count) == 1.0)
+            assert np.all(project_capped_simplex(v, 0) == 0.0)
+
     def test_large_magnitude_inputs_terminate(self):
         # float64 spacing at |v| ~ 1e8 is about 1e-8; the threshold must
         # still put the projection on the budget
