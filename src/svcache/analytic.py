@@ -23,17 +23,18 @@ stop contributing, each rule applied node by node.  The MBS rate is one
 node.  A cluster rate swaps the tail integral and the position average
 (Fubini):
 
-    R = W log2(1+gamma)
-        + (W/ln2) E[phi(gamma, sigma) Psi(sigma)] / E[phi(gamma, sigma)],
+    R = W log2(1+gamma) + (W/ln2) sum_i w_i Psi(sigma_i) / sum_i w_i,
     Psi(sigma) = int_gamma^inf phi(t, sigma) / phi(gamma, sigma) dt/(1+t),
 
-with phi the kernel's P(SIR_S >= t) at one position sample.  Psi is the
-tail at one sample conditioned on its success, so it varies slowly in
-ln sigma even where phi(gamma, sigma) falls by hundreds of orders of
-magnitude.  It depends on the layer and gamma but not on the serving
-count, so it is tabulated once, as a piecewise Chebyshev interpolant in
-ln sigma whose nodes are tail integrals; a rate is then one kernel pass
-at gamma and one interpolant pass over its draw.
+with phi the kernel's P(SIR_S >= t) at one position sample and w_i its
+value at gamma over the largest in the draw, formed in logs, so that R is
+defined where every phi(gamma, sigma) underflows.  Psi is the tail at one
+sample conditioned on its success, so it varies slowly in ln sigma even
+where phi(gamma, sigma) falls by hundreds of orders of magnitude.  It
+depends on the layer and gamma but not on the serving count, so it is
+tabulated once, as a piecewise Chebyshev interpolant in ln sigma whose
+nodes are tail integrals; a rate is then one kernel pass at gamma and one
+interpolant pass over its draw.
 
 scipy is imported inside the branches that call it: scipy.special for
 hyp2f1 at alpha != 4, and scipy.integrate only for the scalar reference
@@ -83,9 +84,12 @@ _GK_WG = np.array([
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338])
 
-# A tail piece is bisected while |K21 - G10| exceeds this fraction of the
+# A tail piece is bisected while |K21 - G10| is not below this fraction of the
 # integral so far; at most _MAX_BISECTIONS times per width-4 segment.
 _TAIL_PIECE_REL = 1e-10
+# A Psi node's fraction is at least 64 ulp of |ln phi(gamma)|, the rounding
+# its integrand carries (_psi_at): above _TAIL_PIECE_REL past 7000.
+_NOISE_REL = 64 * 2.0 ** -52
 _MAX_BISECTIONS = 50
 
 # The Psi table's pieces: each spans _PSI_WIDTH in ln sigma, counted down
@@ -410,22 +414,20 @@ def _cluster_state(cfg: NetworkConfig, layer: str, n: int,
 
 
 def _cluster_terms(cfg, layer, gamma, n_serving, seed) -> tuple:
-    """(sigma, terms) of the checked arguments: the _cluster_state draw's
-    sigma and P(SIR_S >= gamma) at each of its samples, exp of the kernel.
-    n_serving is checked before gamma."""
+    """(sigma, ln P(SIR_S >= gamma) at each sample, a new array) of the
+    _cluster_state draw; n_serving is checked before gamma."""
     if not 1 <= n_serving <= (cfg.n1 if layer == "bl" else cfg.n2):
         raise ValueError("n_serving must lie in 1..cluster size")
     _check_gamma(gamma)
     sigma = _cluster_state(cfg, layer, n_serving, seed)
-    terms = _cluster_log_p(cfg, layer, gamma, sigma)
-    return sigma, np.exp(terms, out=terms)
+    return sigma, _cluster_log_p(cfg, layer, gamma, sigma)
 
 
 def _cluster_p(cfg, layer, gamma, n_serving, seed) -> float:
-    """P(SIR_S >= gamma) averaged over the sorted draw: the kernel on every
-    sample, summed in sorted order."""
+    """P(SIR_S >= gamma) averaged over the sorted draw: exp of the kernel
+    on every sample, summed in sorted order."""
     sigma, terms = _cluster_terms(cfg, layer, gamma, n_serving, seed)
-    return float(terms.sum()) / sigma.size
+    return float(np.exp(terms, out=terms).sum()) / sigma.size
 
 
 def p_success_sbs_bl(cfg: NetworkConfig, gamma_bl: float, n1_serving: int,
@@ -455,8 +457,8 @@ def _weighted_sum(weights, rows) -> np.ndarray:
     return acc
 
 
-def _tail_integral(gamma: float, p_at, size: int) -> np.ndarray:
-    """int_gamma^inf p(t) / (1 + t) dt for each of size nodes.
+def _tail_integral(gamma: float, p_at, rel: np.ndarray) -> np.ndarray:
+    """int_gamma^inf p(t) / (1 + t) dt for each node, one per entry of rel.
 
     p_at(t, idx) gives p at the thresholds t (a 1-D array) for the nodes
     idx, as a (t.size, idx.size) array.  The integral is log-substituted
@@ -464,8 +466,9 @@ def _tail_integral(gamma: float, p_at, size: int) -> np.ndarray:
     node's last segment contributes < _TAIL_REL of its total (on the
     default scenario the BL Psi table takes 9 segments, to s = 36, and an
     MBS rate 11).  Each segment is integrated with the 21-point
-    Gauss-Kronrod rule; a piece whose |K21 - G10| exceeds _TAIL_PIECE_REL
-    of the node's total so far (this piece included) is bisected for that
+    Gauss-Kronrod rule; a piece whose |K21 - G10| is not below the node's
+    rel times its total so far (this piece included; so also while that
+    total is 0, as when every node underflowed) is bisected for that
     node, left half first.  Both rules act node by node and every step is
     elementwise, so a node's value does not depend on which other nodes
     share the call.
@@ -484,15 +487,15 @@ def _tail_integral(gamma: float, p_at, size: int) -> np.ndarray:
             raise QuadratureError("SIR tail integrand is not finite")
         return k21, np.abs(k21 - half * _weighted_sum(_GK_WG, pairs[1::2]))
 
-    total = np.zeros(size)
-    live = np.arange(size)
+    total = np.zeros(rel.size)
+    live = np.arange(rel.size)
     for k in range(40):
-        seg, bisections = np.zeros(size), np.zeros(size, dtype=int)
+        seg, bisections = np.zeros(rel.size), np.zeros(rel.size, dtype=int)
         todo = [(4.0 * k, 4.0 * k + 4.0, live)]
         while todo:
             lo, hi, idx = todo.pop()
             k21, err = piece(lo, hi, idx)
-            ok = err <= _TAIL_PIECE_REL * (total[idx] + seg[idx] + k21)
+            ok = err < rel[idx] * (total[idx] + seg[idx] + k21)
             seg[idx[ok]] += k21[ok]
             idx = idx[~ok]
             if idx.size == 0:
@@ -510,30 +513,26 @@ def _tail_integral(gamma: float, p_at, size: int) -> np.ndarray:
     raise QuadratureError("SIR tail integral did not truncate")
 
 
-def _conditioned_rate(cfg: NetworkConfig, gamma: float, p_gamma: float,
-                      tail) -> float:
-    """W log2(1+gamma) + (W/ln2) tail() / P(SIR >= gamma): the ergodic rate
-    conditioned on the success event.  tail() gives the tail integral and
-    is called only when P(SIR >= gamma) = p_gamma is not 0."""
-    if p_gamma == 0.0:
-        raise ZeroDivisionError(
-            f"P(SIR >= gamma) is 0 at gamma = {gamma:g}, so the rate "
-            "conditioned on SIR >= gamma is undefined")
-    return (cfg.w * math.log2(1.0 + gamma)
-            + cfg.w / math.log(2.0) * tail() / p_gamma)
+def _rate(cfg: NetworkConfig, gamma: float, tail: float) -> float:
+    """W log2(1+gamma) + (W/ln2) tail, tail conditioned on SIR >= gamma."""
+    return cfg.w * math.log2(1.0 + gamma) + cfg.w / math.log(2.0) * tail
 
 
 def ergodic_rate_mbs(cfg: NetworkConfig, gamma: float) -> float:
     """Ergodic nearest-MBS service rate conditioned on SIR >= gamma: the
     tail integral of p_success_mbs, one node, each rule's thresholds in one
-    _p_mbs call."""
+    _p_mbs call, over p_success_mbs at gamma."""
+    p_gamma = p_success_mbs(cfg, gamma)
+    if p_gamma == 0.0:
+        raise ZeroDivisionError(
+            f"P(SIR >= gamma) is 0 at gamma = {gamma:g}, so the rate "
+            "conditioned on SIR >= gamma is undefined")
 
     def p_at(t, idx):
         return _p_mbs(cfg, t)[:, None]
 
-    return _conditioned_rate(
-        cfg, gamma, p_success_mbs(cfg, gamma),
-        lambda: float(_tail_integral(gamma, p_at, 1)[0]))
+    tail = _tail_integral(gamma, p_at, np.array([_TAIL_PIECE_REL]))
+    return _rate(cfg, gamma, float(tail[0]) / p_gamma)
 
 
 def _psi_at(cfg: NetworkConfig, layer: str, gamma: float,
@@ -553,7 +552,8 @@ def _psi_at(cfg: NetworkConfig, layer: str, gamma: float,
         out -= log_p_gamma[idx]
         return np.exp(out, out=out)
 
-    return _tail_integral(gamma, phi, x.size)
+    rel = np.maximum(_TAIL_PIECE_REL, _NOISE_REL * -log_p_gamma)
+    return _tail_integral(gamma, phi, rel)
 
 
 def _psi_top(cfg: NetworkConfig, layer: str) -> float:
@@ -618,7 +618,7 @@ def _clenshaw(coef, u: np.ndarray) -> np.ndarray:
 
 def _psi_mean(cfg: NetworkConfig, layer: str, gamma: float, seed: int,
               sigma: np.ndarray, weights: np.ndarray) -> float:
-    """sum_i weights_i Psi(sigma_i) / N over an ascending draw of N samples.
+    """sum_i weights_i Psi(sigma_i) / sum_i weights_i over an ascending draw.
 
     The layer's Psi table at (cfg, gamma, seed) is grown to the pieces
     that cover the draw, down past its smallest sigma (its first sample).
@@ -642,17 +642,16 @@ def _psi_mean(cfg: NetworkConfig, layer: str, gamma: float, seed: int,
             u -= mid
             u *= 2.0 / _PSI_WIDTH
             total += float(_clenshaw(table[j], u) @ weights[lo:lo + u.size])
-    return total / sigma.size
+    return total / float(weights.sum())
 
 
 def _ergodic_rate_cluster(cfg, layer, gamma, n_serving, seed):
-    """The rate from E[phi(gamma) Psi] / E[phi(gamma)] over the draw: one
-    kernel pass at gamma, whose terms weight one pass of the Psi
-    interpolant."""
-    sigma, terms = _cluster_terms(cfg, layer, gamma, n_serving, seed)
-    return _conditioned_rate(
-        cfg, gamma, float(terms.sum()) / sigma.size,
-        lambda: _psi_mean(cfg, layer, gamma, seed, sigma, terms))
+    """The rate from one kernel pass at gamma less its .max(), exponentiated
+    in place: the weights, the largest 1, of one pass of the Psi table."""
+    sigma, weights = _cluster_terms(cfg, layer, gamma, n_serving, seed)
+    weights -= weights.max()
+    np.exp(weights, out=weights)
+    return _rate(cfg, gamma, _psi_mean(cfg, layer, gamma, seed, sigma, weights))
 
 
 def ergodic_rate_sbs_bl(cfg: NetworkConfig, gamma_bl: float, n1_serving: int,

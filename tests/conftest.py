@@ -102,14 +102,18 @@ def arccot_cluster_p():
     return _arccot_cluster_p
 
 
-def _kernel_mean_p(cfg, layer, n_serving, seed):
-    """t -> P(SIR_S >= t): exp of the library's kernel averaged over its
-    sorted serving draw, every sample evaluated."""
+def _kernel_mean_p(cfg, layer, gamma, n_serving, seed):
+    """t -> P(SIR_S >= t) / max_sigma phi(gamma, sigma): exp of the
+    library's kernel less its largest value at gamma, averaged over its
+    sorted serving draw, every sample evaluated.  A success-conditioned
+    rate is a ratio of two such values, which the shift leaves as it is,
+    and it stays defined where P(SIR_S >= gamma) underflows."""
     sigma = analytic._cluster_state(cfg, layer, n_serving, seed)
+    shift = analytic._cluster_log_p(cfg, layer, gamma, sigma).max()
 
     def p_at(t):
         log_p = analytic._cluster_log_p(cfg, layer, t, sigma)
-        return float(np.exp(log_p).sum()) / sigma.size
+        return float(np.exp(log_p - shift).sum()) / sigma.size
 
     return p_at
 
@@ -157,7 +161,7 @@ def _averaged_cluster_rate(cfg, layer, gamma, n_serving, seed):
     (BL) or 64 (EL) kernel passes over the draw on the default
     scenario."""
     return _gk_tail_rate(cfg, gamma,
-                         _kernel_mean_p(cfg, layer, n_serving, seed))
+                         _kernel_mean_p(cfg, layer, gamma, n_serving, seed))
 
 
 @pytest.fixture(scope="session")

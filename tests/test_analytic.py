@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy import integrate
 from scipy.special import hyp2f1
 
@@ -622,12 +623,12 @@ class TestTailRule:
             p_at = functools.partial(analytic.p_success_mbs, cfg)
         else:
             position_samples(2_000)
-            p_at = kernel_mean_p(cfg, layer, 1, 0)
-        tail = analytic._tail_integral(gamma, _one_node(p_at), 1)
+            p_at = kernel_mean_p(cfg, layer, gamma, 1, 0)
+        tail = analytic._tail_integral(
+            gamma, _one_node(p_at), np.array([analytic._TAIL_PIECE_REL]))
         assert tail.shape == (1,)
-        assert analytic._conditioned_rate(
-            cfg, gamma, p_at(gamma), lambda: tail[0]) == pytest.approx(
-                _legendre_tail_rate(cfg, gamma, p_at), rel=1e-13)
+        assert analytic._rate(cfg, gamma, tail[0] / p_at(gamma)) == \
+            pytest.approx(_legendre_tail_rate(cfg, gamma, p_at), rel=1e-13)
 
     def test_nan_integrand_raises_at_once(self, net):
         """A NaN at one of three nodes ends the integral in the first
@@ -641,7 +642,8 @@ class TestTailRule:
             return p
 
         with pytest.raises(analytic.QuadratureError, match="not finite"):
-            analytic._tail_integral(net.gamma_bl, p_at, 3)
+            analytic._tail_integral(net.gamma_bl, p_at,
+                                    np.full(3, analytic._TAIL_PIECE_REL))
         assert len(calls) == 21          # one piece
 
     def test_bisection_cap_raises(self, net):
@@ -655,7 +657,8 @@ class TestTailRule:
             return rng.random((t.size, idx.size))
 
         with pytest.raises(analytic.QuadratureError, match="bisections"):
-            analytic._tail_integral(net.gamma_bl, p_at, 2)
+            analytic._tail_integral(net.gamma_bl, p_at,
+                                    np.full(2, analytic._TAIL_PIECE_REL))
         assert len(calls) == 21 * (analytic._MAX_BISECTIONS + 1)
 
     def test_no_truncation_raises(self, net, monkeypatch):
@@ -664,6 +667,44 @@ class TestTailRule:
         monkeypatch.setattr(analytic, "_TAIL_REL", 0.0)
         with pytest.raises(analytic.QuadratureError, match="did not truncate"):
             analytic.ergodic_rate_mbs(net, net.gamma_bl)
+
+    def test_underflowed_first_piece_is_bisected(self, net):
+        """The integrand exp(-L (e^s - 1)) ds at L = 1e5 is below the
+        smallest double at every node of the first piece, s in [0, 4]: the
+        piece is bisected until one sees it, and the integral meets
+        e^L E1(L) ~ (1 - 1/L + 2/L^2 - 6/L^3) / L, where 0 was returned."""
+        big_l, gamma = 1e5, net.gamma_bl
+
+        def p_at(t, idx):
+            p = np.exp(-big_l * (t / gamma - 1.0)) * (1.0 + t) / t
+            return p[:, None]
+
+        want = (1.0 - 1.0 / big_l + 2.0 / big_l ** 2
+                - 6.0 / big_l ** 3) / big_l
+        rel = np.array([analytic._TAIL_PIECE_REL])
+        assert analytic._tail_integral(gamma, p_at, rel)[0] == pytest.approx(
+            want, rel=1e-9)
+
+    def test_steep_psi_node_ends_at_its_rounding(self, net):
+        """At alpha_m = 2.2, alpha_s = 6, ten times the SBS density and
+        30 dB, ln phi(gamma) is -4.6e11 at the top of the EL table, so the
+        node's integrand carries a rounding of about 1e-4, which no
+        bisection removes.  With the piece fraction at _NOISE_REL times
+        |ln phi(gamma)| the integral ends, at the Laplace value
+        gamma / (1 + gamma) / |d ln phi / ds| at s = 0 to 1e-6."""
+        cfg = replace(net, alpha_m=2.2, alpha_s=6.0,
+                      lambda_s=10.0 * net.lambda_s)
+        gamma = db_to_linear(30.0)
+        x = np.array([analytic._psi_top(cfg, "el")])
+
+        def log_p(s):
+            return analytic._cluster_log_p(cfg, "el", gamma * math.exp(s),
+                                           np.exp(x))[0]
+
+        assert log_p(0.0) == pytest.approx(-4.6e11, rel=0.01)
+        slope = (log_p(1e-6) - log_p(-1e-6)) / 2e-6
+        assert analytic._psi_at(cfg, "el", gamma, x)[0] == pytest.approx(
+            gamma / (1.0 + gamma) / -slope, rel=1e-6)
 
 
 class TestQuadratureMisses:
@@ -721,6 +762,13 @@ _SWAP_SCENARIOS = {
     **_TAIL_SCENARIOS,
     "alpha-3.5": (NetworkConfig(alpha_m=3.5, alpha_s=3.5), None),
     "alpha-3.5-4": (NetworkConfig(alpha_m=3.5), None),
+    # over the 2,000-sample EL draws at n = 1 and 4, ln phi(gamma) lies in
+    # [-5.7e5, -1.9e4] here, and P(SIR >= gamma) underflows to 0.0 at both
+    "alpha-m-2.2": (NetworkConfig(alpha_m=2.2), None),
+    # ... and in [-6.7e3, -5.8e2] here, where it underflows at n = 1
+    "dense-mixed-20dB": (NetworkConfig(alpha_m=6.0, alpha_s=2.2,
+                                       lambda_s=3.183e-4),
+                         db_to_linear(20.0)),
 }
 
 
@@ -901,3 +949,31 @@ def test_threshold_must_be_finite_and_positive(net, name, gamma):
     args = () if name.endswith("mbs") else (1,)
     with pytest.raises(ValueError, match="finite and > 0"):
         getattr(analytic, name)(net, gamma, *args)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(alpha_m=st.floats(2.2, 6.0), alpha_s=st.floats(2.2, 6.0),
+       log_density=st.floats(-2.0, 1.0), gamma_db=st.floats(-10.0, 30.0),
+       n=st.sampled_from([1, 2]))
+@example(alpha_m=2.2, alpha_s=6.0, log_density=1.0, gamma_db=30.0, n=1)
+@example(alpha_m=6.0, alpha_s=2.2, log_density=0.0, gamma_db=20.0, n=1)
+def test_any_scenario_in_range(net, position_samples, alpha_m, alpha_s,
+                               log_density, gamma_db, n):
+    """Over exponents in [2.2, 6], SBS densities at the default times
+    10^[-2, 1] and thresholds in [-10, 30] dB, under the CLI's
+    floating-point traps: every P(SIR >= gamma) lies in [0, 1] and every
+    rate is finite and at least W log2(1+gamma), where P underflows too
+    (the steepest corner, and the dense mixed scenario's EL at 20 dB)."""
+    position_samples(2_000)
+    cfg = replace(net, alpha_m=alpha_m, alpha_s=alpha_s,
+                  lambda_s=net.lambda_s * 10.0 ** log_density)
+    gamma = db_to_linear(gamma_db)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for mode, serving in (("mbs", ()), ("sbs_bl", (n,)), ("sbs_el", (n,))):
+            p = getattr(analytic, f"p_success_{mode}")(cfg, gamma, *serving)
+            rate = getattr(analytic, f"ergodic_rate_{mode}")(cfg, gamma,
+                                                             *serving)
+            assert 0.0 <= p <= 1.0
+            assert math.isfinite(rate)
+            assert rate >= cfg.w * math.log2(1.0 + gamma)

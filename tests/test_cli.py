@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -116,6 +117,23 @@ class TestAnalyze:
         assert manifest["csv"] == "analyze.csv"
         assert manifest["schema_version"] == 1
         assert manifest["columns"]["y"] == ["value"]
+
+    def test_near_free_space_mbs_path_loss_runs(self, tmp_path):
+        """At alpha_m = 2.2 every EL P(SIR >= gamma) of the grid underflows
+        to 0.0, and the rates conditioned on it are still written: finite
+        and at least W log2(1+gamma)."""
+        cfg = tmp_path / "free.cfg"
+        cfg.write_text(LIGHT_SCENARIO + "alpha_m = 2.2\n")
+        assert cli.main(["--config", str(cfg), "--out-dir", str(tmp_path),
+                         "analyze"]) == 0
+        net = load_scenario(str(cfg))[0]
+        values = {(r[0], r[1]): float(r[2])
+                  for r in _read_csv(tmp_path / "analyze.csv")[1]}
+        assert all(values[("p_success_sbs_el", str(g))] == 0.0
+                   for g in cli.GAMMA_GRID_DB)
+        rate = values[("rate_sbs_el_n1", "")]
+        assert math.isfinite(rate)
+        assert rate >= net.w * math.log2(1.0 + net.gamma_el)
 
     def test_without_config_runs_the_default_scenario(self, position_samples,
                                                       tmp_path):
@@ -493,12 +511,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: theta ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("line", ["lambda_s = 1e300", "alpha_m = 2.2",
-                                      "b = 1e300"])
+    @pytest.mark.parametrize("line", [
+        "lambda_s = 1e300", "b = 1e300",
+        pytest.param("alpha_m = 3.5\nlambda_s = 1e300",
+                     id="alpha_m = 3.5, lambda_s = 1e300")])
     def test_numeric_range_error_exits_2(self, line, tmp_path, capsys):
-        """A huge SBS density, or a near-free-space MBS path loss, drives
-        P(SIR >= gamma) to 0, so the rate conditioned on it is undefined; a
-        huge cluster radius overflows its square."""
+        """A huge SBS density overflows the MBS interference term of the
+        MBS rate's tail; at alpha_m != alpha_s the MBS P(SIR >= gamma) is
+        0.0 instead, so the rate conditioned on it is undefined; a huge
+        cluster radius overflows its square."""
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(LIGHT_SCENARIO + line + "\n")
         rc = cli.main(["--config", str(cfg), "--out-dir", str(tmp_path),
@@ -506,7 +527,10 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("numeric range error") and err.count("\n") == 1
-        if line != "b = 1e300":
+        if line == "lambda_s = 1e300":
+            assert err == ("numeric range error (FloatingPointError): "
+                           "overflow encountered in multiply\n")
+        elif line != "b = 1e300":
             assert err.startswith("numeric range error (ZeroDivisionError): "
                                   "P(SIR >= gamma) is 0 at gamma = ")
             assert "conditioned on SIR >= gamma is undefined" in err
